@@ -3,9 +3,9 @@
 The gap at a fixed target distortion is the random-coding rate minus the
 oracle waterfilling rate.  The worst case over spectra is found by a
 deterministic multi-start search: a coarse log-space scan over (levels,
-weights) for each level count k, then Nelder-Mead refinement from the top
-16 scan cells per k, under the reparametrization levels = exp(x),
-weights = softmax(y), projected to unit mean.
+weights) for each level count k, then a BFGS ascent on the analytic gap
+gradient from the top 16 scan cells per k, under the reparametrization
+levels = exp(x), weights = softmax(y), projected to unit mean.
 
 The gap is flat at its maximum, so maximizing it in float64 fixes the argmax
 only to about 1e-7.  The search's best point is therefore finished by a
@@ -24,7 +24,6 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import rdrc, waterfill
 from ._parallel import ordered_map, resolve_threads
@@ -41,6 +40,12 @@ _NEWTON_HALVINGS = 12
 _GAP_SLACK = 1e-15  # a solved point may lose no more gap than this to rounding
 _WEIGHT_FLOOR = 1e-6
 _COALESCE_REL = 1e-4
+_CHART_CLIP = 60.0  # log-level bound in the search chart
+_ASCENT_MAX_ITER = 200
+_ASCENT_GTOL = 1e-10  # max-norm of the chart gradient that stops an ascent
+_ASCENT_XTOL = 1e-12  # max-norm of a step too small to take
+_ASCENT_MAX_STEP = 2.0
+_ARMIJO = 1e-4
 
 
 @dataclass(frozen=True)
@@ -60,7 +65,7 @@ class GapRecord:
 class PointDiagnostics:
     """Optimizer bookkeeping for one grid point.
 
-    restarts counts the Nelder-Mead runs of the multi-start search; residual
+    restarts counts the BFGS ascents of the multi-start search; residual
     is the stationarity residual of the reported spectrum (see
     stationarity_residual), and converged is 1 when it is at most
     STATIONARY_TOL, else 0.
@@ -89,8 +94,6 @@ class SearchConfig:
     seed: int = 0
     starts_per_k: int = 16
     coarse_per_k: int = 256
-    nm_fev_per_dim: int = 70
-    nm_fev_base: int = 120
     merge_tol: float = 1e-7
 
 
@@ -383,7 +386,7 @@ def _dstar_key(d_star: float) -> tuple[int, int]:
 
 
 def _unpack(z: np.ndarray, k: int) -> tuple[list[float], list[float]]:
-    x = np.clip(z[:k], -60.0, 60.0)
+    x = np.clip(z[:k], -_CHART_CLIP, _CHART_CLIP)
     values = np.exp(x)
     logits = np.append(z[k:], 0.0)
     logits -= logits.max()
@@ -398,6 +401,68 @@ def _pack(values, weights) -> np.ndarray:
     ref = math.log(weights[-1])
     y = [math.log(w) - ref for w in weights[:-1]]
     return np.asarray(x + y, dtype=float)
+
+
+def _chart_gap_grad(z: np.ndarray, k: int, d_star: float) -> tuple[float, np.ndarray]:
+    """Gap and its gradient in the _unpack chart z = (x, y).
+
+    The oracle rate is C^1 across the water level, so no kink check is made.
+    With s = sum g_v v the chain rule through v = exp(x) / mean and
+    w = softmax(y, 0) gives dG/dx_j = v_j (g_v,j - s w_j) and, with
+    h = g_w - s v, dG/dy_l = w_l (h_l - w.h).
+    """
+    values, weights = _unpack(z, k)
+    t = waterfill._t_wf_exact(values, weights, d_star)
+    T = rdrc._t_for_distortion_newton(values, weights, d_star)
+    gap = rdrc._r_rc(values, weights, T) - waterfill._r_wf(values, weights, t)
+    levels_wf, levels_rc, weights_wf, weights_rc = _rate_grads(values, weights, t, T)
+    v, w = np.asarray(values), np.asarray(weights)
+    g_v = np.subtract(levels_rc, levels_wf)
+    s = float(g_v @ v)
+    h = np.subtract(weights_rc, weights_wf) - s * v
+    gx = v * (g_v - s * w) * (np.abs(z[:k]) < _CHART_CLIP)
+    gy = w[:-1] * (h[:-1] - float(w @ h))
+    return gap, np.concatenate([gx, gy])
+
+
+def _ascend(z: np.ndarray, k: int, d_star: float) -> np.ndarray:
+    """BFGS ascent of the gap in the _unpack chart from z.
+
+    Starts from the identity inverse Hessian, caps each step at
+    _ASCENT_MAX_STEP in max-norm and halves it until the Armijo condition
+    holds; stops at _ASCENT_MAX_ITER iterations, at a gradient below
+    _ASCENT_GTOL in max-norm, or when the accepted step falls below
+    _ASCENT_XTOL (Nocedal & Wright, Numerical Optimization, 2nd ed., ch. 6).
+    """
+    gap, g = _chart_gap_grad(z, k, d_star)
+    H = np.eye(z.size)
+    for _ in range(_ASCENT_MAX_ITER):
+        if float(np.max(np.abs(g))) < _ASCENT_GTOL:
+            break
+        p = H @ g
+        if float(g @ p) <= 0.0:  # H lost positive definiteness to rounding
+            H = np.eye(z.size)
+            p = g.copy()
+        p *= min(1.0, _ASCENT_MAX_STEP / float(np.max(np.abs(p))))
+        slope = float(g @ p)
+        alpha = 1.0
+        while True:
+            if alpha * float(np.max(np.abs(p))) < _ASCENT_XTOL:
+                return z
+            z_new = z + alpha * p
+            gap_new, g_new = _chart_gap_grad(z_new, k, d_star)
+            if gap_new >= gap + _ARMIJO * alpha * slope:
+                break
+            alpha *= 0.5
+        s, y = z_new - z, g - g_new  # y: change in the gradient of -gap
+        z, gap, g = z_new, gap_new, g_new
+        sy = float(s @ y)
+        if sy > 0.0:
+            Hy = H @ y
+            H += ((sy + float(y @ Hy)) / sy**2) * np.outer(s, s) - (
+                np.outer(Hy, s) + np.outer(s, Hy)
+            ) / sy
+    return z
 
 
 def _coarse_candidates(d_star: float, k: int, cfg: SearchConfig) -> list[tuple[list[float], list[float]]]:
@@ -436,7 +501,7 @@ def _coarse_candidates(d_star: float, k: int, cfg: SearchConfig) -> list[tuple[l
 
 
 def _search_k(d_star: float, k: int, cfg: SearchConfig, carry):
-    """Best (gap, values, weights, nm_runs) over spectra with k levels."""
+    """Best (gap, values, weights, ascents) over spectra with k levels."""
     cands = _coarse_candidates(d_star, k, cfg)
     scored = sorted(
         ((_gap_core(v, w, d_star), v, w) for v, w in cands), key=lambda c: -c[0]
@@ -452,22 +517,9 @@ def _search_k(d_star: float, k: int, cfg: SearchConfig, carry):
     if k == 1:
         starts = starts[:1]
 
-    dim = 2 * k - 1
-    maxfev = cfg.nm_fev_base + cfg.nm_fev_per_dim * dim
-
-    def objective(z: np.ndarray) -> float:
-        v, w = _unpack(z, k)
-        return -_gap_core(v, w, d_star)
-
     best = (-math.inf, None, None)
     for v0, w0 in starts:
-        res = minimize(
-            objective,
-            _pack(v0, w0),
-            method="Nelder-Mead",
-            options={"maxfev": maxfev, "xatol": 1e-9, "fatol": 1e-13},
-        )
-        v, w = _unpack(res.x, k)
+        v, w = _unpack(_ascend(_pack(v0, w0), k, d_star), k)
         g = _gap_core(v, w, d_star)
         if g > best[0]:
             best = (g, v, w)
@@ -485,9 +537,11 @@ def _point_search(d_star: float, k_max: int, cfg: SearchConfig) -> tuple[GapReco
         if g > best[0]:
             best = (g, v, w, k)
     _, values, weights, best_k = best
-    values, weights = _merge_values(
-        *_sorted_desc(values, weights), tol=cfg.merge_tol * max(values)
-    )
+    # The merge scale is the top level that carries weight: an ascent can
+    # leave a level of weight ~1e-29 far above the rest, and scaling by it
+    # would merge every level into one.
+    top = max(v for v, w in zip(values, weights) if w > _WEIGHT_FLOOR)
+    values, weights = _merge_values(*_sorted_desc(values, weights), tol=cfg.merge_tol * top)
     mean = sum(v * w for v, w in zip(values, weights))
     values = [v / mean for v in values]
     # The gap is flat at its maximum, so the search fixes the argmax only to

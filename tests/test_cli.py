@@ -65,6 +65,15 @@ class TestVersion:
         assert proc.stdout == f"rdgap {__version__}\n"
 
 
+class TestRuntimeDependencies:
+    def test_cli_import_does_not_load_scipy(self):
+        # scipy is a tools extra only; the package must run without it.
+        code = "import sys, rdgap.cli; print('scipy' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
+
+
 class TestWf:
     def test_default_grid_flat(self):
         proc = run_cli("wf")

@@ -20,7 +20,7 @@ FLAT = spectra.flat()
 GRAD_WF_TWO_LEVEL_03 = (0.20037431123457825, 0.9016844005556022)
 GRAD_RC_TWO_LEVEL_03 = (0.21039302679630717, 0.9918528406111624)
 
-FAST_SEARCH = SearchConfig(starts_per_k=4, coarse_per_k=64, nm_fev_per_dim=40, nm_fev_base=80)
+FAST_SEARCH = SearchConfig(starts_per_k=4, coarse_per_k=64)
 
 # Worst two-level spectra, frozen from tools/oracle_derived.py: Newton on the
 # 50-digit gap gradient in (v1, w1); d_star -> (levels, weights).
@@ -238,6 +238,45 @@ class TestGradRatesWeights:
             checked += 1
 
 
+class TestChartGradient:
+    def test_fd_random_instances(self):
+        # The gap gradient chained through the search chart (_unpack) matches
+        # Richardson-extrapolated central differences of _gap_core at rel
+        # 1e-5, for k = 2..5, random z and several d_star off the kink.
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(97)))
+        checked = 0
+        while checked < 120:
+            k = 2 + checked % 4
+            z = rng.uniform(-2.0, 2.0, size=2 * k - 1)
+            d_star = float(rng.uniform(0.05, 0.95))
+            values, weights = gapopt._unpack(z, k)
+            t = waterfill._t_wf_exact(values, weights, d_star)
+            if min(abs(v - t) for v in values) < 1e-2 * t:
+                continue
+            _, grad = gapopt._chart_gap_grad(z, k, d_star)
+
+            def central(i, h):
+                e = np.zeros_like(z)
+                e[i] = h
+                return (
+                    gapopt._gap_core(*gapopt._unpack(z + e, k), d_star)
+                    - gapopt._gap_core(*gapopt._unpack(z - e, k), d_star)
+                ) / (2.0 * h)
+
+            h = 1e-3
+            for i in range(z.size):
+                if abs(grad[i]) < 1e-4:
+                    continue
+                fd = (4.0 * central(i, h / 2.0) - central(i, h)) / 3.0
+                assert fd == pytest.approx(grad[i], rel=1e-5), (k, d_star, i)
+            checked += 1
+
+    def test_gap_matches_gap_core(self):
+        z = np.array([0.7, -0.4, 0.1, 0.3, -0.2])
+        gap, _ = gapopt._chart_gap_grad(z, 3, 0.4)
+        assert gap == pytest.approx(gapopt._gap_core(*gapopt._unpack(z, 3), 0.4), abs=1e-15)
+
+
 class TestStationarity:
     @pytest.mark.parametrize("d_star", sorted(ARGMAX_TWO_LEVEL))
     def test_two_level_argmax_frozen(self, d_star):
@@ -312,6 +351,13 @@ class TestMaximizeGap:
         assert a.spectrum.values == b.spectrum.values
         assert a.spectrum.weights == b.spectrum.weights
         assert a.gap_bits == b.gap_bits
+
+    def test_weightless_level_does_not_set_merge_scale(self):
+        # The best 4-level ascent at 0.765 leaves a level of weight ~1e-29 at
+        # ~3e9; a merge tolerance scaled by it collapses every level into one.
+        rec = gapopt.maximize_gap(0.765, 4)
+        assert rec.spectrum.k == 2
+        assert rec.gap_bits > 0.05
 
     @pytest.mark.parametrize("d,k", [(0.0, 2), (1.0, 2), (0.5, 0), (0.5, 6)])
     def test_domain(self, d, k):

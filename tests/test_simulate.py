@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rdgap import rdrc, simulator, spectra, waterfill
+from rdgap.errors import SolverError
 from rdgap.simulator import STREAM_TRIAL, SimConfig, _rng
 
 FLAT = spectra.flat()
@@ -82,6 +83,20 @@ class TestBuildCodebook:
         # equality with the cap is allowed
         cb = simulator.build_codebook(_cfg(n=10, rate_bits=1.0, codebook_cap=1024))
         assert cb.vectors.shape == (1024, 10)
+
+
+class TestCheckTau:
+    def test_in_range_passes(self):
+        simulator._check_tau(np.array([0.0, 0.5, 1.0]), np.array([1.0, 1.0, 1.0]))
+        simulator._check_tau(2.0, 2.0)
+
+    @pytest.mark.parametrize("tau", [-1e-3, 1.001, math.nan])
+    def test_out_of_range_raises(self, tau):
+        # A raised error, not an assert, so the check survives python -O.
+        with pytest.raises(SolverError):
+            simulator._check_tau(tau, 1.0)
+        with pytest.raises(SolverError):
+            simulator._check_tau(np.array([0.5, tau]), np.array([1.0, 1.0]))
 
 
 class TestUniversalScheme:

@@ -18,7 +18,7 @@ Both gaps are evaluated with the closed-form water level and Newton T
 (gapopt._gap_core), which are accurate to rounding; the CSV rate fields come
 from the public bisection solvers, whose error (up to about 1e-12) would
 swamp a 1e-15 comparison.  If any row fails, nothing is written and the exit
-status is 1.  The sweep takes about five minutes on two cores.
+status is 1.  The sweep takes under a minute on two cores.
 
 Run from the repository root: python3 tools/regen_golden_sweep.py
 """

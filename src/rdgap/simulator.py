@@ -175,18 +175,6 @@ def _wilson(successes: int, total: int) -> tuple[float, float]:
 
 # --- universal quantization scheme -----------------------------------------
 
-def _check_tau(tau, norm) -> None:
-    """Raise SolverError unless 0 <= tau <= ||w||_inf (to rounding), trial by
-    trial: the scaling rule never exceeds the sup-norm."""
-    bound = norm * (1.0 + 1e-12) + 1e-300
-    if isinstance(tau, np.ndarray):
-        ok = bool(np.all(tau >= 0.0) and np.all(tau <= bound))
-    else:  # one trial per call in the success mode: numpy reductions cost ~6 us
-        ok = 0.0 <= tau <= bound
-    if not ok:
-        raise SolverError("scaling tau outside [0, ||w||_inf]")
-
-
 _SCHEME_STATE: dict | None = None
 
 
@@ -203,7 +191,9 @@ def _scheme_chunk(args: tuple[int, int]) -> np.ndarray:
     tau = np.sqrt(T * (wsq @ st["alam2"]) / st["den"])
     if st["threshold"] is not None:
         tau = np.where(norms > st["threshold"], 0.0, tau)
-    _check_tau(tau, norms)
+    # The scaling rule never exceeds the sup-norm; checked for every trial.
+    if not (np.all(tau >= 0.0) and np.all(tau <= norms * (1.0 + 1e-12) + 1e-300)):
+        raise SolverError("scaling tau outside [0, ||w||_inf]")
     if st["delta"] is not None:
         unit = st["delta"] * norms
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -292,7 +282,8 @@ def _success_batch(b: int) -> int:
     tau = math.sqrt(T * float(wsq @ st["alam2"]) / st["den"]) if T > 0.0 else 0.0
     if st["threshold"] is not None and norm > st["threshold"]:
         tau = 0.0
-    _check_tau(tau, norm)
+    if not 0.0 <= tau <= norm * (1.0 + 1e-12) + 1e-300:
+        raise SolverError("scaling tau outside [0, ||w||_inf]")
     if st["delta"] is not None and norm > 0.0:
         tau = rdrc.quantize_tau(tau, norm, st["delta"])
     c = rng.standard_normal((st["trials"], st["n"]))

@@ -85,24 +85,19 @@ class TestBuildCodebook:
         assert cb.vectors.shape == (1024, 10)
 
 
-class TestCheckTau:
-    def test_in_range_passes(self):
-        simulator._check_tau(np.array([0.0, 0.5, 1.0]), np.array([1.0, 1.0, 1.0]))
-        simulator._check_tau(2.0, 2.0)
-
-    @pytest.mark.parametrize("tau", [-1e-3, 1.001, math.nan])
-    def test_out_of_range_raises(self, tau):
-        # A raised error, not an assert, so the check survives python -O.
-        with pytest.raises(SolverError):
-            simulator._check_tau(tau, 1.0)
-        with pytest.raises(SolverError):
-            simulator._check_tau(np.array([0.5, tau]), np.array([1.0, 1.0]))
-
-
 class TestUniversalScheme:
     def test_rate_zero_rejected(self):
         with pytest.raises(ValueError):
             simulator.run_universal_scheme(_cfg(rate_bits=0.0))
+
+    @pytest.mark.parametrize("T, den", [(1.0, 1e-30), (math.nan, 1.0)])
+    def test_tau_out_of_range_raises(self, monkeypatch, T, den):
+        # A raised error, not an assert, so the check survives python -O.
+        state = {"n": 4, "seed": 0, "lam": np.ones(4), "u": None, "T": T,
+                 "alam2": np.ones(4), "den": den, "threshold": None}
+        monkeypatch.setattr(simulator, "_SCHEME_STATE", state)
+        with pytest.raises(SolverError):
+            simulator._scheme_chunk((0, 3))
 
     def test_mean_exceeds_analytic_at_small_n(self):
         rep = simulator.run_universal_scheme(_cfg(n=8, trials=512, seed=11))
@@ -176,6 +171,14 @@ class TestCodewordSuccess:
     def test_needs_eta(self):
         with pytest.raises(ValueError):
             simulator.estimate_codeword_success(_cfg(rate_bits=0.5, eta=0.0))
+
+    def test_tau_out_of_range_raises(self, monkeypatch):
+        # A raised error, not an assert, so the check survives python -O.
+        state = {"n": 4, "seed": 0, "trials": 2, "eta": 0.1, "u": None, "T": 1.0,
+                 "dlam": np.ones(4), "alam2": np.ones(4), "den": 1e-30, "threshold": None}
+        monkeypatch.setattr(simulator, "_SUCCESS_STATE", state)
+        with pytest.raises(SolverError):
+            simulator._success_batch(0)
 
     def test_sampling_budget_guard(self):
         with pytest.raises(ValueError):

@@ -2,19 +2,16 @@
 
 The acceptance sweep's largest gap sits on its grid edge, d* = 0.005, so the
 sweep alone cannot show whether the gap keeps growing toward d* -> 0.  This
-prints gapopt.maximize_gap(d*, 5) with the default search on a log grid of
+prints gapopt.maximize_gap(d*, 5) with the default search on 9 log-spaced
 d* from 1e-4 to 0.005, one CSV row per point: the gap in bits, both rates,
 the stationarity residual of the worst spectrum, and its levels and weights.
 
 It is a report only: it checks no bound and changes neither the acceptance
 grid nor any fixture.  Run from the repository root:
 
-    python3 tools/probe_small_dstar.py [POINTS]
-
-POINTS (default 9) is the number of log-spaced grid points.
+    python3 tools/probe_small_dstar.py
 """
 
-import math
 import sys
 from pathlib import Path
 
@@ -23,21 +20,14 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from rdgap import gapopt  # noqa: E402
 
-D_MIN, D_MAX = 1e-4, 0.005
+D_MIN, D_MAX, POINTS = 1e-4, 0.005, 9
+GRID = [D_MIN * (D_MAX / D_MIN) ** (i / (POINTS - 1)) for i in range(POINTS - 1)] + [D_MAX]
 
 
-def log_grid(points: int) -> list[float]:
-    if points < 2:
-        raise ValueError("need at least two grid points")
-    step = math.log(D_MAX / D_MIN) / (points - 1)
-    return [D_MIN * math.exp(i * step) for i in range(points - 1)] + [D_MAX]
-
-
-def main(argv: list[str]) -> int:
-    points = int(argv[0]) if argv else 9
+def main() -> int:
     print("d_star,gap_bits,rate_rc_bits,rate_wf_bits,residual,levels,weights")
     best = None
-    for d_star in log_grid(points):
+    for d_star in GRID:
         rec = gapopt.maximize_gap(d_star, 5)
         residual = gapopt.stationarity_residual(rec.spectrum, d_star)
         print(
@@ -53,4 +43,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

@@ -188,7 +188,7 @@ def grad_rates_weights(s: Spectrum, d_star: float) -> tuple[tuple[float, ...], t
 
 
 def _gap_core(values, weights, d_star: float) -> float:
-    """Fast gap evaluation on raw arrays (closed-form t, Newton T)."""
+    """Gap on raw arrays; equals gap_at(s, d_star).gap_bits bit for bit."""
     t = waterfill._t_wf_exact(values, weights, d_star)
     rate_wf = waterfill._r_wf(values, weights, t)
     T = rdrc._t_for_distortion_newton(values, weights, d_star)
@@ -196,7 +196,7 @@ def _gap_core(values, weights, d_star: float) -> float:
 
 
 def _gap_grad(values, weights, d_star: float) -> tuple[np.ndarray, np.ndarray]:
-    """Gap gradient in (levels, weights) on raw arrays, from the fast solvers."""
+    """Gap gradient in (levels, weights) on raw arrays."""
     t = waterfill._t_wf_exact(values, weights, d_star)
     _check_kink(values, t)
     T = rdrc._t_for_distortion_newton(values, weights, d_star)
@@ -219,8 +219,9 @@ def stationarity_residual(s: Spectrum, d_star: float) -> float:
     s.k levels: the max-norm of the gap gradient in (levels, weights)
     projected onto the constraint set sum w = 1, sum w v = 1.
 
-    Uses the optimizer's closed-form water level and Newton T, which are
-    accurate to rounding; raises KinkError on the waterfilling kink.
+    The water level and T come from the same solvers as gap_at (closed
+    form and Newton), which are accurate to rounding; raises KinkError on
+    the waterfilling kink.
     """
     if not 0.0 < d_star < 1.0:
         raise ValueError("d_star must lie in (0, 1)")

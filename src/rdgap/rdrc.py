@@ -53,24 +53,24 @@ def r_rc(s: Spectrum, T: float) -> float:
     return _r_rc(s.values, s.weights, T)
 
 
-def _bracket_and_bisect(f, target: float, increasing: bool) -> float:
-    """Solve f(T) = target by doubling the bracket from [0, 1], then bisection
-    to relative tolerance 1e-12, with early exit on exact residuals."""
+def _t_for_rate(values, weights, rate: float) -> float:
+    """Solve r_rc(T) = rate by doubling the bracket from [0, 1], then
+    bisection to relative tolerance 1e-12, with early exit on exact residuals."""
     lo, hi = 0.0, 1.0
-    fhi = f(hi)
-    while (fhi < target) if increasing else (fhi > target):
+    r_hi = _r_rc(values, weights, hi)
+    while r_hi < rate:
         lo, hi = hi, hi * 2.0
         if hi > T_BRACKET_CAP:
-            raise SolverError(f"target {target} not bracketed below T = 2^200")
-        fhi = f(hi)
-    if fhi == target:
+            raise SolverError(f"target {rate} not bracketed below T = 2^200")
+        r_hi = _r_rc(values, weights, hi)
+    if r_hi == rate:
         return hi
     for _ in range(MAX_ITER):
         mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == target:
+        r = _r_rc(values, weights, mid)
+        if r == rate:
             return mid
-        if (fm < target) == increasing:
+        if r < rate:
             lo = mid
         else:
             hi = mid
@@ -79,23 +79,18 @@ def _bracket_and_bisect(f, target: float, increasing: bool) -> float:
     raise SolverError(f"bisection did not converge: [{lo}, {hi}]")
 
 
-def _t_for_rate(values, weights, rate: float) -> float:
-    return _bracket_and_bisect(lambda T: _r_rc(values, weights, T), rate, increasing=True)
+def _t_for_distortion_newton(values, weights, d_star: float) -> float:
+    """Solve d_rc(T) = d_star by bracketed Newton.
 
-
-def _t_for_distortion(values, weights, d_star: float) -> float:
+    Doubles the bracket from [0, 1], then takes Newton steps on the
+    distortion equation, each replaced by the bracket midpoint when it
+    leaves the bracket; stops on an exact residual or when a step moves T
+    by at most 1e-14 relative.  Does not require unit-mean
+    normalization: d_star must lie below the zero-rate distortion sum w*v.
+    """
     mean = _d_rc(values, weights, 0.0)
     if d_star >= mean:
         raise SolverError(f"d_star {d_star} is not below the zero-rate distortion {mean}")
-    return _bracket_and_bisect(lambda T: _d_rc(values, weights, T), d_star, increasing=False)
-
-
-def _t_for_distortion_newton(values, weights, d_star: float) -> float:
-    """Optimizer fast path: bracketed Newton on the distortion equation.
-
-    Agrees with the public bisection solver to ~1e-12 relative; kept as an
-    independent route and cross-checked in tests.
-    """
     lo, hi = 0.0, 1.0
     while _d_rc(values, weights, hi) > d_star:
         lo, hi = hi, hi * 2.0
@@ -132,7 +127,7 @@ def t_rc_for_distortion(s: Spectrum, d_star: float) -> float:
     """The unique T with d_rc(s, T) = d_star, d_star in (0, 1)."""
     if not 0.0 < d_star < 1.0:
         raise ValueError("d_star must lie in (0, 1)")
-    return _t_for_distortion(s.values, s.weights, d_star)
+    return _t_for_distortion_newton(s.values, s.weights, d_star)
 
 
 def rr_rc(s: Spectrum, d_star: float) -> float:

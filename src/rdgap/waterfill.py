@@ -2,20 +2,21 @@
 
 Distortion at water level t is sum_j w_j * min(v_j, t); rate in bits is
 (1/2) sum_j w_j * max(0, log2(v_j / t)).  All rates are per dimension,
-base-2.  The module exposes Spectrum-level operations plus private
+base-2.  Both inverses are closed forms: the distortion is piecewise linear
+in t, and on each active set the rate is log-linear in t (reverse
+waterfilling, Cover & Thomas, Elements of Information Theory, 2nd ed.,
+sec. 10.3.3).  The module exposes Spectrum-level operations plus private
 array-based cores shared with the gap optimizer.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import SolverError
 from .spectra import Spectrum
-
-BISECT_ABS_TOL = 1e-13
-BISECT_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -61,29 +62,6 @@ def r_wf(s: Spectrum, t: float) -> float:
     return _r_wf(s.values, s.weights, t)
 
 
-def _t_for_distortion(values, weights, d_star: float) -> float:
-    """Bracketed bisection on [0, max value] to absolute tolerance 1e-13.
-
-    Exits early on an exact residual so that dyadic targets (flat spectrum,
-    semi-flat grids) return exact water levels.
-    """
-    lo, hi = 0.0, values[0]
-    for _ in range(BISECT_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        d = _d_wf(values, weights, mid)
-        if d == d_star:
-            return mid
-        if d < d_star:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= BISECT_ABS_TOL:
-            return 0.5 * (lo + hi)
-    raise SolverError(
-        f"waterfilling bisection did not converge: interval [{lo}, {hi}]"
-    )
-
-
 def t_for_distortion(s: Spectrum, d_star: float) -> float:
     """The unique t with d_wf(s, t) = d_star, for d_star in (0, 1).
 
@@ -92,15 +70,15 @@ def t_for_distortion(s: Spectrum, d_star: float) -> float:
     """
     if not 0.0 < d_star < 1.0:
         raise ValueError("d_star must lie in (0, 1)")
-    return _t_for_distortion(s.values, s.weights, d_star)
+    return _t_wf_exact(s.values, s.weights, d_star)
 
 
 def _t_wf_exact(values, weights, d_star: float) -> float:
-    """Closed-form waterfilling solve (piecewise-linear inversion).
+    """Water level for a target distortion, in closed form.
 
-    Optimizer fast path; agrees with the public bisection to ~1e-13.
-    Does not require unit-mean normalization: d_star must lie in
-    (0, sum w*v).
+    The distortion is linear in t between consecutive levels, so the segment
+    holding d_star is inverted exactly.  Does not require unit-mean
+    normalization: d_star must lie in (0, sum w*v).
     """
     # Walk segments from the smallest level upward.  Within a segment all
     # levels above contribute t, the rest contribute their own value.
@@ -120,25 +98,36 @@ def rr_wf(s: Spectrum, d_star: float) -> float:
     return r_wf(s, t_for_distortion(s, d_star))
 
 
+def _t_for_rate(values, weights, rate: float) -> float:
+    """Water level for a target rate > 0, in closed form.
+
+    With the active set A = {v > t} fixed, the rate is
+    (1/2) sum_A w log2(v / t), so log2 t = (sum_A w log2 v - 2 rate) / sum_A w.
+    The active sets are walked from the top level down; the first whose t
+    lies at or above the next level holds the answer.  Does not require
+    unit-mean normalization.
+    """
+    levels = sorted(((v, w) for v, w in zip(values, weights) if v > 0.0), reverse=True)
+    w_active = 0.0
+    wlog_active = 0.0
+    for j, (v, w) in enumerate(levels):
+        w_active += w
+        wlog_active += w * math.log2(v)
+        t = 2.0 ** ((wlog_active - 2.0 * rate) / w_active)
+        if j + 1 == len(levels) or t >= levels[j + 1][0]:
+            break
+    if t < sys.float_info.min:
+        raise SolverError(f"water level underflows at rate {rate}")
+    return t
+
+
 def dd_wf(s: Spectrum, rate: float) -> float:
     """Distortion at a given oracle rate; 1 at rate 0."""
     if rate < 0.0:
         raise ValueError("rate must be nonnegative")
     if rate == 0.0:
         return 1.0
-    lo, hi = 0.0, 1.0
-    for _ in range(BISECT_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        r = rr_wf(s, mid)
-        if r == rate:
-            return mid
-        if r > rate:  # rate decreases in distortion
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= BISECT_ABS_TOL:
-            return 0.5 * (lo + hi)
-    raise SolverError(f"distortion bisection did not converge: [{lo}, {hi}]")
+    return d_wf(s, _t_for_rate(s.values, s.weights, rate))
 
 
 def per_coord_distortions(s: Spectrum, t: float) -> list[float]:

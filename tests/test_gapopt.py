@@ -32,6 +32,20 @@ ARGMAX_TWO_LEVEL = {
 GOLDEN_SWEEP = Path(__file__).parent / "fixtures" / "gap_sweep_kmax5_seed0.csv"
 
 
+def _golden_rows():
+    """(d_star, spectrum) for each row of the golden sweep."""
+    _, payload = split_manifest_comment(GOLDEN_SWEEP.read_text())
+    rows = []
+    for row in payload.splitlines()[1:]:
+        f = row.split(",")
+        s = spectra.Spectrum(
+            tuple(float(x) for x in f[4].split(";")),
+            tuple(float(x) for x in f[5].split(";")),
+        )
+        rows.append((float(f[0]), s))
+    return rows
+
+
 def _mean_preserving_direction(s, rng):
     u = rng.standard_normal(s.k)
     u = u - float(np.dot(s.weights, u))
@@ -86,6 +100,13 @@ class TestGapAt:
     def test_domain(self, d):
         with pytest.raises(ValueError):
             gapopt.gap_at(FLAT, d)
+
+    def test_matches_gap_core_on_golden_rows(self):
+        # The public record and the optimizer's raw-array gap use the same
+        # solvers, so they agree bit for bit.
+        for d_star, s in _golden_rows():
+            core = gapopt._gap_core(list(s.values), list(s.weights), d_star)
+            assert gapopt.gap_at(s, d_star).gap_bits == core, d_star
 
     def test_semi_flat_gap_vanishes(self):
         for f in (0.1, 0.5, 1.0):
@@ -288,17 +309,10 @@ class TestStationarity:
         assert all(abs(a - b) < 1e-11 for a, b in zip(rec.spectrum.weights, weights))
 
     def test_golden_sweep_rows_are_stationary(self):
-        _, payload = split_manifest_comment(GOLDEN_SWEEP.read_text())
-        rows = payload.splitlines()[1:]
+        rows = _golden_rows()
         assert len(rows) == 199
-        for row in rows:
-            f = row.split(",")
-            d_star = float(f[0])
-            s = spectra.Spectrum(
-                tuple(float(x) for x in f[4].split(";")),
-                tuple(float(x) for x in f[5].split(";")),
-            )
-            assert gapopt.stationarity_residual(s, d_star) <= 1e-11, f[0]
+        for d_star, s in rows:
+            assert gapopt.stationarity_residual(s, d_star) <= 1e-11, d_star
             if d_star in ARGMAX_TWO_LEVEL:
                 levels, weights = ARGMAX_TWO_LEVEL[d_star]
                 assert all(abs(a - b) < 1e-11 for a, b in zip(s.values, levels))

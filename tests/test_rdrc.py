@@ -20,6 +20,20 @@ RR_RC_TWO_LEVEL_AT_02 = 0.8487930335740901
 RR_WF_TWO_LEVEL_AT_02 = 0.792481250360578
 
 
+def _bisect_t_for_distortion(values, weights, d_star):
+    """Reference T(d_star): double the bracket, then plain bisection of _d_rc."""
+    lo, hi = 0.0, 1.0
+    while rdrc._d_rc(values, weights, hi) > d_star:
+        lo, hi = hi, 2.0 * hi
+    while hi - lo > 1e-13 * hi:
+        mid = 0.5 * (lo + hi)
+        if rdrc._d_rc(values, weights, mid) > d_star:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 class TestDRc:
     def test_flat(self):
         assert rdrc.d_rc(FLAT, 3.0) == 0.25
@@ -96,6 +110,11 @@ class TestSolvers:
         with pytest.raises(ValueError):
             rdrc.t_rc_for_distortion(FLAT, d)
 
+    def test_distortion_at_or_above_mean_is_solver_error(self):
+        # Raw arrays need not have unit mean; d_star must lie below sum w*v.
+        with pytest.raises(SolverError):
+            rdrc._t_for_distortion_newton([2.0, 0.0], [0.5, 0.5], 1.0)
+
     def test_unreachable_rate_is_solver_error(self):
         with pytest.raises(SolverError):
             rdrc.t_rc_for_rate(FLAT, 200.0)
@@ -110,10 +129,10 @@ class TestSolvers:
 
     @given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=150))
     def test_newton_and_bisection_routes_agree(self, k, seed):
-        # Two independent solver routes for T(d_star) must coincide.
+        # The Newton solver must agree with an independent bisection.
         s = spectra.sample_random(k, seed)
         for d in (0.05, 0.4, 0.9):
-            slow = rdrc._t_for_distortion(list(s.values), list(s.weights), d)
+            slow = _bisect_t_for_distortion(list(s.values), list(s.weights), d)
             fast = rdrc._t_for_distortion_newton(list(s.values), list(s.weights), d)
             assert fast == pytest.approx(slow, rel=1e-10)
 

@@ -1,10 +1,12 @@
 import math
+from decimal import Decimal
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from rdgap import spectra, waterfill
+from rdgap.errors import SolverError
 
 TWO_LEVEL = spectra.parse_spectrum("1.8:0.5,0.2:0.5")
 SEMI_HALF = spectra.semi_flat(0.5)
@@ -12,6 +14,11 @@ FLAT = spectra.flat()
 
 # Frozen by an independent high-precision (50-digit decimal) bisection oracle.
 RR_WF_TWO_LEVEL_AT_02 = 0.792481250360578
+# Frozen from tools/oracle_derived.py (50-digit reverse waterfilling): one
+# active level at R = 0.3, both at R = 1.3.
+DD_WF_TWO_LEVEL = {0.3: 0.4917477534832559, 1.3: 0.09896309330796707}
+# The `wf` subcommand's default distortion grid, 0.05:0.95:0.05.
+WF_DEFAULT_GRID = [float(Decimal(i) / 20) for i in range(1, 20)]
 
 
 class TestDWf:
@@ -132,12 +139,55 @@ class TestDdWf:
             r = 0.1 * i
             assert abs(waterfill.dd_wf(FLAT, r) - 2.0 ** (-2.0 * r)) < 1e-10
 
+    @pytest.mark.parametrize("rate", sorted(DD_WF_TWO_LEVEL))
+    def test_two_level_oracle_value(self, rate):
+        assert waterfill.dd_wf(TWO_LEVEL, rate) == pytest.approx(
+            DD_WF_TWO_LEVEL[rate], abs=1e-13
+        )
+
+    def test_water_level_underflow_is_solver_error(self):
+        # t = 2^(-2R) on the flat spectrum: the smallest normal double at
+        # R = 511, subnormal beyond.
+        assert waterfill.dd_wf(FLAT, 511.0) == 2.0**-1022
+        for r in (511.5, 600.0):
+            with pytest.raises(SolverError):
+                waterfill.dd_wf(FLAT, r)
+        with pytest.raises(SolverError):
+            waterfill.dd_wf(spectra.semi_flat(0.01), 10.0)
+
     @given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=200))
     def test_inverts_rr_wf(self, k, seed):
         s = spectra.sample_random(k, seed)
         for d in (0.1, 0.5, 0.9):
             r = waterfill.rr_wf(s, d)
             assert abs(waterfill.dd_wf(s, r) - d) < 1e-9
+
+
+class TestTForRate:
+    @given(
+        st.integers(min_value=1, max_value=8),
+        st.integers(min_value=0, max_value=300),
+        st.floats(min_value=0.01, max_value=10.0),
+    )
+    def test_round_trip(self, k, seed, rate):
+        s = spectra.sample_random(k, seed)
+        t = waterfill._t_for_rate(s.values, s.weights, rate)
+        assert abs(waterfill.r_wf(s, t) - rate) <= 1e-13 * rate
+
+    @pytest.mark.parametrize("f", [0.1, 0.5])
+    def test_zero_level_stays_inactive(self, f):
+        s = spectra.semi_flat(f)
+        for rate in (0.05, 1.0, 8.0):
+            t = waterfill._t_for_rate(s.values, s.weights, rate)
+            assert t == pytest.approx(2.0 ** (-2.0 * rate / f) / f, rel=1e-13)
+            assert abs(waterfill.r_wf(s, t) - rate) <= 1e-13 * rate
+
+    @pytest.mark.parametrize("rate", [0.05, 0.5, 3.0])
+    def test_tied_levels_act_as_one(self, rate):
+        # Raw arrays may repeat a level and need not be sorted.
+        tied = waterfill._t_for_rate([0.5, 2.0, 0.5, 2.0], [0.3, 0.2, 0.3, 0.2], rate)
+        merged = waterfill._t_for_rate([2.0, 0.5], [0.4, 0.6], rate)
+        assert tied == pytest.approx(merged, rel=1e-14)
 
 
 class TestPerCoordDistortions:
@@ -164,6 +214,10 @@ class TestWfPoint:
         p = waterfill.point_at_distortion(TWO_LEVEL, 0.35)
         assert abs(p.distortion - waterfill.d_wf(TWO_LEVEL, p.level_t)) < 1e-10
         assert p.rate_bits == waterfill.r_wf(TWO_LEVEL, p.level_t)
+
+    def test_flat_level_is_exact_on_default_grid(self):
+        for d in WF_DEFAULT_GRID:
+            assert waterfill.point_at_distortion(FLAT, d).level_t == d
 
     def test_rate_zero_iff_level_above_max(self):
         assert waterfill.r_wf(TWO_LEVEL, 1.8) == 0.0

@@ -40,6 +40,17 @@ def two_level_gap(v1, w1, d) -> Decimal:
     return rate_rc - rate_wf
 
 
+def two_level_dd_wf(v1, v2, w1, w2, rate) -> Decimal:
+    """Waterfilling distortion at a rate, by reverse waterfilling: with only
+    v1 active, t = v1 2^(-2R/w1); once t falls below v2, both are active and
+    t = 2^((w1 log2 v1 + w2 log2 v2 - 2R) / (w1 + w2))."""
+    t = v1 * (-2 * rate / w1 * LOG2).exp()
+    if t >= v2:
+        return w1 * t + w2 * v2
+    t = ((w1 * log2(v1) + w2 * log2(v2) - 2 * rate) / (w1 + w2) * LOG2).exp()
+    return (w1 + w2) * t
+
+
 def two_level_argmax(d, v1, w1) -> tuple[Decimal, Decimal]:
     """Newton on the gradient of two_level_gap in (v1, w1) from a nearby start.
 
@@ -83,6 +94,12 @@ def main() -> None:
     rate_wf = (w1 * log2(v1 / t)) / 2
     print(f"t_wf([1.8,.2], d*=0.2)        = {float(t)!r}")
     print(f"rr_wf([1.8,.2], d*=0.2)       = {float(rate_wf)!r}")
+
+    # dd_wf at one rate per active set: R = 0.3 leaves v2 inactive (t > v2
+    # up to R = log2(9) / 4), R = 1.3 waterfills both levels.
+    for rate in ("0.3", "1.3"):
+        dd = two_level_dd_wf(v1, v2, w1, w2, Decimal(float(rate)))
+        print(f"dd_wf([1.8,.2], R={rate})        = {float(dd)!r}")
 
     # t_rc_for_rate at rate = 2:
     # 0.25 log2((1+v1 T)(1+v2 T)) = 2  =>  v1 v2 T^2 + (v1+v2) T + 1 = 2^8.

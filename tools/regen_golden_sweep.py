@@ -14,11 +14,11 @@ every row passes both checks:
   is at most 1e-11, so every row is a solved stationary point rather than
   where one optimizer trajectory happened to stop.
 
-Both gaps are evaluated with the closed-form water level and Newton T
-(gapopt._gap_core), which are accurate to rounding; the CSV rate fields come
-from the public bisection solvers, whose error (up to about 1e-12) would
-swamp a 1e-15 comparison.  If any row fails, nothing is written and the exit
-status is 1.  The sweep takes under a minute on two cores.
+Both gaps are evaluated with gapopt._gap_core on the row's levels and
+weights, the closed-form water level and Newton T that gap_at also uses;
+these are accurate to rounding, so a 1e-15 comparison is meaningful.  If any
+row fails, nothing is written and the exit status is 1.  The sweep takes
+under a minute on two cores.
 
 Run from the repository root: python3 tools/regen_golden_sweep.py
 """

@@ -7,12 +7,18 @@ Units are trials for the scheme/coupling/filter runs and source batches for
 success-probability runs; codebook and rotation have dedicated streams.
 Parallel execution distributes whole units and reduces in unit order, so
 results never depend on the worker count.
+
+Every mode runs through one unit runner, `_map_units`: each work item is
+`(state, start, count)`, where `state` is the run's read-only dict of
+precomputed arrays, so kernels read no module-level state.  Pool workers
+receive the kernel and all items once, at pool start (`fork` on POSIX,
+`spawn` elsewhere; see `_parallel`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -173,14 +179,61 @@ def _wilson(successes: int, total: int) -> tuple[float, float]:
     return max(0.0, center - half), min(1.0, center + half)
 
 
+# --- unit runner -------------------------------------------------------------
+
+
+def _map_units(kernel, state: dict, total: int, size: int, threads: int | None) -> list:
+    """kernel((state, start, count)) over [0, total) cut into fixed units of
+    `size`, results in unit order; the units never depend on `threads`."""
+    units = [(state, i, min(size, total - i)) for i in range(0, total, size)]
+    return ordered_map(kernel, units, resolve_threads(threads))
+
+
+def _run_trials(mode, kernel, state, trials, threads, keep_per_trial, analytic, warnings):
+    """Run a per-trial kernel in fixed _CHUNK-trial units; report mean and SE."""
+    per_trial = np.concatenate(_map_units(kernel, state, trials, _CHUNK, threads))
+    mean, se = _mean_se(per_trial)
+    return SimReport(
+        mode=mode,
+        mean=mean,
+        se=se,
+        analytic=analytic,
+        trials=trials,
+        warnings=warnings,
+        per_trial=per_trial if keep_per_trial else None,
+    )
+
+
+def _scaling_state(config: SimConfig) -> tuple[dict, tuple[str, ...]]:
+    """State the scheme and success kernels share: eigenvalues, rotation,
+    the noise level T at the configured rate (0 at rate 0) and the terms of
+    the scaling rule tau = sqrt(T sum alam2 w^2 / den)."""
+    lam, warnings = _realized_lambdas(config.spectrum, config.n)
+    u = None if config.rotation == "identity" else haar_orthogonal(config.n, config.seed)
+    T = (
+        rdrc._t_for_rate(lam.tolist(), [1.0 / config.n] * config.n, config.rate_bits)
+        if config.rate_bits > 0.0
+        else 0.0
+    )
+    state = {
+        "n": config.n,
+        "seed": config.seed,
+        "lam": lam,
+        "u": u,
+        "T": T,
+        "alam2": lam**2 / (1.0 + lam * T) ** 2,
+        "den": float(np.sum(lam / (1.0 + lam * T))),
+        "threshold": config.tau_threshold,
+        "delta": config.tau_delta,
+    }
+    return state, warnings
+
+
 # --- universal quantization scheme -----------------------------------------
 
-_SCHEME_STATE: dict | None = None
 
-
-def _scheme_chunk(args: tuple[int, int]) -> np.ndarray:
-    start, count = args
-    st = _SCHEME_STATE
+def _scheme_chunk(args: tuple[dict, int, int]) -> np.ndarray:
+    st, start, count = args
     n = st["n"]
     lam = st["lam"]
     (w,) = _trial_normals(st["seed"], start, count, n)
@@ -224,73 +277,49 @@ def run_universal_scheme(
     """
     if not config.rate_bits > 0.0:
         raise ValueError("scheme mode needs rate_bits > 0")
-    lam, warnings = _realized_lambdas(config.spectrum, config.n)
-    u = None if config.rotation == "identity" else haar_orthogonal(config.n, config.seed)
+    st, warnings = _scaling_state(config)
     codebook = build_codebook(config)
-    c_rot = codebook.vectors @ u if u is not None else codebook.vectors
-    T = rdrc._t_for_rate(lam.tolist(), [1.0 / config.n] * config.n, config.rate_bits)
-    global _SCHEME_STATE
-    _SCHEME_STATE = {
-        "n": config.n,
-        "seed": config.seed,
-        "lam": lam,
-        "u": u,
-        "T": T,
-        "alam2": lam**2 / (1.0 + lam * T) ** 2,
-        "den": float(np.sum(lam / (1.0 + lam * T))),
-        "threshold": config.tau_threshold,
-        "delta": config.tau_delta,
-        "codebook_rot": c_rot,
-        "codebook_gram": (c_rot * c_rot) @ lam,
-    }
-    try:
-        chunks = [(i, min(_CHUNK, config.trials - i)) for i in range(0, config.trials, _CHUNK)]
-        parts = ordered_map(_scheme_chunk, chunks, resolve_threads(threads))
-    finally:
-        _SCHEME_STATE = None
-    per_trial = np.concatenate(parts)
-    mean, se = _mean_se(per_trial)
-    return SimReport(
-        mode="scheme",
-        mean=mean,
-        se=se,
-        analytic=rdrc.dd_rc(config.spectrum, config.rate_bits),
-        trials=config.trials,
-        warnings=warnings,
-        per_trial=per_trial if keep_per_trial else None,
+    c_rot = codebook.vectors @ st["u"] if st["u"] is not None else codebook.vectors
+    st["codebook_rot"] = c_rot
+    st["codebook_gram"] = (c_rot * c_rot) @ st["lam"]
+    analytic = rdrc.dd_rc(config.spectrum, config.rate_bits)
+    return _run_trials(
+        "scheme", _scheme_chunk, st, config.trials, threads, keep_per_trial, analytic, warnings
     )
 
 
 # --- single-codeword success probability ------------------------------------
 
-_SUCCESS_STATE: dict | None = None
 
-
-def _success_batch(b: int) -> int:
-    st = _SUCCESS_STATE
+def _success_batch(args: tuple[dict, int, int]) -> int:
+    """Successes over the source batches [start, start + count)."""
+    st, start, count = args
     if st["T"] == 0.0:
         # Degenerate boundary: tau = 0 makes the distance equal the target
         # minus eta exactly, so every draw succeeds; skip the float compare.
-        return st["trials"]
-    rng = _rng(st["seed"], STREAM_WBATCH, b)
-    w = rng.standard_normal(st["n"])
-    wt = w @ st["u"] if st["u"] is not None else w
-    wsq = wt * wt
-    norm = float(np.max(np.abs(wt)))
-    target = float(wsq @ st["dlam"]) / st["n"] + st["eta"]
-    T = st["T"]
-    tau = math.sqrt(T * float(wsq @ st["alam2"]) / st["den"]) if T > 0.0 else 0.0
-    if st["threshold"] is not None and norm > st["threshold"]:
-        tau = 0.0
-    if not 0.0 <= tau <= norm * (1.0 + 1e-12) + 1e-300:
-        raise SolverError("scaling tau outside [0, ||w||_inf]")
-    if st["delta"] is not None and norm > 0.0:
-        tau = rdrc.quantize_tau(tau, norm, st["delta"])
-    c = rng.standard_normal((st["trials"], st["n"]))
-    ct = c @ st["u"] if st["u"] is not None else c
-    diff = wt[None, :] - tau * ct
-    d = (diff * diff) @ st["lam"] / st["n"]
-    return int(np.count_nonzero(d <= target))
+        return st["trials"] * count
+    successes = 0
+    for b in range(start, start + count):
+        rng = _rng(st["seed"], STREAM_WBATCH, b)
+        w = rng.standard_normal(st["n"])
+        wt = w @ st["u"] if st["u"] is not None else w
+        wsq = wt * wt
+        norm = float(np.max(np.abs(wt)))
+        target = float(wsq @ st["dlam"]) / st["n"] + st["eta"]
+        T = st["T"]
+        tau = math.sqrt(T * float(wsq @ st["alam2"]) / st["den"]) if T > 0.0 else 0.0
+        if st["threshold"] is not None and norm > st["threshold"]:
+            tau = 0.0
+        if not 0.0 <= tau <= norm * (1.0 + 1e-12) + 1e-300:
+            raise SolverError("scaling tau outside [0, ||w||_inf]")
+        if st["delta"] is not None and norm > 0.0:
+            tau = rdrc.quantize_tau(tau, norm, st["delta"])
+        c = rng.standard_normal((st["trials"], st["n"]))
+        ct = c @ st["u"] if st["u"] is not None else c
+        diff = wt[None, :] - tau * ct
+        d = (diff * diff) @ st["lam"] / st["n"]
+        successes += int(np.count_nonzero(d <= target))
+    return successes
 
 
 def estimate_codeword_success(config: SimConfig, threads: int | None = None) -> SimReport:
@@ -305,34 +334,9 @@ def estimate_codeword_success(config: SimConfig, threads: int | None = None) -> 
         raise ValueError("success mode needs eta > 0")
     if config.n * config.rate_bits > 26.0:
         raise ValueError("n * rate_bits must be <= 26 for direct sampling")
-    lam, warnings = _realized_lambdas(config.spectrum, config.n)
-    u = None if config.rotation == "identity" else haar_orthogonal(config.n, config.seed)
-    T = (
-        rdrc._t_for_rate(lam.tolist(), [1.0 / config.n] * config.n, config.rate_bits)
-        if config.rate_bits > 0.0
-        else 0.0
-    )
-    global _SUCCESS_STATE
-    _SUCCESS_STATE = {
-        "n": config.n,
-        "seed": config.seed,
-        "trials": config.trials,
-        "eta": config.eta,
-        "lam": lam,
-        "u": u,
-        "T": T,
-        "dlam": lam / (1.0 + lam * T),
-        "alam2": lam**2 / (1.0 + lam * T) ** 2,
-        "den": float(np.sum(lam / (1.0 + lam * T))),
-        "threshold": config.tau_threshold,
-        "delta": config.tau_delta,
-    }
-    try:
-        counts = ordered_map(
-            _success_batch, list(range(config.w_batches)), resolve_threads(threads)
-        )
-    finally:
-        _SUCCESS_STATE = None
+    st, warnings = _scaling_state(config)
+    st.update(trials=config.trials, eta=config.eta, dlam=st["lam"] / (1.0 + st["lam"] * st["T"]))
+    counts = _map_units(_success_batch, st, config.w_batches, 1, threads)
     total = config.trials * config.w_batches
     successes = int(sum(counts))
     p_hat = successes / total
@@ -361,12 +365,9 @@ def estimate_codeword_success(config: SimConfig, threads: int | None = None) -> 
 
 # --- exact-expectation constructions ----------------------------------------
 
-_COUPLING_STATE: dict | None = None
 
-
-def _coupling_chunk(args: tuple[int, int]) -> np.ndarray:
-    start, count = args
-    st = _COUPLING_STATE
+def _coupling_chunk(args: tuple[dict, int, int]) -> np.ndarray:
+    st, start, count = args
     z, ynoise = _trial_normals(st["seed"], start, count, st["n"], draws=2)
     y = st["sig_y"] * ynoise
     w = y + st["sqrt_d"] * z
@@ -389,38 +390,21 @@ def simulate_wf_coupling(
         raise ValueError("water level t must be positive")
     lam, warnings = _realized_lambdas(s, n)
     d = np.minimum(np.divide(t, lam, out=np.full(n, np.inf), where=lam > 0.0), 1.0)
-    global _COUPLING_STATE
-    _COUPLING_STATE = {
+    st = {
         "n": n,
         "seed": seed,
         "sqrt_d": np.sqrt(d),
         "sig_y": np.sqrt(1.0 - d),
         "weighted": lam,
     }
-    try:
-        chunks = [(i, min(_CHUNK, trials - i)) for i in range(0, trials, _CHUNK)]
-        parts = ordered_map(_coupling_chunk, chunks, resolve_threads(threads))
-    finally:
-        _COUPLING_STATE = None
-    per_trial = np.concatenate(parts)
-    mean, se = _mean_se(per_trial)
-    return SimReport(
-        mode="coupling",
-        mean=mean,
-        se=se,
-        analytic=waterfill.d_wf(s, t),
-        trials=trials,
-        warnings=warnings,
-        per_trial=per_trial if keep_per_trial else None,
+    return _run_trials(
+        "coupling", _coupling_chunk, st, trials, threads, keep_per_trial,
+        waterfill.d_wf(s, t), warnings,
     )
 
 
-_FILTER_STATE: dict | None = None
-
-
-def _filter_chunk(args: tuple[int, int]) -> np.ndarray:
-    start, count = args
-    st = _FILTER_STATE
+def _filter_chunk(args: tuple[dict, int, int]) -> np.ndarray:
+    st, start, count = args
     gx, gz = _trial_normals(st["seed"], start, count, st["n"], draws=2)
     x = st["sqrt_lam"] * gx
     z = st["noise_scale"] * gz
@@ -442,27 +426,13 @@ def simulate_mmse_filter(
     if not T > 0.0:
         raise ValueError("T must be positive")
     lam, warnings = _realized_lambdas(s, n)
-    global _FILTER_STATE
-    _FILTER_STATE = {
+    st = {
         "n": n,
         "seed": seed,
         "sqrt_lam": np.sqrt(lam),
         "noise_scale": 1.0 / math.sqrt(T),
         "f": lam * T / (1.0 + lam * T),
     }
-    try:
-        chunks = [(i, min(_CHUNK, trials - i)) for i in range(0, trials, _CHUNK)]
-        parts = ordered_map(_filter_chunk, chunks, resolve_threads(threads))
-    finally:
-        _FILTER_STATE = None
-    per_trial = np.concatenate(parts)
-    mean, se = _mean_se(per_trial)
-    return SimReport(
-        mode="filter",
-        mean=mean,
-        se=se,
-        analytic=rdrc.d_rc(s, T),
-        trials=trials,
-        warnings=warnings,
-        per_trial=per_trial if keep_per_trial else None,
+    return _run_trials(
+        "filter", _filter_chunk, st, trials, threads, keep_per_trial, rdrc.d_rc(s, T), warnings
     )

@@ -301,6 +301,12 @@ class TestSimulateCommand:
     def test_mode_required(self):
         assert run_cli("simulate").returncode == 2
 
+    def test_non_integer_thread_count_names_the_variable(self):
+        proc = run_cli("simulate", "--mode", "filter", "--T", "1", "--n", "4", "--trials", "8",
+                       env_extra={"RDGAP_THREADS": "abc"})
+        assert proc.returncode == 2
+        assert "RDGAP_THREADS must be an integer, got 'abc'" in proc.stderr
+
     def test_invalid_run_config_exits_two(self):
         proc = run_cli("simulate", "--mode", "scheme", "--rate", "0", "--n", "8")
         assert proc.returncode == 2

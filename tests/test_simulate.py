@@ -91,13 +91,12 @@ class TestUniversalScheme:
             simulator.run_universal_scheme(_cfg(rate_bits=0.0))
 
     @pytest.mark.parametrize("T, den", [(1.0, 1e-30), (math.nan, 1.0)])
-    def test_tau_out_of_range_raises(self, monkeypatch, T, den):
+    def test_tau_out_of_range_raises(self, T, den):
         # A raised error, not an assert, so the check survives python -O.
         state = {"n": 4, "seed": 0, "lam": np.ones(4), "u": None, "T": T,
                  "alam2": np.ones(4), "den": den, "threshold": None}
-        monkeypatch.setattr(simulator, "_SCHEME_STATE", state)
         with pytest.raises(SolverError):
-            simulator._scheme_chunk((0, 3))
+            simulator._scheme_chunk((state, 0, 3))
 
     def test_mean_exceeds_analytic_at_small_n(self):
         rep = simulator.run_universal_scheme(_cfg(n=8, trials=512, seed=11))
@@ -172,13 +171,12 @@ class TestCodewordSuccess:
         with pytest.raises(ValueError):
             simulator.estimate_codeword_success(_cfg(rate_bits=0.5, eta=0.0))
 
-    def test_tau_out_of_range_raises(self, monkeypatch):
+    def test_tau_out_of_range_raises(self):
         # A raised error, not an assert, so the check survives python -O.
         state = {"n": 4, "seed": 0, "trials": 2, "eta": 0.1, "u": None, "T": 1.0,
                  "dlam": np.ones(4), "alam2": np.ones(4), "den": 1e-30, "threshold": None}
-        monkeypatch.setattr(simulator, "_SUCCESS_STATE", state)
         with pytest.raises(SolverError):
-            simulator._success_batch(0)
+            simulator._success_batch((state, 0, 1))
 
     def test_sampling_budget_guard(self):
         with pytest.raises(ValueError):

@@ -75,7 +75,6 @@ class PointDiagnostics:
     restarts: int
     converged: int
     best_k: int
-    uses_five_levels: bool
     residual: float
 
 
@@ -387,14 +386,14 @@ def _dstar_key(d_star: float) -> tuple[int, int]:
 
 
 def _unpack(z: np.ndarray, k: int) -> tuple[list[float], list[float]]:
-    x = np.clip(z[:k], -_CHART_CLIP, _CHART_CLIP)
-    values = np.exp(x)
-    logits = np.append(z[k:], 0.0)
-    logits -= logits.max()
-    w = np.exp(logits)
-    w /= w.sum()
-    values /= float(values @ w)
-    return values.tolist(), w.tolist()
+    values = [math.exp(min(max(x, -_CHART_CLIP), _CHART_CLIP)) for x in z[:k].tolist()]
+    logits = z[k:].tolist() + [0.0]
+    top = max(logits)
+    e = [math.exp(y - top) for y in logits]
+    total = sum(e)
+    weights = [u / total for u in e]
+    mean = sum(v * w for v, w in zip(values, weights))
+    return [v / mean for v in values], weights
 
 
 def _pack(values, weights) -> np.ndarray:
@@ -405,25 +404,26 @@ def _pack(values, weights) -> np.ndarray:
 
 
 def _chart_gap_grad(z: np.ndarray, k: int, d_star: float) -> tuple[float, np.ndarray]:
-    """Gap and its gradient in the _unpack chart z = (x, y).
-
+    """Gap and its gradient in the _unpack chart z = (x, y), on Python floats
+    (at k <= 5 a numpy call costs more than the arithmetic it does).
     The oracle rate is C^1 across the water level, so no kink check is made.
     With s = sum g_v v the chain rule through v = exp(x) / mean and
-    w = softmax(y, 0) gives dG/dx_j = v_j (g_v,j - s w_j) and, with
-    h = g_w - s v, dG/dy_l = w_l (h_l - w.h).
+    w = softmax(y, 0) gives dG/dx_j = v_j (g_v,j - s w_j), 0 where x_j is
+    clipped, and, with h = g_w - s v, dG/dy_l = w_l (h_l - w.h).
     """
     values, weights = _unpack(z, k)
     t = waterfill._t_wf_exact(values, weights, d_star)
     T = rdrc._t_for_distortion_newton(values, weights, d_star)
     gap = rdrc._r_rc(values, weights, T) - waterfill._r_wf(values, weights, t)
     levels_wf, levels_rc, weights_wf, weights_rc = _rate_grads(values, weights, t, T)
-    v, w = np.asarray(values), np.asarray(weights)
-    g_v = np.subtract(levels_rc, levels_wf)
-    s = float(g_v @ v)
-    h = np.subtract(weights_rc, weights_wf) - s * v
-    gx = v * (g_v - s * w) * (np.abs(z[:k]) < _CHART_CLIP)
-    gy = w[:-1] * (h[:-1] - float(w @ h))
-    return gap, np.concatenate([gx, gy])
+    g_v = [rc - wf for rc, wf in zip(levels_rc, levels_wf)]
+    s = sum(g * v for g, v in zip(g_v, values))
+    h = [rc - wf - s * v for rc, wf, v in zip(weights_rc, weights_wf, values)]
+    wh = sum(w * u for w, u in zip(weights, h))
+    gx = [v * (g - s * w) if abs(x) < _CHART_CLIP else 0.0
+          for v, g, w, x in zip(values, g_v, weights, z.tolist())]
+    gy = [w * (u - wh) for w, u in zip(weights[:-1], h)]
+    return gap, np.array(gx + gy)
 
 
 def _ascend(z: np.ndarray, k: int, d_star: float) -> np.ndarray:
@@ -565,7 +565,6 @@ def _point_search(d_star: float, k_max: int, cfg: SearchConfig) -> tuple[GapReco
         restarts=restarts,
         converged=int(residual <= STATIONARY_TOL),
         best_k=best_k,
-        uses_five_levels=spectrum.k == 5,
         residual=residual,
     )
     return record, diag

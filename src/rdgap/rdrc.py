@@ -80,34 +80,35 @@ def _t_for_rate(values, weights, rate: float) -> float:
 
 
 def _t_for_distortion_newton(values, weights, d_star: float) -> float:
-    """Solve d_rc(T) = d_star by bracketed Newton.
+    """Solve d_rc(T) = d_star by bracketed Newton from a closed-form bracket.
 
-    Doubles the bracket from [0, 1], then takes Newton steps on the
-    distortion equation, each replaced by the bracket midpoint when it
-    leaves the bracket; stops on an exact residual or when a step moves T
-    by at most 1e-14 relative.  Does not require unit-mean
-    normalization: d_star must lie below the zero-rate distortion sum w*v.
+    From v <= max v and v / (1 + vT) < 1 / T, sum w v / (1 + T max v) <=
+    d_rc(T) <= sum w / T, so the root lies in [lo, hi] with
+    lo = (sum w v / d_star - 1) / max v and hi = sum w / d_star.  d_rc is
+    convex and decreasing, so Newton from lo climbs monotonically to the
+    root; a step leaving the bracket (only by rounding) becomes its midpoint.
+    Stops on an exact residual or a step of at most 1e-14 relative.  Needs
+    no unit mean: d_star must lie below the zero-rate distortion sum w*v.
     """
     mean = _d_rc(values, weights, 0.0)
     if d_star >= mean:
         raise SolverError(f"d_star {d_star} is not below the zero-rate distortion {mean}")
-    lo, hi = 0.0, 1.0
-    while _d_rc(values, weights, hi) > d_star:
-        lo, hi = hi, hi * 2.0
-        if hi > T_BRACKET_CAP:
-            raise SolverError(f"d_star {d_star} not bracketed below T = 2^200")
-    T = 0.5 * (lo + hi)
+    lo = T = (mean / d_star - 1.0) / max(values)
+    hi = sum(weights) / d_star
     for _ in range(80):
-        g = _d_rc(values, weights, T) - d_star
+        d = gp = 0.0  # d_rc(T) and its derivative in one pass
+        for v, w in zip(values, weights):
+            q = v / (1.0 + v * T)
+            d += w * q
+            gp -= w * q * q
+        g = d - d_star
         if g == 0.0:
             return T  # an exact root would otherwise close the bracket on itself
         if g > 0.0:
             lo = T
         else:
             hi = T
-        gp = -sum(w * v * v / (1.0 + v * T) ** 2 for v, w in zip(values, weights))
-        step = g / gp if gp != 0.0 else 0.0
-        T_new = T - step
+        T_new = T - g / gp if gp != 0.0 else T
         if not lo < T_new < hi:
             T_new = 0.5 * (lo + hi)
         if abs(T_new - T) <= 1e-14 * max(T_new, 1e-300):

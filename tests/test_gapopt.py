@@ -297,6 +297,37 @@ class TestChartGradient:
         gap, _ = gapopt._chart_gap_grad(z, 3, 0.4)
         assert gap == pytest.approx(gapopt._gap_core(*gapopt._unpack(z, 3), 0.4), abs=1e-15)
 
+    def test_unpack_lands_on_constraint_set(self):
+        # Any z, log-levels past the clip and far-out weight logits included,
+        # unpacks to a spectrum with sum w = 1 and sum w v = 1.
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(96)))
+        for i in range(400):
+            k = 1 + i % 5
+            z = rng.uniform(-1.0, 1.0, size=2 * k - 1) * (3.0 if i % 2 else 80.0)
+            values, weights = gapopt._unpack(z, k)
+            assert abs(sum(weights) - 1.0) <= 1e-15
+            assert abs(sum(v * w for v, w in zip(values, weights)) - 1.0) <= 1e-15
+
+    @pytest.mark.parametrize(
+        "z, k, clipped",
+        [
+            ([65.0, 0.0, 0.4], 2, [0]),
+            ([0.5, -70.0, 0.1, 0.3, -0.2], 3, [1]),
+            ([61.0, 0.2, -0.3, -64.0, 0.1, -0.5, 0.2], 4, [0, 3]),
+        ],
+    )
+    def test_clipped_log_level(self, z, k, clipped):
+        # A log-level past +-_CHART_CLIP does not move the spectrum, so its
+        # gradient component is 0, and the gap is still _gap_core's.
+        z = np.array(z)
+        assert all(abs(z[j]) > gapopt._CHART_CLIP for j in clipped)
+        d_star = 0.3
+        gap, grad = gapopt._chart_gap_grad(z, k, d_star)
+        assert gap == gapopt._gap_core(*gapopt._unpack(z, k), d_star)
+        assert grad.shape == (2 * k - 1,)
+        for j in range(2 * k - 1):
+            assert (grad[j] == 0.0) == (j in clipped), j
+
 
 class TestStationarity:
     @pytest.mark.parametrize("d_star", sorted(ARGMAX_TWO_LEVEL))

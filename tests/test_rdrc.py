@@ -136,6 +136,29 @@ class TestSolvers:
             fast = rdrc._t_for_distortion_newton(list(s.values), list(s.weights), d)
             assert fast == pytest.approx(slow, rel=1e-10)
 
+    @given(
+        st.lists(
+            st.tuples(
+                st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=1e4)),
+                st.floats(min_value=1e-3, max_value=10.0),
+            ),
+            min_size=1,
+            max_size=8,
+        ).filter(lambda levels: any(v > 0.0 for v, _ in levels)),
+        st.floats(min_value=-6.0, max_value=math.log10(0.999)),
+    )
+    def test_newton_on_raw_arrays(self, levels, log_frac):
+        # Raw arrays: weights need not sum to 1, the mean need not be 1, zero
+        # levels are allowed, the top level goes up to 1e4, and d_star goes
+        # down to 1e-6 of the zero-rate distortion sum w*v.
+        values = [v for v, _ in levels]
+        weights = [w for _, w in levels]
+        mean = rdrc._d_rc(values, weights, 0.0)
+        d_star = 10.0**log_frac * mean
+        T = rdrc._t_for_distortion_newton(values, weights, d_star)
+        assert (mean / d_star - 1.0) / max(values) <= T <= sum(weights) / d_star
+        assert abs(rdrc._d_rc(values, weights, T) - d_star) <= 1e-12 * d_star
+
 
 class TestCompositions:
     def test_dd_rc_flat(self):

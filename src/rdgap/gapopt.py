@@ -7,11 +7,14 @@ weights) for each level count k, then a BFGS ascent on the analytic gap
 gradient from the top 16 scan cells per k, under the reparametrization
 levels = exp(x), weights = softmax(y), projected to unit mean.
 
-The gap is flat at its maximum, so maximizing it in float64 fixes the argmax
+A higher level count replaces the best of the lower ones only if it gains
+more than 1e-15 of gap, so a k that refinds the same spectrum does not.  The
+gap is flat at its maximum, so maximizing it in float64 fixes the argmax
 only to about 1e-7.  The search's best point is therefore finished by a
-stationarity solve: Newton on the analytic gap gradient in levels and
-weights (grad_rates, grad_rates_weights) over the set sum w = 1,
-sum w v = 1, merging levels that coalesce or lose their weight.  The solved
+stationarity solve: Newton on the KKT conditions of the gap over the set
+sum w = 1, sum w v = 1, in raw levels and weights, with the analytic gap
+gradient (grad_rates, grad_rates_weights) and the exact gap Hessian; levels
+that coalesce or lose their weight are merged (_collapse).  The solved
 point replaces the searched one unless it loses more than 1e-15 of gap, and
 its residual (stationarity_residual) is reported per grid point.  The golden
 sweep fixture is regenerated with tools/regen_golden_sweep.py.
@@ -28,15 +31,13 @@ import numpy as np
 from . import rdrc, waterfill
 from ._parallel import ordered_map, resolve_threads
 from .errors import KinkError, SolverError
-from .spectra import Spectrum, _merge_values
+from .spectra import Spectrum
 
 _LN2 = math.log(2.0)
 _STREAM_GAPOPT = 5
 
 STATIONARY_TOL = 1e-11  # projected-gradient residual that counts as converged
-_NEWTON_STEP_FLOOR = 1e-15  # relative Newton step that is rounding
 _NEWTON_MAX_ITER = 20
-_NEWTON_HALVINGS = 12
 _GAP_SLACK = 1e-15  # a solved point may lose no more gap than this to rounding
 _WEIGHT_FLOOR = 1e-6
 _COALESCE_REL = 1e-4
@@ -93,7 +94,6 @@ class SearchConfig:
     seed: int = 0
     starts_per_k: int = 16
     coarse_per_k: int = 256
-    merge_tol: float = 1e-7
 
 
 def gap_at(s: Spectrum, d_star: float) -> GapRecord:
@@ -203,14 +203,18 @@ def _gap_grad(values, weights, d_star: float) -> tuple[np.ndarray, np.ndarray]:
     return np.subtract(levels_rc, levels_wf), np.subtract(weights_rc, weights_wf)
 
 
-def _projected_residual(values, weights, g_levels, g_weights) -> float:
-    """Max-norm of the gap gradient after removing its least-squares fit by
-    the gradients of the constraints sum w = 1 and sum w v = 1."""
+def _projected_gradient(values, weights, d_star: float):
+    """The gap gradient in (levels, weights) minus its least-squares fit by
+    the gradients J of the constraints sum w = 1 and sum w v = 1.
+
+    Returns (projected gradient, multipliers, J); the multipliers are the
+    least-squares Lagrange multipliers of the two constraints.
+    """
     k = len(values)
-    g = np.concatenate([g_levels, g_weights])
+    g = np.concatenate(_gap_grad(values, weights, d_star))
     J = np.array([np.r_[np.zeros(k), np.ones(k)], np.r_[weights, values]])
     mult = np.linalg.lstsq(J.T, g, rcond=None)[0]
-    return float(np.max(np.abs(g - J.T @ mult)))
+    return g - J.T @ mult, mult, J
 
 
 def stationarity_residual(s: Spectrum, d_star: float) -> float:
@@ -228,97 +232,81 @@ def stationarity_residual(s: Spectrum, d_star: float) -> float:
 
 
 def _residual(values, weights, d_star: float) -> float:
-    g_levels, g_weights = _gap_grad(values, weights, d_star)
-    return _projected_residual(values, weights, g_levels, g_weights)
+    return float(np.max(np.abs(_projected_gradient(values, weights, d_star)[0])))
 
 
-class _Chart:
-    """Coordinates on the constraint set: every level but the heaviest is
-    free; the heaviest level's weight and value follow from sum w = 1 and
-    sum w v = 1."""
+def _gap_hessian(values, weights, d_star: float) -> np.ndarray:
+    """Hessian of the gap in (levels, weights) on raw arrays: _rate_grads
+    differentiated once more, through t and T as well.
 
-    def __init__(self, values, weights, d_star: float) -> None:
-        self.k = len(values)
-        self.dep = int(np.argmax(weights))
-        self.free = [j for j in range(self.k) if j != self.dep]
-        self.d_star = d_star
-        self.x0 = np.array([values[j] for j in self.free] + [weights[j] for j in self.free])
-
-    def point(self, x: np.ndarray):
-        """(values, weights) at x, or None outside the feasible set."""
-        m, dep = len(self.free), self.dep
-        v, w = np.empty(self.k), np.empty(self.k)
-        v[self.free], w[self.free] = x[:m], x[m:]
-        w[dep] = 1.0 - float(np.sum(x[m:]))
-        if not (w[dep] > 0.0 and np.all(x > 0.0)):
-            return None
-        v[dep] = (1.0 - float(x[:m] @ x[m:])) / w[dep]
-        return (v, w) if v[dep] > 0.0 else None
-
-    def grad(self, x: np.ndarray):
-        """(gradient in x, projected residual), or None outside the feasible set."""
-        p = self.point(x)
-        if p is None:
-            return None
-        v, w = p
-        g_levels, g_weights = _gap_grad(v.tolist(), w.tolist(), self.d_star)
-        f, dep = self.free, self.dep
-        gx = np.r_[
-            g_levels[f] - g_levels[dep] * w[f] / w[dep],
-            g_weights[f] - g_weights[dep] + g_levels[dep] * (v[dep] - v[f]) / w[dep],
-        ]
-        return gx, _projected_residual(v, w, g_levels, g_weights)
+    Each curve's Hessian is a 2x2 (v_j, w_j) block per level plus low-rank
+    terms from the implicit shift of t (or T).  With b = (w [v <= t];
+    min(v, t)) the distortion's gradient at fixed t, the oracle's is
+    b b^T / (t^2 W_active).  With u = 1 + vT, q = (w / u^2; v / u) the
+    distortion's gradient at fixed T, den = sum w v^2 / u^2, and q_T, den_T
+    their T-derivatives, the random-coding curve's is
+    q q^T (1/den - d* den_T / den^3) + d* (q q_T^T + q_T q^T) / den^2.
+    Raises KinkError on the waterfilling kink.
+    """
+    t = waterfill._t_wf_exact(values, weights, d_star)
+    _check_kink(values, t)
+    T = rdrc._t_for_distortion_newton(values, weights, d_star)
+    k = len(values)
+    v, w = np.asarray(values, dtype=float), np.asarray(weights, dtype=float)
+    active = v > t
+    b = np.r_[np.where(active, 0.0, w), np.minimum(v, t)]
+    u = 1.0 + v * T
+    q = np.r_[w / u**2, v / u]
+    q_T = np.r_[-2.0 * w * v / u**3, -((v / u) ** 2)]
+    den = float(w @ (v / u) ** 2)
+    den_T = -2.0 * float(w @ (v / u) ** 3)
+    H = (
+        np.outer(q, q) * (1.0 / den - d_star * den_T / den**3)
+        + d_star * (np.outer(q, q_T) + np.outer(q_T, q)) / den**2
+        - np.outer(b, b) / (t * t * float(w[active].sum()))
+    )
+    for j, (vj, wj, uj) in enumerate(zip(values, weights, u.tolist())):
+        H[j, j] += -wj * T * T / uj**2 - 2.0 * d_star * wj * T / (den * uj**3)
+        H[j, j] += wj / vj**2 if vj > t else 0.0
+        cross = T / uj + d_star / (den * uj**2) - (1.0 / vj if vj > t else 1.0 / t)
+        H[j, k + j] += cross
+        H[k + j, j] += cross
+    return H / (2.0 * _LN2)
 
 
 def _newton(values, weights, d_star: float):
-    """Newton on the chart gradient, with the Hessian by central differences
-    of the analytic gradient.
+    """Newton on the KKT conditions of the gap over sum w = 1, sum w v = 1,
+    in raw (levels, weights) with the exact Hessian (_gap_hessian).
 
-    A step is halved until the Newton step from the trial point is shorter
-    (relative to x) than the step taken, which measures the distance to the
-    root along soft directions as well as stiff ones.  Stops when the step is
-    within rounding of x, when no halving shortens it (the rounding floor of
-    the gradient), or on a Hessian that is not negative definite (no nearby
-    maximum).  Returns (values, weights, residual) at the last accepted
-    point, or None from an infeasible start.
+    The multipliers are the least-squares ones of _projected_gradient, so the
+    Lagrangian's Hessian adds -mult[1] at each (v_j, w_j) entry.  Each step
+    solves the KKT system on the null space Z of the constraint Jacobian and
+    is re-normalized onto the constraint set; it is kept only while the
+    residual falls.  Stops when Z^T H Z is not negative definite (no nearby
+    maximum).  Returns (values, weights, residual) at the last kept point.
     """
-    chart = _Chart(values, weights, d_star)
-    x = chart.x0
-    start = chart.grad(x)
-    if start is None:
-        return None
-    gx, res = start
-    if x.size == 0:  # one level: the constraints fix the spectrum
-        return (*chart.point(x), res)
-    for _ in range(_NEWTON_MAX_ITER):
-        cols = []
-        for i, h in enumerate(1e-5 * x):
-            e = np.zeros_like(x)
-            e[i] = h
-            hi, lo = chart.grad(x + e), chart.grad(x - e)
-            if hi is None or lo is None:
-                return (*chart.point(x), res)
-            cols.append((hi[0] - lo[0]) / (2.0 * h))
-        H = np.array(cols)
-        H = 0.5 * (H + H.T)
-        if float(np.linalg.eigvalsh(H).max()) >= 0.0:
+    k = len(values)
+    r, mult, J = _projected_gradient(values, weights, d_star)
+    res = float(np.max(np.abs(r)))
+    for _ in range(_NEWTON_MAX_ITER if k > 1 else 0):  # one level: nothing to solve
+        H = _gap_hessian(values, weights, d_star)
+        j = np.arange(k)
+        H[j, k + j] -= mult[1]
+        H[k + j, j] -= mult[1]
+        Z = np.linalg.svd(J)[2][2:].T
+        reduced = Z.T @ H @ Z
+        if float(np.linalg.eigvalsh(reduced).max()) >= 0.0:
             break
-        step = np.linalg.solve(H, -gx)
-        size = float(np.max(np.abs(step) / x, initial=0.0))
-        if size <= _NEWTON_STEP_FLOOR:
+        x = np.r_[values, weights] - Z @ np.linalg.solve(reduced, Z.T @ r)
+        if float(x.min()) <= 0.0:
             break
-        for _ in range(_NEWTON_HALVINGS):
-            trial = chart.grad(x + step)
-            if trial is not None and float(
-                np.max(np.abs(np.linalg.solve(H, trial[0])) / x)
-            ) < size:
-                x = x + step
-                gx, res = trial
-                break
-            step = 0.5 * step
-        else:
+        trial = _normalized(x[:k].tolist(), x[k:].tolist())
+        r_trial, mult_trial, J_trial = _projected_gradient(*trial, d_star)
+        res_trial = float(np.max(np.abs(r_trial)))
+        if not res_trial < res:
             break
-    return (*chart.point(x), res)
+        (values, weights), r, mult, J, res = trial, r_trial, mult_trial, J_trial, res_trial
+    return list(values), list(weights), res
 
 
 def _collapse(values, weights):
@@ -336,16 +324,6 @@ def _collapse(values, weights):
     return _normalized([p[0] for p in merged], [p[1] for p in merged])
 
 
-def _merge_closest(values, weights):
-    """Merge the adjacent pair of a decreasing list with the smallest relative gap."""
-    j = min(range(len(values) - 1), key=lambda i: (values[i] - values[i + 1]) / values[i])
-    w = weights[j] + weights[j + 1]
-    v = (values[j] * weights[j] + values[j + 1] * weights[j + 1]) / w
-    return _normalized(
-        values[:j] + [v] + values[j + 2:], weights[:j] + [w] + weights[j + 2:]
-    )
-
-
 def _normalized(values, weights):
     total = sum(weights)
     weights = [w / total for w in weights]
@@ -357,27 +335,20 @@ def _stationary_point(values, weights, d_star: float):
     """Solve the stationarity conditions from a searched point.
 
     Levels that coalesce or lose their weight, before or during the solve,
-    are merged and the solve restarts with fewer levels; so does a solve that
-    stalls.  Returns (values, weights, residual), or None when no solve ran
-    cleanly (kink, infeasible start).
+    are merged by _collapse and the solve restarts with fewer levels.
+    Returns (values, weights, residual), or None on the waterfilling kink or
+    a failed T solve.
     """
     v, w = _collapse(values, weights)
     while True:
         try:
-            sol = _newton(v, w, d_star)
+            sv, sw, residual = _newton(v, w, d_star)
         except (KinkError, SolverError):
-            sol = None
-        if sol is not None:
-            sv, sw = _sorted_desc(sol[0].tolist(), sol[1].tolist())
-            cv, cw = _collapse(sv, sw)
-            if len(cv) < len(sv):
-                v, w = cv, cw
-                continue
-            if sol[2] <= STATIONARY_TOL or len(v) <= 2:
-                return sv, sw, sol[2]
-        if len(v) <= 2:
             return None
-        v, w = _merge_closest(v, w)
+        sv, sw = _sorted_desc(sv, sw)
+        v, w = _collapse(sv, sw)
+        if len(v) == len(sv):
+            return sv, sw, residual
 
 
 def _dstar_key(d_star: float) -> tuple[int, int]:
@@ -535,24 +506,18 @@ def _point_search(d_star: float, k_max: int, cfg: SearchConfig) -> tuple[GapReco
         g, v, w, runs = _search_k(d_star, k, cfg, carry)
         restarts += runs
         carry = (v, w)
-        if g > best[0]:
+        # More levels must beat fewer by more than rounding, so a k that
+        # only refinds the same spectrum does not replace it.
+        if g > best[0] + _GAP_SLACK:
             best = (g, v, w, k)
-    _, values, weights, best_k = best
-    # The merge scale is the top level that carries weight: an ascent can
-    # leave a level of weight ~1e-29 far above the rest, and scaling by it
-    # would merge every level into one.
-    top = max(v for v, w in zip(values, weights) if w > _WEIGHT_FLOOR)
-    values, weights = _merge_values(*_sorted_desc(values, weights), tol=cfg.merge_tol * top)
-    mean = sum(v * w for v, w in zip(values, weights))
-    values = [v / mean for v in values]
+    searched, values, weights, best_k = best
     # The gap is flat at its maximum, so the search fixes the argmax only to
     # about sqrt(eps); solving grad = 0 fixes it to about eps / |curvature|.
     solved = _stationary_point(values, weights, d_star)
-    if solved is not None and _gap_core(solved[0], solved[1], d_star) >= (
-        _gap_core(values, weights, d_star) - _GAP_SLACK
-    ):
+    if solved is not None and _gap_core(solved[0], solved[1], d_star) >= searched - _GAP_SLACK:
         values, weights, residual = solved
     else:
+        values, weights = _collapse(values, weights)
         try:
             residual = _residual(values, weights, d_star)
         except KinkError:

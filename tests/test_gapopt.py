@@ -329,6 +329,45 @@ class TestChartGradient:
             assert (grad[j] == 0.0) == (j in clipped), j
 
 
+class TestGapHessian:
+    def test_fd_random_instances(self):
+        # The exact gap Hessian in (levels, weights) matches Richardson-
+        # extrapolated central differences of the analytic gradient _gap_grad
+        # at rel 1e-5 of its max-norm, for k = 2..5 and several d_star off
+        # the kink.  Each coordinate moves relative to itself, so none turns
+        # negative; weights may leave sum w = 1, which _gap_grad accepts.
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(95)))
+        checked = 0
+        seed = 0
+        while checked < 120:
+            seed += 1
+            k = 2 + seed % 4
+            s = spectra.sample_random(k, seed)
+            values, weights = list(s.values), list(s.weights)
+            d_star = float(rng.choice([0.02, 0.1, 0.3, 0.6, 0.9]))
+            t = waterfill._t_wf_exact(values, weights, d_star)
+            if min(abs(v - t) for v in values) < 1e-2 * t:
+                continue
+            try:
+                H = gapopt._gap_hessian(values, weights, d_star)
+            except KinkError:
+                continue
+            x = np.r_[values, weights]
+
+            def central(i, h):
+                e = np.zeros_like(x)
+                e[i] = h * x[i]
+                gp = gapopt._gap_grad(list((x + e)[:k]), list((x + e)[k:]), d_star)
+                gm = gapopt._gap_grad(list((x - e)[:k]), list((x - e)[k:]), d_star)
+                return (np.concatenate(gp) - np.concatenate(gm)) / (2.0 * e[i])
+
+            fd = np.array([(4.0 * central(i, 5e-5) - central(i, 1e-4)) / 3.0
+                           for i in range(2 * k)]).T
+            assert np.array_equal(H, H.T)
+            assert float(np.max(np.abs(fd - H))) <= 1e-5 * float(np.max(np.abs(H))), (k, d_star)
+            checked += 1
+
+
 class TestStationarity:
     @pytest.mark.parametrize("d_star", sorted(ARGMAX_TWO_LEVEL))
     def test_two_level_argmax_frozen(self, d_star):
@@ -363,6 +402,14 @@ class TestStationarity:
         assert len(sv) == 2
         assert residual <= 1e-11
         assert all(abs(a - b) < 1e-11 for a, b in zip(sv + sw, v + w))
+
+    def test_stationary_below_the_grid(self):
+        # At d* = 1e-4, below the acceptance grid, the low level of the worst
+        # spectrum is about 8.8e-5 and the gradient scales like 1/v there;
+        # the solve still reaches STATIONARY_TOL.
+        rec = gapopt.maximize_gap(1e-4, 5)
+        assert rec.spectrum.k == 2
+        assert gapopt.stationarity_residual(rec.spectrum, 1e-4) <= gapopt.STATIONARY_TOL
 
     def test_diagnostics_report_the_residual(self):
         res = gapopt.sweep([0.3], 3, FAST_SEARCH)
@@ -399,7 +446,8 @@ class TestMaximizeGap:
 
     def test_weightless_level_does_not_set_merge_scale(self):
         # The best 4-level ascent at 0.765 leaves a level of weight ~1e-29 at
-        # ~3e9; a merge tolerance scaled by it collapses every level into one.
+        # ~3e9.  _collapse drops such a level by its weight, and no merge
+        # scale is taken from the levels, so it cannot pull the others into one.
         rec = gapopt.maximize_gap(0.765, 4)
         assert rec.spectrum.k == 2
         assert rec.gap_bits > 0.05

@@ -194,27 +194,18 @@ def _gap_core(values, weights, d_star: float) -> float:
     return rdrc._r_rc(values, weights, T) - rate_wf
 
 
-def _gap_grad(values, weights, d_star: float) -> tuple[np.ndarray, np.ndarray]:
-    """Gap gradient in (levels, weights) on raw arrays."""
+def _levels(values, weights, d_star: float) -> tuple[float, float]:
+    """Water level t and parameter T on raw arrays; raises KinkError on the
+    waterfilling kink."""
     t = waterfill._t_wf_exact(values, weights, d_star)
     _check_kink(values, t)
-    T = rdrc._t_for_distortion_newton(values, weights, d_star)
+    return t, rdrc._t_for_distortion_newton(values, weights, d_star)
+
+
+def _gap_grad(values, weights, t: float, T: float) -> np.ndarray:
+    """Gap gradient in (levels, weights) on raw arrays, given t and T."""
     levels_wf, levels_rc, weights_wf, weights_rc = _rate_grads(values, weights, t, T)
-    return np.subtract(levels_rc, levels_wf), np.subtract(weights_rc, weights_wf)
-
-
-def _projected_gradient(values, weights, d_star: float):
-    """The gap gradient in (levels, weights) minus its least-squares fit by
-    the gradients J of the constraints sum w = 1 and sum w v = 1.
-
-    Returns (projected gradient, multipliers, J); the multipliers are the
-    least-squares Lagrange multipliers of the two constraints.
-    """
-    k = len(values)
-    g = np.concatenate(_gap_grad(values, weights, d_star))
-    J = np.array([np.r_[np.zeros(k), np.ones(k)], np.r_[weights, values]])
-    mult = np.linalg.lstsq(J.T, g, rcond=None)[0]
-    return g - J.T @ mult, mult, J
+    return np.r_[np.subtract(levels_rc, levels_wf), np.subtract(weights_rc, weights_wf)]
 
 
 def stationarity_residual(s: Spectrum, d_star: float) -> float:
@@ -232,12 +223,12 @@ def stationarity_residual(s: Spectrum, d_star: float) -> float:
 
 
 def _residual(values, weights, d_star: float) -> float:
-    return float(np.max(np.abs(_projected_gradient(values, weights, d_star)[0])))
+    return float(np.max(np.abs(_kkt(values, weights, d_star)[0])))
 
 
-def _gap_hessian(values, weights, d_star: float) -> np.ndarray:
-    """Hessian of the gap in (levels, weights) on raw arrays: _rate_grads
-    differentiated once more, through t and T as well.
+def _gap_hessian(values, weights, d_star: float, t: float, T: float) -> np.ndarray:
+    """Hessian of the gap in (levels, weights) on raw arrays, given t and T:
+    _rate_grads differentiated once more, through t and T as well.
 
     Each curve's Hessian is a 2x2 (v_j, w_j) block per level plus low-rank
     terms from the implicit shift of t (or T).  With b = (w [v <= t];
@@ -246,11 +237,7 @@ def _gap_hessian(values, weights, d_star: float) -> np.ndarray:
     distortion's gradient at fixed T, den = sum w v^2 / u^2, and q_T, den_T
     their T-derivatives, the random-coding curve's is
     q q^T (1/den - d* den_T / den^3) + d* (q q_T^T + q_T q^T) / den^2.
-    Raises KinkError on the waterfilling kink.
     """
-    t = waterfill._t_wf_exact(values, weights, d_star)
-    _check_kink(values, t)
-    T = rdrc._t_for_distortion_newton(values, weights, d_star)
     k = len(values)
     v, w = np.asarray(values, dtype=float), np.asarray(weights, dtype=float)
     active = v > t
@@ -274,25 +261,41 @@ def _gap_hessian(values, weights, d_star: float) -> np.ndarray:
     return H / (2.0 * _LN2)
 
 
-def _newton(values, weights, d_star: float):
-    """Newton on the KKT conditions of the gap over sum w = 1, sum w v = 1,
-    in raw (levels, weights) with the exact Hessian (_gap_hessian).
-
-    The multipliers are the least-squares ones of _projected_gradient, so the
-    Lagrangian's Hessian adds -mult[1] at each (v_j, w_j) entry.  Each step
-    solves the KKT system on the null space Z of the constraint Jacobian and
-    is re-normalized onto the constraint set; it is kept only while the
-    residual falls.  Stops when Z^T H Z is not negative definite (no nearby
-    maximum).  Returns (values, weights, residual) at the last kept point.
+def _kkt(values, weights, d_star: float):
+    """From one t and T solve: the gap gradient in (levels, weights) minus
+    its least-squares fit by the gradients J of the constraints sum w = 1 and
+    sum w v = 1, then J, then the Lagrangian's Hessian, in which the fitted
+    multiplier of sum w v = 1 adds -mult[1] at each (v_j, w_j) entry.
     """
     k = len(values)
-    r, mult, J = _projected_gradient(values, weights, d_star)
+    t, T = _levels(values, weights, d_star)
+    g = _gap_grad(values, weights, t, T)
+    J = np.array([np.r_[np.zeros(k), np.ones(k)], np.r_[weights, values]])
+    mult = np.linalg.lstsq(J.T, g, rcond=None)[0]
+    H = _gap_hessian(values, weights, d_star, t, T)
+    j = np.arange(k)
+    H[j, k + j] -= mult[1]
+    H[k + j, j] -= mult[1]
+    return g - J.T @ mult, J, H
+
+
+def _newton(values, weights, d_star: float):
+    """Newton on the KKT conditions of the gap over sum w = 1, sum w v = 1,
+    in raw (levels, weights) with the exact Hessian (_kkt).
+
+    Each step solves the KKT system on the null space Z of the constraint
+    Jacobian, is re-normalized onto the constraint set and is kept only
+    while the residual falls; stops when Z^T H Z is not negative definite
+    (no nearby maximum).  Steps are full, so the start must lie in Newton's
+    quadratic region; searched points do at all 199 golden grid points and
+    the 9 points of tools/probe_small_dstar.py.  From any other start the
+    solve stops early and the point reports converged = 0.  Returns
+    (values, weights, residual) at the last kept point.
+    """
+    k = len(values)
+    r, J, H = _kkt(values, weights, d_star)
     res = float(np.max(np.abs(r)))
     for _ in range(_NEWTON_MAX_ITER if k > 1 else 0):  # one level: nothing to solve
-        H = _gap_hessian(values, weights, d_star)
-        j = np.arange(k)
-        H[j, k + j] -= mult[1]
-        H[k + j, j] -= mult[1]
         Z = np.linalg.svd(J)[2][2:].T
         reduced = Z.T @ H @ Z
         if float(np.linalg.eigvalsh(reduced).max()) >= 0.0:
@@ -301,22 +304,24 @@ def _newton(values, weights, d_star: float):
         if float(x.min()) <= 0.0:
             break
         trial = _normalized(x[:k].tolist(), x[k:].tolist())
-        r_trial, mult_trial, J_trial = _projected_gradient(*trial, d_star)
+        r_trial, J_trial, H_trial = _kkt(*trial, d_star)
         res_trial = float(np.max(np.abs(r_trial)))
         if not res_trial < res:
             break
-        (values, weights), r, mult, J, res = trial, r_trial, mult_trial, J_trial, res_trial
+        (values, weights), r, J, H, res = trial, r_trial, J_trial, H_trial, res_trial
     return list(values), list(weights), res
 
 
-def _collapse(values, weights):
-    """Drop levels lighter than _WEIGHT_FLOOR and merge levels within
-    _COALESCE_REL of each other; returns decreasing, unit-mean lists."""
+def _collapse(values, weights, floor: float = _WEIGHT_FLOOR, rel: float = _COALESCE_REL):
+    """Drop levels of weight at most floor and merge levels within rel of
+    each other; returns decreasing, unit-mean lists.  With floor = rel = 0
+    only weightless levels go and only equal levels merge, which keeps the
+    gap."""
     merged: list[list[float]] = []
     for v, w in sorted(zip(values, weights), key=lambda p: -p[0]):
-        if w <= _WEIGHT_FLOOR:
+        if w <= floor:
             continue
-        if merged and merged[-1][0] - v <= _COALESCE_REL * merged[-1][0]:
+        if merged and merged[-1][0] - v <= rel * merged[-1][0]:
             pv, pw = merged[-1]
             merged[-1] = [(pv * pw + v * w) / (pw + w), pw + w]
         else:
@@ -516,8 +521,8 @@ def _point_search(d_star: float, k_max: int, cfg: SearchConfig) -> tuple[GapReco
     solved = _stationary_point(values, weights, d_star)
     if solved is not None and _gap_core(solved[0], solved[1], d_star) >= searched - _GAP_SLACK:
         values, weights, residual = solved
-    else:
-        values, weights = _collapse(values, weights)
+    else:  # report what the search found, with nothing merged that moves the gap
+        values, weights = _collapse(values, weights, 0.0, 0.0)
         try:
             residual = _residual(values, weights, d_star)
         except KinkError:

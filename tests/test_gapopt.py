@@ -349,7 +349,9 @@ class TestGapHessian:
             if min(abs(v - t) for v in values) < 1e-2 * t:
                 continue
             try:
-                H = gapopt._gap_hessian(values, weights, d_star)
+                H = gapopt._gap_hessian(
+                    values, weights, d_star, *gapopt._levels(values, weights, d_star)
+                )
             except KinkError:
                 continue
             x = np.r_[values, weights]
@@ -357,9 +359,11 @@ class TestGapHessian:
             def central(i, h):
                 e = np.zeros_like(x)
                 e[i] = h * x[i]
-                gp = gapopt._gap_grad(list((x + e)[:k]), list((x + e)[k:]), d_star)
-                gm = gapopt._gap_grad(list((x - e)[:k]), list((x - e)[k:]), d_star)
-                return (np.concatenate(gp) - np.concatenate(gm)) / (2.0 * e[i])
+                gp, gm = (
+                    gapopt._gap_grad(list(y[:k]), list(y[k:]), *gapopt._levels(y[:k], y[k:], d_star))
+                    for y in (x + e, x - e)
+                )
+                return (gp - gm) / (2.0 * e[i])
 
             fd = np.array([(4.0 * central(i, 5e-5) - central(i, 1e-4)) / 3.0
                            for i in range(2 * k)]).T
@@ -410,6 +414,22 @@ class TestStationarity:
         rec = gapopt.maximize_gap(1e-4, 5)
         assert rec.spectrum.k == 2
         assert gapopt.stationarity_residual(rec.spectrum, 1e-4) <= gapopt.STATIONARY_TOL
+
+    def test_failed_solve_reports_the_searched_gap(self, monkeypatch):
+        # A level of weight 5e-7 is under _collapse's floor yet moves the gap
+        # by far more than _GAP_SLACK.  When the solve fails, the point must
+        # report the searched spectrum, not one that lost that gap.
+        v, w = gapopt._normalized([30.0, 1.2, 0.3], [5e-7, 0.6, 0.4 - 5e-7])
+        searched = gapopt._gap_core(v, w, 0.3)
+        assert gapopt._gap_core(*gapopt._collapse(v, w), 0.3) < searched - 1e-9
+        monkeypatch.setattr(gapopt, "_search_k", lambda d, k, cfg, carry: (searched, v, w, 1))
+        monkeypatch.setattr(gapopt, "_stationary_point", lambda *args: None)
+        res = gapopt.sweep([0.3], 3, FAST_SEARCH, threads=1)
+        s, d = res.records[0].spectrum, res.diagnostics[0]
+        assert s.k == 3
+        assert gapopt._gap_core(s.values, s.weights, 0.3) >= searched - gapopt._GAP_SLACK
+        assert d.residual == gapopt.stationarity_residual(s, 0.3)
+        assert d.converged == 0
 
     def test_diagnostics_report_the_residual(self):
         res = gapopt.sweep([0.3], 3, FAST_SEARCH)

@@ -43,7 +43,7 @@ _WEIGHT_FLOOR = 1e-6
 _COALESCE_REL = 1e-4
 _CHART_CLIP = 60.0  # log-level bound in the search chart
 _ASCENT_MAX_ITER = 200
-_ASCENT_GTOL = 1e-10  # max-norm of the chart gradient that stops an ascent
+_ASCENT_GTOL = 1e-7  # max-norm of the chart gradient that stops an ascent
 _ASCENT_XTOL = 1e-12  # max-norm of a step too small to take
 _ASCENT_MAX_STEP = 2.0
 _ARMIJO = 1e-4
@@ -420,11 +420,14 @@ def _ascend(z: np.ndarray, k: int, d_star: float) -> np.ndarray:
         if float(g @ p) <= 0.0:  # H lost positive definiteness to rounding
             H = np.eye(z.size)
             p = g.copy()
-        p *= min(1.0, _ASCENT_MAX_STEP / float(np.max(np.abs(p))))
+        step = float(np.max(np.abs(p)))
+        if step > _ASCENT_MAX_STEP:
+            p *= _ASCENT_MAX_STEP / step
+            step = _ASCENT_MAX_STEP
         slope = float(g @ p)
         alpha = 1.0
         while True:
-            if alpha * float(np.max(np.abs(p))) < _ASCENT_XTOL:
+            if alpha * step < _ASCENT_XTOL:
                 return z
             z_new = z + alpha * p
             gap_new, g_new = _chart_gap_grad(z_new, k, d_star)
@@ -436,9 +439,9 @@ def _ascend(z: np.ndarray, k: int, d_star: float) -> np.ndarray:
         sy = float(s @ y)
         if sy > 0.0:
             Hy = H @ y
-            H += ((sy + float(y @ Hy)) / sy**2) * np.outer(s, s) - (
-                np.outer(Hy, s) + np.outer(s, Hy)
-            ) / sy
+            m = (0.5 * (sy + float(y @ Hy)) / sy**2) * s - Hy / sy
+            X = np.outer(m, s)
+            H += X + X.T  # the BFGS inverse update in one outer product
     return z
 
 
@@ -448,15 +451,16 @@ def _coarse_candidates(d_star: float, k: int, cfg: SearchConfig) -> list[tuple[l
     if k == 1:
         return [([1.0], [1.0])]
     if k == 2:
-        # Exhaustive two-level family: top weight x position of the top level
-        # between 1 and its feasibility bound 1/w1.
+        # Exhaustive two-level family: top weight x the low level on a log
+        # grid relative to d*, where the worst low level sits (0.88-1.00 d*
+        # on the grid, 0.879 d* as d* -> 0); the top level keeps unit mean.
         for w1 in np.linspace(0.04, 0.96, 24):
-            for u in np.linspace(0.02, 0.98, 24):
-                v1 = 1.0 + u * (1.0 / w1 - 1.0)
-                v2 = (1.0 - w1 * v1) / (1.0 - w1)
-                if v2 < 0.0:
+            for c in np.geomspace(0.1, 10.0, 24):
+                v2 = float(c) * d_star
+                if v2 >= 1.0:
                     continue
-                cands.append(([float(v1), float(v2)], [float(w1), float(1.0 - w1)]))
+                v1 = (1.0 - (1.0 - w1) * v2) / w1
+                cands.append(([float(v1), v2], [float(w1), float(1.0 - w1)]))
         return cands
     rng = np.random.Generator(
         np.random.Philox(

@@ -29,6 +29,17 @@ ARGMAX_TWO_LEVEL = {
     0.655: ((5.498462802039754, 0.6173649192380127), (0.07839119188946801, 0.921608808110532)),
     0.865: ((6.302025769587146, 0.8403474107853405), (0.02923141545993281, 0.9707685845400672)),
 }
+# Worst two-level gaps below the acceptance grid, frozen from the same tool
+# (Newton started at the d* -> 0 limit's argmax): d_star -> gap_bits.
+GAP_TWO_LEVEL_BELOW_GRID = {
+    1e-6: 0.10832556657067519,
+    1e-4: 0.108321534739676,
+    1.2e-3: 0.10827671081375735,
+}
+# The d* -> 0 limit of the worst two-level gap and its argmax (c, w), a low
+# level c d* of weight 1 - w; frozen from tools/oracle_derived.py.
+LIMIT_GAP = 0.10832560729428575
+LIMIT_ARGMAX = (0.879335420015874, 0.18488917793163945)
 GOLDEN_SWEEP = Path(__file__).parent / "fixtures" / "gap_sweep_kmax5_seed0.csv"
 
 
@@ -414,6 +425,36 @@ class TestStationarity:
         rec = gapopt.maximize_gap(1e-4, 5)
         assert rec.spectrum.k == 2
         assert gapopt.stationarity_residual(rec.spectrum, 1e-4) <= gapopt.STATIONARY_TOL
+
+    @pytest.mark.parametrize("d_star", sorted(GAP_TWO_LEVEL_BELOW_GRID))
+    def test_two_level_gap_below_the_grid(self, d_star):
+        # The k = 2 scan places the low level relative to d*, where the worst
+        # one sits (about 0.88 d*), so no k >= 3 start has to rescue it.
+        rec = gapopt.maximize_gap(d_star, 2)
+        assert abs(rec.gap_bits - GAP_TWO_LEVEL_BELOW_GRID[d_star]) <= 1e-9
+
+    def test_below_grid_point_converges_at_two_levels(self):
+        # One of 100 log-uniform d* in [1e-4, 0.995] (random.Random(7)).
+        _, diag = gapopt._point_search(0.00019022588999714564, 5, SearchConfig())
+        assert diag.converged == 1
+        assert diag.best_k == 2
+
+    def test_limit_constant(self):
+        # The frozen limit is the d* -> 0 gap at its frozen argmax, that
+        # argmax is a maximum, and the below-grid gaps rise toward it.
+        def limit(c, w):
+            tau = (c - 1.0 + math.sqrt((1.0 - c) ** 2 + 4.0 * c * w)) / (2.0 * c)
+            return 0.5 * (1.0 - w) * math.log2(1.0 + c * tau) + 0.5 * w * math.log2(
+                tau * (1.0 - (1.0 - w) * c) / w
+            )
+
+        c, w = LIMIT_ARGMAX
+        assert limit(c, w) == pytest.approx(LIMIT_GAP, abs=1e-15)
+        for dc, dw in ((1e-4, 0.0), (-1e-4, 0.0), (0.0, 1e-4), (0.0, -1e-4)):
+            assert limit(c + dc, w + dw) < LIMIT_GAP
+        gaps = [GAP_TWO_LEVEL_BELOW_GRID[d] for d in sorted(GAP_TWO_LEVEL_BELOW_GRID, reverse=True)]
+        assert gaps == sorted(gaps)
+        assert 0.0 < LIMIT_GAP - gaps[-1] < 1e-7
 
     def test_failed_solve_reports_the_searched_gap(self, monkeypatch):
         # A level of weight 5e-7 is under _collapse's floor yet moves the gap

@@ -51,8 +51,8 @@ def two_level_dd_wf(v1, v2, w1, w2, rate) -> Decimal:
     return (w1 + w2) * t
 
 
-def two_level_argmax(d, v1, w1) -> tuple[Decimal, Decimal]:
-    """Newton on the gradient of two_level_gap in (v1, w1) from a nearby start.
+def argmax2(f, a, b) -> tuple[Decimal, Decimal]:
+    """Newton on the gradient of f(a, b) from a nearby start.
 
     The gradient is a central difference with step 1e-20 (truncation about
     1e-40, rounding about 1e-30 at 50 digits) and the Hessian a central
@@ -61,25 +61,39 @@ def two_level_argmax(d, v1, w1) -> tuple[Decimal, Decimal]:
     def grad(a, b):
         h = Decimal("1e-20")
         return (
-            (two_level_gap(a + h, b, d) - two_level_gap(a - h, b, d)) / (2 * h),
-            (two_level_gap(a, b + h, d) - two_level_gap(a, b - h, d)) / (2 * h),
+            (f(a + h, b) - f(a - h, b)) / (2 * h),
+            (f(a, b + h) - f(a, b - h)) / (2 * h),
         )
 
     for _ in range(40):
-        g = grad(v1, w1)
+        g = grad(a, b)
         h = Decimal("1e-12")
-        ga_p, ga_m = grad(v1 + h, w1), grad(v1 - h, w1)
-        gb_p, gb_m = grad(v1, w1 + h), grad(v1, w1 - h)
+        ga_p, ga_m = grad(a + h, b), grad(a - h, b)
+        gb_p, gb_m = grad(a, b + h), grad(a, b - h)
         haa = (ga_p[0] - ga_m[0]) / (2 * h)
         hbb = (gb_p[1] - gb_m[1]) / (2 * h)
         hab = ((ga_p[1] - ga_m[1]) + (gb_p[0] - gb_m[0])) / (4 * h)
         det = haa * hbb - hab * hab
         da = -(hbb * g[0] - hab * g[1]) / det
         db = -(haa * g[1] - hab * g[0]) / det
-        v1, w1 = v1 + da, w1 + db
+        a, b = a + da, b + db
         if abs(da) + abs(db) < Decimal("1e-40"):
             break
-    return v1, w1
+    return a, b
+
+
+def two_level_argmax(d, v1, w1) -> tuple[Decimal, Decimal]:
+    """Worst two-level spectrum (top level, its weight) at d, from a nearby start."""
+    return argmax2(lambda a, b: two_level_gap(a, b, d), v1, w1)
+
+
+def limit_gap(c, w) -> Decimal:
+    """The two-level gap as d* -> 0, in bits: a low level c d* of weight 1 - w,
+    the top level (1 - (1 - w) c d*) / w and T = tau / d*.  The distortion
+    constraint tends to c tau^2 + (1 - c) tau - w = 0, and the gap to
+    1/2 (1 - w) log2(1 + c tau) + 1/2 w log2(tau (1 - (1 - w) c) / w)."""
+    tau = (-(1 - c) + ((1 - c) ** 2 + 4 * c * w).sqrt()) / (2 * c)
+    return ((1 - w) * log2(1 + c * tau) + w * log2(tau * (1 - (1 - w) * c) / w)) / 2
 
 
 def main() -> None:
@@ -155,6 +169,17 @@ def main() -> None:
         print(f"argmax2 d*={d_text} levels        = ({float(a1)!r}, {float(a2)!r})")
         print(f"argmax2 d*={d_text} weights       = ({float(b1)!r}, {float(1 - b1)!r})")
         print(f"argmax2 d*={d_text} gap           = {float(two_level_gap(a1, b1, da))!r}")
+
+    # The d* -> 0 limit of the worst two-level gap, and the worst two-level
+    # gap below the acceptance grid, started from the limit's argmax.
+    c0, w0 = argmax2(limit_gap, Decimal("0.879"), Decimal("0.185"))
+    print(f"limit argmax (c, w)           = ({float(c0)!r}, {float(w0)!r})")
+    print(f"limit gap                     = {float(limit_gap(c0, w0))!r}")
+    for d_text in ("1e-06", "0.0001", "0.0012"):
+        da = Decimal(float(d_text))
+        a1, b1 = two_level_argmax(da, (1 - (1 - w0) * c0 * da) / w0, w0)
+        print(f"argmax2 d*={d_text} gap        = {float(two_level_gap(a1, b1, da))!r}")
+        print(f"argmax2 d*={d_text} low level  = {float((1 - b1 * a1) / (1 - b1) / da)!r} d*")
 
 
 if __name__ == "__main__":

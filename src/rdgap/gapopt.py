@@ -9,8 +9,8 @@ levels = exp(x), weights = softmax(y), projected to unit mean.
 
 A higher level count replaces the best of the lower ones only if it gains
 more than 1e-15 of gap, so a k that refinds the same spectrum does not.  The
-gap is flat at its maximum, so maximizing it in float64 fixes the argmax
-only to about 1e-7.  The search's best point is therefore finished by a
+gap is flat at its maximum, so maximizing it in float64 fixes the argmax only
+to about 1e-7; each ascent stops there, and the best point is finished by a
 stationarity solve: Newton on the KKT conditions of the gap over the set
 sum w = 1, sum w v = 1, in raw levels and weights, with the analytic gap
 gradient (grad_rates, grad_rates_weights) and the exact gap Hessian; levels
@@ -410,6 +410,8 @@ def _ascend(z: np.ndarray, k: int, d_star: float) -> np.ndarray:
     holds; stops at _ASCENT_MAX_ITER iterations, at a gradient below
     _ASCENT_GTOL in max-norm, or when the accepted step falls below
     _ASCENT_XTOL (Nocedal & Wright, Numerical Optimization, 2nd ed., ch. 6).
+    A gradient of 1e-7 suffices: float64 fixes the argmax only to about 1e-7,
+    and _point_search finishes the winning point with the KKT solve.
     """
     gap, g = _chart_gap_grad(z, k, d_star)
     H = np.eye(z.size)
@@ -451,9 +453,8 @@ def _coarse_candidates(d_star: float, k: int, cfg: SearchConfig) -> list[tuple[l
     if k == 1:
         return [([1.0], [1.0])]
     if k == 2:
-        # Exhaustive two-level family: top weight x the low level on a log
-        # grid relative to d*, where the worst low level sits (0.88-1.00 d*
-        # on the grid, 0.879 d* as d* -> 0); the top level keeps unit mean.
+        # Exhaustive two-level family: top weight x the low level on a log grid
+        # relative to d*, where the worst one sits (0.88-1.00 d* for d* in 1e-6..0.995).
         for w1 in np.linspace(0.04, 0.96, 24):
             for c in np.geomspace(0.1, 10.0, 24):
                 v2 = float(c) * d_star

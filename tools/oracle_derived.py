@@ -178,8 +178,8 @@ def main() -> None:
     for d_text in ("1e-06", "0.0001", "0.0012"):
         da = Decimal(float(d_text))
         a1, b1 = two_level_argmax(da, (1 - (1 - w0) * c0 * da) / w0, w0)
-        print(f"argmax2 d*={d_text} gap        = {float(two_level_gap(a1, b1, da))!r}")
-        print(f"argmax2 d*={d_text} low level  = {float((1 - b1 * a1) / (1 - b1) / da)!r} d*")
+        print(f"argmax2 d*={d_text:<6} gap        = {float(two_level_gap(a1, b1, da))!r}")
+        print(f"argmax2 d*={d_text:<6} low level  = {float((1 - b1 * a1) / (1 - b1) / da)!r} d*")
 
 
 if __name__ == "__main__":

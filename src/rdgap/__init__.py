@@ -6,7 +6,6 @@ from .errors import KinkError, SolverError
 from .gapopt import (
     GapRecord,
     PointDiagnostics,
-    SearchConfig,
     SweepResult,
     gap_at,
     grad_rates,

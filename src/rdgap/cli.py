@@ -54,8 +54,11 @@ def _numeric_errors(f):
     return wrapper
 
 
-def _merged(ctx: click.Context, config: str | None, values: dict) -> dict:
-    """Overlay config-file values onto click defaults; explicit flags win."""
+def _merged(ctx: click.Context) -> dict:
+    """The subcommand's parameters, config-file values overlaid onto click
+    defaults; explicit flags win."""
+    values = {k: v for k, v in ctx.params.items() if k != "config"}
+    config = ctx.params["config"]
     if config is None:
         return values
     try:
@@ -146,12 +149,9 @@ _CONFIG_OPT = click.option(
 @_CONFIG_OPT
 @click.pass_context
 @_numeric_errors
-def cmd_wf(ctx, spectrum, distortion_grid, compare, svg, out, config) -> None:
+def cmd_wf(ctx, **_) -> None:
     """Oracle waterfilling curve: CSV rows d_star,t,rate_bits."""
-    vals = _merged(ctx, config, {
-        "spectrum": spectrum, "distortion_grid": distortion_grid,
-        "compare": compare, "svg": svg, "out": out,
-    })
+    vals = _merged(ctx)
     s = _parse_spectrum_opt(vals["spectrum"])
     grid = _parse_grid(vals["distortion_grid"])
     if any(not 0.0 < d < 1.0 for d in grid):
@@ -182,12 +182,9 @@ def cmd_wf(ctx, spectrum, distortion_grid, compare, svg, out, config) -> None:
 @_CONFIG_OPT
 @click.pass_context
 @_numeric_errors
-def cmd_rdrc(ctx, spectrum, rate_grid, compare, svg, out, config) -> None:
+def cmd_rdrc(ctx, **_) -> None:
     """Universal random-coding curve: CSV rows rate_bits,T,d_rc."""
-    vals = _merged(ctx, config, {
-        "spectrum": spectrum, "rate_grid": rate_grid,
-        "compare": compare, "svg": svg, "out": out,
-    })
+    vals = _merged(ctx)
     s = _parse_spectrum_opt(vals["spectrum"])
     grid = _parse_grid(vals["rate_grid"])
     if any(r <= 0.0 for r in grid):
@@ -219,17 +216,14 @@ def cmd_rdrc(ctx, spectrum, rate_grid, compare, svg, out, config) -> None:
 @_CONFIG_OPT
 @click.pass_context
 @_numeric_errors
-def cmd_gap_sweep(ctx, dstar_grid, kmax, seed, svg, out, config) -> None:
+def cmd_gap_sweep(ctx, **_) -> None:
     """Maximize the rate gap over spectra on a distortion grid."""
-    vals = _merged(ctx, config, {
-        "dstar_grid": dstar_grid, "kmax": kmax, "seed": seed, "svg": svg, "out": out,
-    })
+    vals = _merged(ctx)
     grid = _parse_grid(vals["dstar_grid"])
     if int(vals["kmax"]) < 1:
         raise click.UsageError("kmax must be >= 1")
-    search = gapopt.SearchConfig(seed=int(vals["seed"]))
     try:
-        result = gapopt.sweep(grid, int(vals["kmax"]), search)
+        result = gapopt.sweep(grid, int(vals["kmax"]), int(vals["seed"]))
     except ValueError as exc:
         raise click.UsageError(str(exc))
     rows = gapopt.sweep_csv_rows(result)
@@ -279,9 +273,9 @@ def _sim_field(value) -> str:
 @click.option("--trials", default=1000, show_default=True, type=int,
               help="Trials (codewords per source batch in success mode).")
 @click.option("--seed", default=0, show_default=True, type=int, help="Master seed.")
-@click.option("--t", "t_level", default=None, type=float,
+@click.option("--t", default=None, type=float,
               help="Water level (coupling mode).")
-@click.option("--T", "t_noise", default=None, type=float,
+@click.option("--T", "T", default=None, type=float,
               help="Inverse noise level (filter mode).")
 @click.option("--tau-delta", default=None, type=float,
               help="Quantize the scaling to multiples of delta times the source sup-norm.")
@@ -299,16 +293,9 @@ def _sim_field(value) -> str:
 @_CONFIG_OPT
 @click.pass_context
 @_numeric_errors
-def cmd_simulate(ctx, mode, n, rate, spectrum, trials, seed, t_level, t_noise,
-                 tau_delta, tau_threshold, rotation, eta, w_batches, codebook_cap,
-                 out, config) -> None:
+def cmd_simulate(ctx, **_) -> None:
     """Monte-Carlo runs: scheme, success probability, or exact-expectation checks."""
-    vals = _merged(ctx, config, {
-        "mode": mode, "n": n, "rate": rate, "spectrum": spectrum, "trials": trials,
-        "seed": seed, "t": t_level, "T": t_noise, "tau_delta": tau_delta,
-        "tau_threshold": tau_threshold, "rotation": rotation, "eta": eta,
-        "w_batches": w_batches, "codebook_cap": codebook_cap, "out": out,
-    })
+    vals = _merged(ctx)
     s = _parse_spectrum_opt(vals["spectrum"])
     mode = vals["mode"]
     try:

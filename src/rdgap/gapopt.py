@@ -7,17 +7,19 @@ weights) for each level count k, then a BFGS ascent on the analytic gap
 gradient from the top 16 scan cells per k, under the reparametrization
 levels = exp(x), weights = softmax(y), projected to unit mean.
 
-A higher level count replaces the best of the lower ones only if it gains
-more than 1e-15 of gap, so a k that refinds the same spectrum does not.  The
-gap is flat at its maximum, so maximizing it in float64 fixes the argmax only
-to about 1e-7; each ascent stops there, and the best point is finished by a
-stationarity solve: Newton on the KKT conditions of the gap over the set
-sum w = 1, sum w v = 1, in raw levels and weights, with the analytic gap
-gradient (grad_rates, grad_rates_weights) and the exact gap Hessian; levels
-that coalesce or lose their weight are merged (_collapse).  The solved
-point replaces the searched one unless it loses more than 1e-15 of gap, and
-its residual (stationarity_residual) is reported per grid point.  The golden
-sweep fixture is regenerated with tools/regen_golden_sweep.py.
+Each level count is searched on its own, alike at any k_max, and a higher
+level count replaces the best of the lower ones only if it gains more than
+1e-15 of gap: that rule alone makes the searched gap monotone in k_max, and a
+k that refinds the same spectrum does not replace it.  The gap is flat at its
+maximum, so maximizing it in float64 fixes the argmax only to about 1e-7; each
+ascent stops there, and the best point is finished by a stationarity solve:
+Newton on the KKT conditions of the gap over the set sum w = 1, sum w v = 1,
+in raw levels and weights, with the analytic gap gradient (grad_rates,
+grad_rates_weights) and the exact gap Hessian; levels that coalesce or lose
+their weight are merged (_collapse).  The solved point replaces the searched
+one unless it loses more than 1e-15 of gap, and its residual
+(stationarity_residual) is reported per grid point.  The golden sweep fixture
+is regenerated with tools/regen_golden_sweep.py.
 """
 
 from __future__ import annotations
@@ -47,6 +49,8 @@ _ASCENT_GTOL = 1e-7  # max-norm of the chart gradient that stops an ascent
 _ASCENT_XTOL = 1e-12  # max-norm of a step too small to take
 _ASCENT_MAX_STEP = 2.0
 _ARMIJO = 1e-4
+_STARTS_PER_K = 16  # BFGS ascents per level count, from the best scan cells
+_COARSE_PER_K = 256  # random scan cells per level count k >= 3
 
 
 @dataclass(frozen=True)
@@ -85,15 +89,6 @@ class SweepResult:
     records: tuple[GapRecord, ...]
     best: GapRecord
     diagnostics: tuple[PointDiagnostics, ...]
-
-
-@dataclass(frozen=True)
-class SearchConfig:
-    """Deterministic search knobs; identical configs give identical results."""
-
-    seed: int = 0
-    starts_per_k: int = 16
-    coarse_per_k: int = 256
 
 
 def gap_at(s: Spectrum, d_star: float) -> GapRecord:
@@ -157,10 +152,7 @@ def _rate_grads(values, weights, t: float, T: float):
 def _public_rate_grads(s: Spectrum, d_star: float):
     if not 0.0 < d_star < 1.0:
         raise ValueError("d_star must lie in (0, 1)")
-    t = waterfill.t_for_distortion(s, d_star)
-    _check_kink(s.values, t)
-    T = rdrc.t_rc_for_distortion(s, d_star)
-    return _rate_grads(s.values, s.weights, t, T)
+    return _rate_grads(s.values, s.weights, *_levels(s.values, s.weights, d_star))
 
 
 def grad_rates(s: Spectrum, d_star: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -288,8 +280,8 @@ def _newton(values, weights, d_star: float):
     while the residual falls; stops when Z^T H Z is not negative definite
     (no nearby maximum).  Steps are full, so the start must lie in Newton's
     quadratic region; searched points do at all 199 golden grid points and
-    the 9 points of tools/probe_small_dstar.py.  From any other start the
-    solve stops early and the point reports converged = 0.  Returns
+    from d* = 1e-5 up in tools/probe_small_dstar.py.  From any other start
+    the solve stops early and the point reports converged = 0.  Returns
     (values, weights, residual) at the last kept point.
     """
     k = len(values)
@@ -341,14 +333,14 @@ def _stationary_point(values, weights, d_star: float):
 
     Levels that coalesce or lose their weight, before or during the solve,
     are merged by _collapse and the solve restarts with fewer levels.
-    Returns (values, weights, residual), or None on the waterfilling kink or
-    a failed T solve.
+    Returns (values, weights, residual), or None on the waterfilling kink, a
+    failed T solve or a singular Newton system (below d* of about 1e-7).
     """
     v, w = _collapse(values, weights)
     while True:
         try:
             sv, sw, residual = _newton(v, w, d_star)
-        except (KinkError, SolverError):
+        except (KinkError, SolverError, np.linalg.LinAlgError):
             return None
         sv, sw = _sorted_desc(sv, sw)
         v, w = _collapse(sv, sw)
@@ -402,8 +394,9 @@ def _chart_gap_grad(z: np.ndarray, k: int, d_star: float) -> tuple[float, np.nda
     return gap, np.array(gx + gy)
 
 
-def _ascend(z: np.ndarray, k: int, d_star: float) -> np.ndarray:
-    """BFGS ascent of the gap in the _unpack chart from z.
+def _ascend(z: np.ndarray, k: int, d_star: float) -> tuple[float, np.ndarray]:
+    """BFGS ascent of the gap in the _unpack chart from z; returns (gap, z)
+    at the last accepted point, the gap equal to _gap_core at _unpack(z, k).
 
     Starts from the identity inverse Hessian, caps each step at
     _ASCENT_MAX_STEP in max-norm and halves it until the Armijo condition
@@ -430,7 +423,7 @@ def _ascend(z: np.ndarray, k: int, d_star: float) -> np.ndarray:
         alpha = 1.0
         while True:
             if alpha * step < _ASCENT_XTOL:
-                return z
+                return gap, z
             z_new = z + alpha * p
             gap_new, g_new = _chart_gap_grad(z_new, k, d_star)
             if gap_new >= gap + _ARMIJO * alpha * slope:
@@ -444,10 +437,10 @@ def _ascend(z: np.ndarray, k: int, d_star: float) -> np.ndarray:
             m = (0.5 * (sy + float(y @ Hy)) / sy**2) * s - Hy / sy
             X = np.outer(m, s)
             H += X + X.T  # the BFGS inverse update in one outer product
-    return z
+    return gap, z
 
 
-def _coarse_candidates(d_star: float, k: int, cfg: SearchConfig) -> list[tuple[list[float], list[float]]]:
+def _coarse_candidates(d_star: float, k: int, seed: int) -> list[tuple[list[float], list[float]]]:
     """Deterministic coarse scan cells for level count k (already unit-mean)."""
     cands: list[tuple[list[float], list[float]]] = []
     if k == 1:
@@ -466,11 +459,11 @@ def _coarse_candidates(d_star: float, k: int, cfg: SearchConfig) -> list[tuple[l
     rng = np.random.Generator(
         np.random.Philox(
             np.random.SeedSequence(
-                entropy=cfg.seed, spawn_key=(_STREAM_GAPOPT, k, *_dstar_key(d_star))
+                entropy=seed, spawn_key=(_STREAM_GAPOPT, k, *_dstar_key(d_star))
             )
         )
     )
-    for _ in range(cfg.coarse_per_k):
+    for _ in range(_COARSE_PER_K):
         values = np.exp(rng.uniform(-4.0, 4.0, size=k))
         weights = rng.dirichlet(np.ones(k))
         if float(weights.min()) < 1e-8:
@@ -482,40 +475,27 @@ def _coarse_candidates(d_star: float, k: int, cfg: SearchConfig) -> list[tuple[l
     return cands
 
 
-def _search_k(d_star: float, k: int, cfg: SearchConfig, carry):
+def _search_k(d_star: float, k: int, seed: int):
     """Best (gap, values, weights, ascents) over spectra with k levels."""
-    cands = _coarse_candidates(d_star, k, cfg)
+    cands = _coarse_candidates(d_star, k, seed)
     scored = sorted(
         ((_gap_core(v, w, d_star), v, w) for v, w in cands), key=lambda c: -c[0]
     )
-    starts = [(v, w) for _, v, w in scored[: cfg.starts_per_k]]
-    if carry is not None and len(starts) == cfg.starts_per_k and k > 2:
-        # Continuation: split the previous level count's top level in two.
-        cv, cw = carry
-        v = [cv[0] * 1.05, cv[0] * 0.95] + list(cv[1:])
-        w = [cw[0] / 2.0, cw[0] / 2.0] + list(cw[1:])
-        m = sum(a * b for a, b in zip(v, w))
-        starts[-1] = ([a / m for a in v], list(w))
-    if k == 1:
-        starts = starts[:1]
-
+    starts = scored[:_STARTS_PER_K]
     best = (-math.inf, None, None)
-    for v0, w0 in starts:
-        v, w = _unpack(_ascend(_pack(v0, w0), k, d_star), k)
-        g = _gap_core(v, w, d_star)
-        if g > best[0]:
-            best = (g, v, w)
-    return best[0], best[1], best[2], len(starts)
+    for _, v0, w0 in starts:
+        gap, z = _ascend(_pack(v0, w0), k, d_star)
+        if gap > best[0]:
+            best = (gap, *_unpack(z, k))
+    return *best, len(starts)
 
 
-def _point_search(d_star: float, k_max: int, cfg: SearchConfig) -> tuple[GapRecord, PointDiagnostics]:
+def _point_search(d_star: float, k_max: int, seed: int) -> tuple[GapRecord, PointDiagnostics]:
     best = (-math.inf, [1.0], [1.0], 1)
     restarts = 0
-    carry = None
     for k in range(1, k_max + 1):
-        g, v, w, runs = _search_k(d_star, k, cfg, carry)
+        g, v, w, runs = _search_k(d_star, k, seed)
         restarts += runs
-        carry = (v, w)
         # More levels must beat fewer by more than rounding, so a k that
         # only refinds the same spectrum does not replace it.
         if g > best[0] + _GAP_SLACK:
@@ -550,25 +530,25 @@ def _sorted_desc(values, weights):
     return [p[0] for p in pairs], [p[1] for p in pairs]
 
 
-def maximize_gap(d_star: float, k_max: int, search: SearchConfig | None = None) -> GapRecord:
-    """Best gap found over spectra with at most k_max distinct levels."""
+def maximize_gap(d_star: float, k_max: int, seed: int = 0) -> GapRecord:
+    """Best gap found over spectra with at most k_max distinct levels.  seed
+    seeds the random scan cells of k >= 3 levels; equal seeds, equal results."""
     if not 0.0 < d_star < 1.0:
         raise ValueError("d_star must lie in (0, 1)")
     if not 1 <= int(k_max) <= 5:
         raise ValueError("k_max must lie in 1..5")
-    record, _ = _point_search(d_star, int(k_max), search or SearchConfig())
+    record, _ = _point_search(d_star, int(k_max), seed)
     return record
 
 
 def _sweep_worker(args):
-    d_star, k_max, cfg = args
-    return _point_search(d_star, k_max, cfg)
+    return _point_search(*args)
 
 
 def sweep(
     d_grid,
     k_max: int,
-    search: SearchConfig | None = None,
+    seed: int = 0,
     threads: int | None = None,
 ) -> SweepResult:
     """Per-point worst-case gaps over a distortion grid.
@@ -585,8 +565,7 @@ def sweep(
             raise ValueError(f"grid point {d} outside [0.005, 0.995]")
     if not 1 <= int(k_max) <= 5:
         raise ValueError("k_max must lie in 1..5")
-    cfg = search or SearchConfig()
-    args = [(d, int(k_max), cfg) for d in grid]
+    args = [(d, int(k_max), seed) for d in grid]
     results = ordered_map(_sweep_worker, args, resolve_threads(threads))
     records = tuple(r for r, _ in results)
     diags = tuple(d for _, d in results)

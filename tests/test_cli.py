@@ -218,6 +218,22 @@ class TestConfigFile:
         assert proc.returncode == 2
         assert "unknown config key" in proc.stderr
 
+    def test_config_key_config_rejected(self, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"config": "other.json"}))
+        proc = run_cli("wf", "--config", str(cfg))
+        assert proc.returncode == 2
+        assert "unknown config key 'config'" in proc.stderr
+
+    @pytest.mark.parametrize("mode,key", [("coupling", "t"), ("filter", "T")])
+    def test_config_supplies_t_and_T(self, tmp_path, mode, key):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({key: 0.25, "n": 4, "trials": 8}))
+        proc = run_cli("simulate", "--mode", mode, "--config", str(cfg))
+        assert proc.returncode == 0, proc.stderr
+        row = next(csv.DictReader(proc.stdout.splitlines()))
+        assert row[key] == "0.25"
+
     def test_unreadable_config_rejected(self, tmp_path):
         proc = run_cli("wf", "--config", str(tmp_path / "missing.json"))
         assert proc.returncode == 2

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from rdgap import gapopt, rdrc, spectra, waterfill
 from rdgap._manifest import split_manifest_comment
 from rdgap.errors import KinkError
-from rdgap.gapopt import SWEEP_CSV_HEADER, SearchConfig
+from rdgap.gapopt import SWEEP_CSV_HEADER
 
 TWO_LEVEL = spectra.parse_spectrum("1.8:0.5,0.2:0.5")
 FLAT = spectra.flat()
@@ -20,8 +20,6 @@ FLAT = spectra.flat()
 GRAD_WF_TWO_LEVEL_03 = (0.20037431123457825, 0.9016844005556022)
 GRAD_RC_TWO_LEVEL_03 = (0.21039302679630717, 0.9918528406111624)
 
-FAST_SEARCH = SearchConfig(starts_per_k=4, coarse_per_k=64)
-
 # Worst two-level spectra, frozen from tools/oracle_derived.py: Newton on the
 # 50-digit gap gradient in (v1, w1); d_star -> (levels, weights).
 ARGMAX_TWO_LEVEL = {
@@ -30,11 +28,23 @@ ARGMAX_TWO_LEVEL = {
     0.865: ((6.302025769587146, 0.8403474107853405), (0.02923141545993281, 0.9707685845400672)),
 }
 # Worst two-level gaps below the acceptance grid, frozen from the same tool
-# (Newton started at the d* -> 0 limit's argmax): d_star -> gap_bits.
+# (Newton started at the d* -> 0 limit's argmax) at 1e-4, 1.2e-3 and 12
+# log-spaced d* from 1e-6 to 5e-3, rounded to three digits: d_star -> gap_bits.
 GAP_TWO_LEVEL_BELOW_GRID = {
-    1e-6: 0.10832556657067519,
-    1e-4: 0.108321534739676,
-    1.2e-3: 0.10827671081375735,
+    1e-06: 0.10832556657067519,
+    2.17e-06: 0.10832551892400119,
+    4.7e-06: 0.10832541589297612,
+    1.02e-05: 0.10832519191162343,
+    2.21e-05: 0.10832470729337593,
+    4.8e-05: 0.1083236525168733,
+    0.0001: 0.108321534739676,
+    0.000104: 0.10832137182935797,
+    0.000226: 0.10831640276406485,
+    0.00049: 0.10830564803946453,
+    0.00106: 0.10828241830816324,
+    0.0012: 0.10827671081375735,
+    0.00231: 0.10823143133886463,
+    0.005: 0.10812149916357672,
 }
 # The d* -> 0 limit of the worst two-level gap and its argmax (c, w), a low
 # level c d* of weight 1 - w; frozen from tools/oracle_derived.py.
@@ -433,9 +443,16 @@ class TestStationarity:
         rec = gapopt.maximize_gap(d_star, 2)
         assert abs(rec.gap_bits - GAP_TWO_LEVEL_BELOW_GRID[d_star]) <= 1e-9
 
+    def test_singular_newton_system_reports_the_searched_point(self):
+        # At d* = 2e-8 the reduced Hessian of the KKT solve is singular in
+        # float64; the point reports the searched two-level spectrum.
+        rec = gapopt.maximize_gap(2e-8, 2)
+        assert rec.spectrum.k == 2
+        assert 0.0 < LIMIT_GAP - rec.gap_bits < 1e-8
+
     def test_below_grid_point_converges_at_two_levels(self):
         # One of 100 log-uniform d* in [1e-4, 0.995] (random.Random(7)).
-        _, diag = gapopt._point_search(0.00019022588999714564, 5, SearchConfig())
+        _, diag = gapopt._point_search(0.00019022588999714564, 5, 0)
         assert diag.converged == 1
         assert diag.best_k == 2
 
@@ -463,9 +480,9 @@ class TestStationarity:
         v, w = gapopt._normalized([30.0, 1.2, 0.3], [5e-7, 0.6, 0.4 - 5e-7])
         searched = gapopt._gap_core(v, w, 0.3)
         assert gapopt._gap_core(*gapopt._collapse(v, w), 0.3) < searched - 1e-9
-        monkeypatch.setattr(gapopt, "_search_k", lambda d, k, cfg, carry: (searched, v, w, 1))
+        monkeypatch.setattr(gapopt, "_search_k", lambda d, k, seed: (searched, v, w, 1))
         monkeypatch.setattr(gapopt, "_stationary_point", lambda *args: None)
-        res = gapopt.sweep([0.3], 3, FAST_SEARCH, threads=1)
+        res = gapopt.sweep([0.3], 3, threads=1)
         s, d = res.records[0].spectrum, res.diagnostics[0]
         assert s.k == 3
         assert gapopt._gap_core(s.values, s.weights, 0.3) >= searched - gapopt._GAP_SLACK
@@ -473,7 +490,7 @@ class TestStationarity:
         assert d.converged == 0
 
     def test_diagnostics_report_the_residual(self):
-        res = gapopt.sweep([0.3], 3, FAST_SEARCH)
+        res = gapopt.sweep([0.3], 3)
         d = res.diagnostics[0]
         assert d.residual == pytest.approx(
             gapopt.stationarity_residual(res.records[0].spectrum, 0.3), abs=1e-13
@@ -484,23 +501,23 @@ class TestStationarity:
 
 class TestMaximizeGap:
     def test_single_level_gap_is_zero(self):
-        rec = gapopt.maximize_gap(0.3, 1, FAST_SEARCH)
+        rec = gapopt.maximize_gap(0.3, 1)
         assert rec.spectrum.k == 1
         assert abs(rec.gap_bits) < 1e-12
 
     def test_k_nesting(self):
         for d in (0.1, 0.5):
-            g2 = gapopt.maximize_gap(d, 2, FAST_SEARCH).gap_bits
-            g5 = gapopt.maximize_gap(d, 5, FAST_SEARCH).gap_bits
+            g2 = gapopt.maximize_gap(d, 2).gap_bits
+            g5 = gapopt.maximize_gap(d, 5).gap_bits
             assert g5 >= g2 >= -1e-12
 
     def test_positive_gap_found_at_small_distortion(self):
-        rec = gapopt.maximize_gap(0.05, 2, FAST_SEARCH)
+        rec = gapopt.maximize_gap(0.05, 2)
         assert rec.gap_bits > 0.05
 
     def test_deterministic(self):
-        a = gapopt.maximize_gap(0.2, 3, FAST_SEARCH)
-        b = gapopt.maximize_gap(0.2, 3, FAST_SEARCH)
+        a = gapopt.maximize_gap(0.2, 3)
+        b = gapopt.maximize_gap(0.2, 3)
         assert a.spectrum.values == b.spectrum.values
         assert a.spectrum.weights == b.spectrum.weights
         assert a.gap_bits == b.gap_bits
@@ -519,14 +536,14 @@ class TestMaximizeGap:
             gapopt.maximize_gap(d, k)
 
     def test_record_is_reevaluated_through_public_solvers(self):
-        rec = gapopt.maximize_gap(0.25, 2, FAST_SEARCH)
+        rec = gapopt.maximize_gap(0.25, 2)
         fresh = gapopt.gap_at(rec.spectrum, 0.25)
         assert fresh.gap_bits == rec.gap_bits
 
 
 class TestSweep:
     def test_single_point(self):
-        res = gapopt.sweep([0.25], 1, FAST_SEARCH)
+        res = gapopt.sweep([0.25], 1)
         assert res.d_grid == (0.25,)
         assert len(res.records) == 1
         assert len(res.diagnostics) == 1
@@ -534,21 +551,21 @@ class TestSweep:
         assert abs(res.best.gap_bits) < 1e-12
 
     def test_diagnostics_restart_count(self):
-        res = gapopt.sweep([0.3], 3, FAST_SEARCH)
+        res = gapopt.sweep([0.3], 3)
         d = res.diagnostics[0]
-        # k=1 runs one start; every further level count runs starts_per_k.
-        assert d.restarts == 1 + FAST_SEARCH.starts_per_k * 2
+        # k=1 runs one start; every further level count runs _STARTS_PER_K.
+        assert d.restarts == 1 + 2 * gapopt._STARTS_PER_K
         assert 0 <= d.converged <= d.restarts
         assert 1 <= d.best_k <= 3
 
     def test_best_picks_grid_max(self):
-        res = gapopt.sweep([0.1, 0.5, 0.9], 2, FAST_SEARCH)
+        res = gapopt.sweep([0.1, 0.5, 0.9], 2)
         assert res.best.gap_bits == max(r.gap_bits for r in res.records)
         assert res.best.d_star == 0.1  # gap grows toward small distortion
 
     def test_thread_count_does_not_change_results(self):
-        serial = gapopt.sweep([0.15, 0.75], 2, FAST_SEARCH, threads=1)
-        parallel = gapopt.sweep([0.15, 0.75], 2, FAST_SEARCH, threads=2)
+        serial = gapopt.sweep([0.15, 0.75], 2, threads=1)
+        parallel = gapopt.sweep([0.15, 0.75], 2, threads=2)
         assert gapopt.sweep_csv_rows(serial) == gapopt.sweep_csv_rows(parallel)
         assert serial.best.gap_bits == parallel.best.gap_bits
 
@@ -566,7 +583,7 @@ class TestSweepCsvRows:
         assert SWEEP_CSV_HEADER == "d_star,rate_rc_bits,rate_wf_bits,gap_bits,levels,weights"
 
     def test_row_shape_and_zero_formatting(self):
-        res = gapopt.sweep([0.25], 1, FAST_SEARCH)
+        res = gapopt.sweep([0.25], 1)
         rows = gapopt.sweep_csv_rows(res)
         assert len(rows) == 1
         cells = rows[0].split(",")
@@ -576,7 +593,7 @@ class TestSweepCsvRows:
         assert ";" not in cells[0]
 
     def test_levels_and_weights_round_trip(self):
-        res = gapopt.sweep([0.1], 2, FAST_SEARCH)
+        res = gapopt.sweep([0.1], 2)
         cells = gapopt.sweep_csv_rows(res)[0].split(",")
         values = tuple(float(x) for x in cells[4].split(";"))
         weights = tuple(float(x) for x in cells[5].split(";"))

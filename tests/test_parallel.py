@@ -29,8 +29,7 @@ SPAWN_CASES = {
         TWO_LEVEL, 0.25, 8, 600, 5, threads=threads, keep_per_trial=True),
     "filter": lambda threads: simulator.simulate_mmse_filter(
         TWO_LEVEL, 2.0, 8, 600, 5, threads=threads, keep_per_trial=True),
-    "sweep": lambda threads: gapopt.sweep(
-        (0.2, 0.4), 1, gapopt.SearchConfig(starts_per_k=2, coarse_per_k=16), threads=threads),
+    "sweep": lambda threads: gapopt.sweep((0.2, 0.4), 1, threads=threads),
 }
 
 

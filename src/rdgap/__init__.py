@@ -29,7 +29,6 @@ from .rdrc import (
     tau,
 )
 from .simulator import (
-    Codebook,
     SimConfig,
     SimReport,
     build_codebook,

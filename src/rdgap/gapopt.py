@@ -72,8 +72,8 @@ class PointDiagnostics:
 
     restarts counts the BFGS ascents of the multi-start search; residual
     is the stationarity residual of the reported spectrum (see
-    stationarity_residual), and converged is 1 when it is at most
-    STATIONARY_TOL, else 0.
+    stationarity_residual; unit-free, so it means the same at every d*),
+    and converged is 1 when it is at most STATIONARY_TOL, else 0.
     """
 
     d_star: float
@@ -202,8 +202,10 @@ def _gap_grad(values, weights, t: float, T: float) -> np.ndarray:
 
 def stationarity_residual(s: Spectrum, d_star: float) -> float:
     """Distance of s from a stationary point of the gap over spectra with
-    s.k levels: the max-norm of the gap gradient in (levels, weights)
-    projected onto the constraint set sum w = 1, sum w v = 1.
+    s.k levels: the max-norm of the gap gradient in (log levels, weights)
+    less its least-squares fit by the gradients there of sum w = 1 and
+    sum w v = 1.  Unit-free, so its rounding floor does not grow like 1/v
+    as the low level shrinks with d*.
 
     The water level and T come from the same solvers as gap_at (closed
     form and Newton), which are accurate to rounding; raises KinkError on
@@ -215,7 +217,11 @@ def stationarity_residual(s: Spectrum, d_star: float) -> float:
 
 
 def _residual(values, weights, d_star: float) -> float:
-    return float(np.max(np.abs(_kkt(values, weights, d_star)[0])))
+    k, v, w = len(values), np.asarray(values, dtype=float), np.asarray(weights, dtype=float)
+    g = _gap_grad(values, weights, *_levels(values, weights, d_star))
+    g[:k] *= v
+    J = np.array([np.r_[np.zeros(k), np.ones(k)], np.r_[w * v, v]])
+    return float(np.max(np.abs(g - J.T @ np.linalg.lstsq(J.T, g, rcond=None)[0])))
 
 
 def _gap_hessian(values, weights, d_star: float, t: float, T: float) -> np.ndarray:
@@ -282,7 +288,7 @@ def _newton(values, weights, d_star: float):
     quadratic region; searched points do at all 199 golden grid points and
     from d* = 1e-5 up in tools/probe_small_dstar.py.  From any other start
     the solve stops early and the point reports converged = 0.  Returns
-    (values, weights, residual) at the last kept point.
+    (values, weights) at the last kept point.
     """
     k = len(values)
     r, J, H = _kkt(values, weights, d_star)
@@ -301,7 +307,7 @@ def _newton(values, weights, d_star: float):
         if not res_trial < res:
             break
         (values, weights), r, J, H, res = trial, r_trial, J_trial, H_trial, res_trial
-    return list(values), list(weights), res
+    return list(values), list(weights)
 
 
 def _collapse(values, weights, floor: float = _WEIGHT_FLOOR, rel: float = _COALESCE_REL):
@@ -333,19 +339,18 @@ def _stationary_point(values, weights, d_star: float):
 
     Levels that coalesce or lose their weight, before or during the solve,
     are merged by _collapse and the solve restarts with fewer levels.
-    Returns (values, weights, residual), or None on the waterfilling kink, a
-    failed T solve or a singular Newton system (below d* of about 1e-7).
+    Returns (values, weights), or None on the waterfilling kink, a failed
+    T solve or a singular Newton system (below d* of about 1e-7).
     """
     v, w = _collapse(values, weights)
     while True:
         try:
-            sv, sw, residual = _newton(v, w, d_star)
+            sv, sw = _sorted_desc(*_newton(v, w, d_star))
         except (KinkError, SolverError, np.linalg.LinAlgError):
             return None
-        sv, sw = _sorted_desc(sv, sw)
         v, w = _collapse(sv, sw)
         if len(v) == len(sv):
-            return sv, sw, residual
+            return sv, sw
 
 
 def _dstar_key(d_star: float) -> tuple[int, int]:
@@ -504,14 +509,14 @@ def _point_search(d_star: float, k_max: int, seed: int) -> tuple[GapRecord, Poin
     # The gap is flat at its maximum, so the search fixes the argmax only to
     # about sqrt(eps); solving grad = 0 fixes it to about eps / |curvature|.
     solved = _stationary_point(values, weights, d_star)
-    if solved is not None and _gap_core(solved[0], solved[1], d_star) >= searched - _GAP_SLACK:
-        values, weights, residual = solved
+    if solved is not None and _gap_core(*solved, d_star) >= searched - _GAP_SLACK:
+        values, weights = solved
     else:  # report what the search found, with nothing merged that moves the gap
         values, weights = _collapse(values, weights, 0.0, 0.0)
-        try:
-            residual = _residual(values, weights, d_star)
-        except KinkError:
-            residual = math.inf
+    try:
+        residual = _residual(values, weights, d_star)
+    except KinkError:
+        residual = math.inf
     mean = sum(v * w for v, w in zip(values, weights))
     spectrum = Spectrum(tuple(v / mean for v in values), tuple(weights))
     record = gap_at(spectrum, d_star)

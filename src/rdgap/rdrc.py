@@ -150,39 +150,60 @@ def point_at_rate(s: Spectrum, rate: float) -> RcPoint:
     return RcPoint(level_T=T, distortion=d_rc(s, T), rate_bits=r_rc(s, T))
 
 
-def _coordinate_lambdas(s: Spectrum, n: int) -> np.ndarray:
-    lams, dropped = expand_to_n(s, n)
+def _reading(s: Spectrum, x) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and mass per entry of a realization vector x: the levels
+    and their weights when len(x) == s.k, otherwise the n = len(x)
+    eigenvalues of expand_to_n, each of mass 1/n."""
+    if len(x) == s.k:
+        return np.asarray(s.values), np.asarray(s.weights)
+    lams, dropped = expand_to_n(s, len(x))
     if dropped:
-        raise ValueError(
-            f"levels {dropped} receive zero dimensions at n={n}; use a larger n"
-        )
-    return lams
+        raise ValueError(f"levels {dropped} receive zero dimensions at n={len(x)}; use a larger n")
+    return lams, np.full(len(x), 1.0 / len(x))
+
 
 def d_rc_per_w(s: Spectrum, w_tilde_sq, T: float) -> float:
-    """Per-realization distortion D(V, T) for squared eigenbasis coordinates.
-
-    Entries of length s.k are per-level average squared coordinates;
-    any other length is treated as per-coordinate at dimension n = len(...).
-    Reduces to d_rc when all entries are 1.
+    """Per-realization distortion D(V, T) = sum_j m_j x_j lam_j / (1 + lam_j T)
+    for squared eigenbasis coordinates x, read by _reading: per level
+    (entries are mean squared coordinates, m the weights) when len(x) == s.k,
+    else per coordinate (m = 1/n).  Reduces to d_rc when all entries are 1.
     """
     if T < 0.0:
         raise ValueError("T must be nonnegative")
-    x = [float(u) for u in w_tilde_sq]
-    if any(u < 0.0 for u in x):
+    x = np.asarray([float(u) for u in w_tilde_sq], dtype=float)
+    if np.any(x < 0.0):
         raise ValueError("squared coordinates must be nonnegative")
-    if len(x) == s.k:
-        return sum(w * u * v / (1.0 + v * T) for v, w, u in zip(s.values, s.weights, x))
-    lams = _coordinate_lambdas(s, len(x))
-    return float(np.asarray(x) @ (lams / (1.0 + lams * T))) / len(x)
+    lam, m = _reading(s, x)
+    return float((m * x) @ (lam / (1.0 + lam * T)))
+
+
+def _scaling(T: float, alam2, den: float, w, threshold, delta):
+    """The scheme's scaling rule for realizations w (one per row, or one
+    vector) in the eigenbasis: tau = sqrt(T (w^2 . alam2) / den), 0 where
+    ||w||_inf exceeds the threshold, then rounded by the quantizer of
+    quantize_tau when delta is given.  Raises SolverError if tau leaves
+    [0, ||w||_inf], which the rule never does beyond rounding."""
+    norms = np.max(np.abs(w), axis=-1)
+    tau = np.sqrt(T * ((w * w) @ alam2) / den)
+    if threshold is not None:
+        tau = np.where(norms > threshold, 0.0, tau)
+    if not (np.all(tau >= 0.0) and np.all(tau <= norms * (1.0 + 1e-12) + 1e-300)):
+        raise SolverError("scaling tau outside [0, ||w||_inf]")
+    if delta is not None:
+        unit = delta * norms
+        with np.errstate(invalid="ignore", divide="ignore"):
+            q = unit * np.floor(tau / unit + 0.5)
+        tau = np.where(unit > 0.0, q, 0.0)
+    return tau
 
 
 def tau(s: Spectrum, w_tilde, rate: float, threshold: float | None = None) -> float:
     """Codebook scaling tau for a source realization in the eigenbasis.
 
-    tau = sqrt(T * sum w~_j^2 lam_j^2/(1+lam_j T)^2) / sqrt(sum lam_j/(1+lam_j T))
-    with T solved from the rate.  A vector of length s.k is read per-level
-    (entries are root-mean-square coordinates at that level); any other
-    length is per-coordinate.  With a threshold, tau is 0 whenever
+    tau = sqrt(T * sum m_j w~_j^2 lam_j^2/(1+lam_j T)^2 / sum m_j lam_j/(1+lam_j T))
+    with T solved from the rate and (lam, m) from _reading: per level
+    (entries are root-mean-square coordinates at that level) when
+    len(w~) == s.k, else per coordinate.  With a threshold, tau is 0 whenever
     ||w~||_inf exceeds it.  Always satisfies 0 <= tau <= ||w~||_inf.
     """
     if not rate > 0.0:
@@ -190,20 +211,10 @@ def tau(s: Spectrum, w_tilde, rate: float, threshold: float | None = None) -> fl
     if threshold is not None and threshold < 0.0:
         raise ValueError("threshold must be nonnegative")
     w = np.asarray([float(u) for u in w_tilde], dtype=float)
-    if threshold is not None and float(np.max(np.abs(w), initial=0.0)) > threshold:
-        return 0.0
+    lam, m = _reading(s, w)
     T = t_rc_for_rate(s, rate)
-    if len(w) == s.k:
-        num = T * sum(
-            wt * u * u * v * v / (1.0 + v * T) ** 2
-            for v, wt, u in zip(s.values, s.weights, w)
-        )
-        den = sum(wt * v / (1.0 + v * T) for v, wt in zip(s.values, s.weights))
-    else:
-        lams = _coordinate_lambdas(s, len(w))
-        num = T * float((w * w) @ (lams**2 / (1.0 + lams * T) ** 2))
-        den = float(np.sum(lams / (1.0 + lams * T)))
-    return math.sqrt(num) / math.sqrt(den)
+    u = 1.0 + lam * T
+    return float(_scaling(T, m * lam**2 / u**2, float(m @ (lam / u)), w, threshold, None))
 
 
 def quantize_tau(tau_val: float, w_inf_norm: float, delta: float) -> float:
@@ -219,30 +230,21 @@ def quantize_tau(tau_val: float, w_inf_norm: float, delta: float) -> float:
     return unit * math.floor(tau_val / unit + 0.5)
 
 
-def dd_rc_eigen_sensitivity(s: Spectrum, rate: float, level_index: int, step: float | None = None) -> float:
-    """Central finite-difference sensitivity of the per-dimension distortion
-    at fixed rate with respect to a single eigenvalue level.
-
-    The perturbed value vectors are intentionally not renormalized (the
-    distortion formulas do not need unit mean); the estimate is divided by
-    the level weight so it is a per-eigenvalue figure, bounded by [0, 2].
+def dd_rc_eigen_sensitivity(s: Spectrum, rate: float, level_index: int) -> float:
+    """Derivative of the per-dimension distortion at fixed rate in the level
+    value v_j, divided by its weight: 1/u_j^2 + T den / (u_j num), with T
+    solved from the rate, u = 1 + v T, num = sum w v / u and
+    den = sum w v^2 / u^2.  The second term is the distortion's slope -den
+    in T times the shift -w_j T / (u_j num) of T that keeps the rate.  The
+    value vector need not have unit mean; the figure lies in [0, 2].
     """
     if not rate > 0.0:
         raise ValueError("rate must be positive")
     j = int(level_index)
     if not 0 <= j < s.k:
         raise ValueError("level_index out of range")
-    values = list(s.values)
-    h = step if step is not None else 1e-6 * max(1.0, values[j])
-
-    def dd(vals) -> float:
-        T = _t_for_rate(vals, s.weights, rate)
-        return _d_rc(vals, s.weights, T)
-
-    hi = values.copy()
-    lo = values.copy()
-    hi[j] += h
-    lo[j] -= h
-    if lo[j] < 0.0:
-        raise ValueError("step too large for this level")
-    return (dd(hi) - dd(lo)) / (2.0 * h * s.weights[j])
+    T = _t_for_rate(s.values, s.weights, rate)
+    v, w = np.asarray(s.values), np.asarray(s.weights)
+    u = 1.0 + v * T
+    num, den = float(w @ (v / u)), float(w @ (v / u) ** 2)
+    return float(1.0 / u[j] ** 2 + T * den / (u[j] * num))

@@ -88,14 +88,6 @@ class SimConfig:
 
 
 @dataclass(frozen=True)
-class Codebook:
-    """M iid standard normal codewords; bit-identical regeneration from seed."""
-
-    vectors: np.ndarray  # (M, n), read-only
-    seed: int
-
-
-@dataclass(frozen=True)
 class SimReport:
     """Measured statistics with uncertainty; reproducible from the config."""
 
@@ -124,15 +116,16 @@ def haar_orthogonal(n: int, seed: int) -> np.ndarray:
     return q * d
 
 
-def build_codebook(config: SimConfig) -> Codebook:
-    m = config.codebook_size
-    if m > config.codebook_cap:
-        raise ValueError(
-            f"codebook of size {m} exceeds codebook_cap {config.codebook_cap}"
-        )
-    vectors = _rng(config.seed, STREAM_CODEBOOK).standard_normal((m, config.n))
+def build_codebook(config: SimConfig) -> np.ndarray:
+    """The (M, n) read-only array of M iid standard normal codewords, drawn
+    from the codebook stream; the cap is compared in the log domain, where
+    2^(n R) cannot overflow."""
+    bits = config.n * config.rate_bits
+    if bits >= math.log2(config.codebook_cap + 1):
+        raise ValueError(f"codebook of size 2^{bits:g} exceeds codebook_cap {config.codebook_cap}")
+    vectors = _rng(config.seed, STREAM_CODEBOOK).standard_normal((config.codebook_size, config.n))
     vectors.setflags(write=False)
-    return Codebook(vectors=vectors, seed=config.seed)
+    return vectors
 
 
 def _realized_lambdas(s: Spectrum, n: int) -> tuple[np.ndarray, tuple[str, ...]]:
@@ -191,6 +184,8 @@ def _map_units(kernel, state: dict, total: int, size: int, threads: int | None) 
 
 def _run_trials(mode, kernel, state, trials, threads, keep_per_trial, analytic, warnings):
     """Run a per-trial kernel in fixed _CHUNK-trial units; report mean and SE."""
+    if trials < 1:
+        raise ValueError("trials must be positive")
     per_trial = np.concatenate(_map_units(kernel, state, trials, _CHUNK, threads))
     mean, se = _mean_se(per_trial)
     return SimReport(
@@ -206,8 +201,8 @@ def _run_trials(mode, kernel, state, trials, threads, keep_per_trial, analytic, 
 
 def _scaling_state(config: SimConfig) -> tuple[dict, tuple[str, ...]]:
     """State the scheme and success kernels share: eigenvalues, rotation,
-    the noise level T at the configured rate (0 at rate 0) and the terms of
-    the scaling rule tau = sqrt(T sum alam2 w^2 / den)."""
+    the noise level T at the configured rate (0 at rate 0) and the terms
+    alam2 and den of the scaling rule (rdrc._scaling)."""
     lam, warnings = _realized_lambdas(config.spectrum, config.n)
     u = None if config.rotation == "identity" else haar_orthogonal(config.n, config.seed)
     T = (
@@ -238,21 +233,8 @@ def _scheme_chunk(args: tuple[dict, int, int]) -> np.ndarray:
     lam = st["lam"]
     (w,) = _trial_normals(st["seed"], start, count, n)
     wt = w @ st["u"] if st["u"] is not None else w
-    wsq = wt * wt
-    norms = np.max(np.abs(wt), axis=1)
-    T = st["T"]
-    tau = np.sqrt(T * (wsq @ st["alam2"]) / st["den"])
-    if st["threshold"] is not None:
-        tau = np.where(norms > st["threshold"], 0.0, tau)
-    # The scaling rule never exceeds the sup-norm; checked for every trial.
-    if not (np.all(tau >= 0.0) and np.all(tau <= norms * (1.0 + 1e-12) + 1e-300)):
-        raise SolverError("scaling tau outside [0, ||w||_inf]")
-    if st["delta"] is not None:
-        unit = st["delta"] * norms
-        with np.errstate(invalid="ignore", divide="ignore"):
-            q = unit * np.floor(tau / unit + 0.5)
-        tau = np.where(unit > 0.0, q, 0.0)
-    a0 = wsq @ lam
+    tau = rdrc._scaling(st["T"], st["alam2"], st["den"], wt, st["threshold"], st["delta"])
+    a0 = (wt * wt) @ lam
     wl = wt * lam
     cb = st["codebook_rot"]
     g = st["codebook_gram"]
@@ -277,9 +259,9 @@ def run_universal_scheme(
     """
     if not config.rate_bits > 0.0:
         raise ValueError("scheme mode needs rate_bits > 0")
+    codebook = build_codebook(config)  # its cap check comes before the n x n rotation
     st, warnings = _scaling_state(config)
-    codebook = build_codebook(config)
-    c_rot = codebook.vectors @ st["u"] if st["u"] is not None else codebook.vectors
+    c_rot = codebook @ st["u"] if st["u"] is not None else codebook
     st["codebook_rot"] = c_rot
     st["codebook_gram"] = (c_rot * c_rot) @ st["lam"]
     analytic = rdrc.dd_rc(config.spectrum, config.rate_bits)

@@ -326,3 +326,15 @@ class TestSimulateCommand:
     def test_invalid_run_config_exits_two(self):
         proc = run_cli("simulate", "--mode", "scheme", "--rate", "0", "--n", "8")
         assert proc.returncode == 2
+
+    def test_codebook_past_float_range_exits_two(self):
+        proc = run_cli("simulate", "--mode", "scheme", "--n", "2000", "--rate", "1",
+                       "--trials", "2", "--rotation", "haar")
+        assert proc.returncode == 2
+        assert "exceeds codebook_cap" in proc.stderr
+
+    @pytest.mark.parametrize("mode,level", [("coupling", "--t"), ("filter", "--T")])
+    def test_zero_trials_exits_two(self, mode, level):
+        proc = run_cli("simulate", "--mode", mode, level, "0.3", "--trials", "0")
+        assert proc.returncode == 2
+        assert "trials must be positive" in proc.stderr

@@ -423,9 +423,9 @@ class TestStationarity:
         v, w = ARGMAX_TWO_LEVEL[0.475]
         values = [v[0] * (1 + 1e-7), v[0] * (1 - 1e-7), v[1], 0.01]
         weights = [w[0] / 2, w[0] / 2, w[1] - 1e-8, 1e-8]
-        sv, sw, residual = gapopt._stationary_point(values, weights, 0.475)
+        sv, sw = gapopt._stationary_point(values, weights, 0.475)
         assert len(sv) == 2
-        assert residual <= 1e-11
+        assert gapopt._residual(sv, sw, 0.475) <= 1e-11
         assert all(abs(a - b) < 1e-11 for a, b in zip(sv + sw, v + w))
 
     def test_stationary_below_the_grid(self):

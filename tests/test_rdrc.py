@@ -303,7 +303,36 @@ class TestEigenSensitivity:
             s = spectra.sample_random(2 + seed % 5, seed)
             for rate in (0.2, 1.0, 3.0):
                 for j in range(s.k):
-                    if s.values[j] <= 1e-5:
-                        continue
                     v = rdrc.dd_rc_eigen_sensitivity(s, rate, j)
                     assert 0.0 <= v <= 2.0 + 1e-6
+
+    def test_zero_level(self):
+        # Levels (2, 0) at weights 1/2: num = den / 2 = 1 / (1 + 2T), so the
+        # zero level's figure is 1 + 2T / (1 + 2T).
+        for rate in (0.2, 1.0, 3.0):
+            T = rdrc.t_rc_for_rate(SEMI_HALF, rate)
+            got = rdrc.dd_rc_eigen_sensitivity(SEMI_HALF, rate, 1)
+            assert got == pytest.approx(1.0 + 2.0 * T / (1.0 + 2.0 * T), rel=1e-14)
+
+    def test_matches_richardson_difference(self):
+        # Acceptance 5's 600 (spectrum, rate, level) instances, against a
+        # Richardson-extrapolated central difference of the distortion at
+        # fixed rate (steps 1e-3 v_j and half that), per unit weight.
+        checked = 0
+        for seed in range(50):
+            s = spectra.sample_random(2 + seed % 5, seed)
+            for rate in (0.2, 1.0, 3.0):
+                for j in range(s.k):
+                    def central(h):
+                        def dd(vj):
+                            vals = list(s.values)
+                            vals[j] = vj
+                            return rdrc._d_rc(vals, s.weights, rdrc._t_for_rate(vals, s.weights, rate))
+                        return (dd(s.values[j] + h) - dd(s.values[j] - h)) / (2.0 * h)
+
+                    h = 1e-3 * s.values[j]
+                    fd = (4.0 * central(h / 2.0) - central(h)) / (3.0 * s.weights[j])
+                    got = rdrc.dd_rc_eigen_sensitivity(s, rate, j)
+                    assert abs(got - fd) <= 1e-5 * abs(got), (seed, rate, j)
+                    checked += 1
+        assert checked == 600

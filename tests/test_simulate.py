@@ -73,16 +73,27 @@ class TestBuildCodebook:
     def test_shape_and_determinism(self):
         cfg = _cfg(n=5, rate_bits=1.0)
         cb = simulator.build_codebook(cfg)
-        assert cb.vectors.shape == (32, 5)
-        assert not cb.vectors.flags.writeable
-        assert np.array_equal(cb.vectors, simulator.build_codebook(cfg).vectors)
+        assert cb.shape == (32, 5)
+        assert not cb.flags.writeable
+        assert np.array_equal(cb, simulator.build_codebook(cfg))
 
     def test_cap_enforced(self):
         with pytest.raises(ValueError):
             simulator.build_codebook(_cfg(n=30, rate_bits=1.0))
         # equality with the cap is allowed
         cb = simulator.build_codebook(_cfg(n=10, rate_bits=1.0, codebook_cap=1024))
-        assert cb.vectors.shape == (1024, 10)
+        assert cb.shape == (1024, 10)
+
+    def test_cap_checked_first_without_overflow(self, monkeypatch):
+        # 2^2000 codewords overflow a float; the cap is compared in the log
+        # domain, before the n x n rotation is drawn.
+        def no_rotation(n, seed):
+            raise AssertionError("rotation drawn before the cap check")
+
+        monkeypatch.setattr(simulator, "haar_orthogonal", no_rotation)
+        cfg = _cfg(n=2000, rate_bits=1.0, trials=2, rotation="haar")
+        with pytest.raises(ValueError, match="exceeds codebook_cap"):
+            simulator.run_universal_scheme(cfg)
 
 
 class TestUniversalScheme:
@@ -94,7 +105,7 @@ class TestUniversalScheme:
     def test_tau_out_of_range_raises(self, T, den):
         # A raised error, not an assert, so the check survives python -O.
         state = {"n": 4, "seed": 0, "lam": np.ones(4), "u": None, "T": T,
-                 "alam2": np.ones(4), "den": den, "threshold": None}
+                 "alam2": np.ones(4), "den": den, "threshold": None, "delta": None}
         with pytest.raises(SolverError):
             simulator._scheme_chunk((state, 0, 3))
 
@@ -272,6 +283,8 @@ class TestWfCoupling:
     def test_domain(self):
         with pytest.raises(ValueError):
             simulator.simulate_wf_coupling(FLAT, 0.0, n=4, trials=8, seed=0)
+        with pytest.raises(ValueError, match="trials must be positive"):
+            simulator.simulate_wf_coupling(FLAT, 0.3, n=4, trials=0, seed=0)
 
     def test_thread_count_invariance(self):
         a = simulator.simulate_wf_coupling(TWO_LEVEL, 0.3, 16, 600, 2, threads=1, keep_per_trial=True)
@@ -300,6 +313,8 @@ class TestMmseFilter:
     def test_domain(self):
         with pytest.raises(ValueError):
             simulator.simulate_mmse_filter(FLAT, 0.0, n=4, trials=8, seed=0)
+        with pytest.raises(ValueError, match="trials must be positive"):
+            simulator.simulate_mmse_filter(FLAT, 0.3, n=4, trials=0, seed=0)
 
     def test_thread_count_invariance(self):
         a = simulator.simulate_mmse_filter(FLAT, 2.0, 16, 600, 4, threads=1, keep_per_trial=True)

@@ -6,17 +6,11 @@ runs the search of gapopt.maximize_gap(d*, 5) with the default seed at 35
 d* from 1e-8 to 0.005 (mantissas 1, 1.5, 2, 3, 5, 7 per decade), one CSV row
 per point: the gap in bits, both rates, the distance below the d* -> 0 limit
 of the worst two-level gap (LIMIT_GAP_BITS, from tools/oracle_derived.py),
-the stationarity residual of the worst spectrum, its log-level residual,
-converged (1 when the residual is at most gapopt.STATIONARY_TOL, else 0),
-the level count the search picked, the wall time of the search in seconds,
-and the worst spectrum's levels and weights.
-
-The stationarity residual is the max-norm of the gap gradient in raw
-(levels, weights) projected onto the constraints sum w = 1, sum w v = 1.
-The gradient in a level scales like 1/v, so that residual's rounding floor
-grows as the low level (about 0.88 d*) shrinks.  The log-level residual is
-the same projection in (log v, w), where the level part is v dG/dv; it is
-unit-free and shows how close the point is to stationary at any d*.
+the stationarity residual of the worst spectrum (gapopt.stationarity_residual:
+the gap gradient in (log v, w) projected onto the constraints sum w = 1,
+sum w v = 1, unit-free at any d*), converged (1 when the residual is at most
+gapopt.STATIONARY_TOL, else 0), the level count the search picked, the wall
+time of the search in seconds, and the worst spectrum's levels and weights.
 
 It is a report only: it checks no bound and changes neither the acceptance
 grid nor any fixture.  Run from the repository root:
@@ -28,8 +22,6 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
@@ -39,19 +31,8 @@ LIMIT_GAP_BITS = 0.10832560729428575
 GRID = [float(f"{m}e{e}") for e in range(-8, -2) for m in (1, 1.5, 2, 3, 5, 7)][:-1]
 
 
-def log_level_residual(values, weights, d_star: float) -> float:
-    """Max-norm of the gap gradient in (log v, w) projected onto the
-    constraints, whose gradients there are (0, 1) and (w v, v)."""
-    k = len(values)
-    v, w = np.asarray(values), np.asarray(weights)
-    g = gapopt._gap_grad(values, weights, *gapopt._levels(values, weights, d_star))
-    g = np.r_[v * g[:k], g[k:]]
-    J = np.array([np.r_[np.zeros(k), np.ones(k)], np.r_[w * v, v]])
-    return float(np.max(np.abs(g - J.T @ np.linalg.lstsq(J.T, g, rcond=None)[0])))
-
-
 def main() -> int:
-    print("d_star,gap_bits,rate_rc_bits,rate_wf_bits,limit_minus_gap,residual,log_residual,"
+    print("d_star,gap_bits,rate_rc_bits,rate_wf_bits,limit_minus_gap,residual,"
           "converged,best_k,seconds,levels,weights")
     best = None
     for d_star in GRID:
@@ -62,7 +43,6 @@ def main() -> int:
         print(
             f"{d_star:.6g},{rec.gap_bits:.9f},{rec.rate_rc_bits!r},{rec.rate_wf_bits!r},"
             f"{LIMIT_GAP_BITS - rec.gap_bits:.3e},{diag.residual:.2e},"
-            f"{log_level_residual(s.values, s.weights, d_star):.2e},"
             f"{diag.converged},{diag.best_k},{seconds:.3f},"
             f"{';'.join(repr(v) for v in s.values)},{';'.join(repr(w) for w in s.weights)}",
             flush=True,

@@ -209,7 +209,8 @@ def cmd_rdrc(ctx, **_) -> None:
               help="Distortion grid start:stop:step within [0.005, 0.995].")
 @click.option("--kmax", default=5, show_default=True, type=int,
               help="Largest number of spectrum levels searched per grid point.")
-@click.option("--seed", default=0, show_default=True, type=int, help="Search seed.")
+@click.option("--seed", default=0, show_default=True, type=int,
+              help="Written to the manifest; the search is deterministic and uses no seed.")
 @click.option("--svg", type=click.Path(), default=None,
               help="Write a gap-vs-rate SVG plot (default: <out> with .svg suffix).")
 @click.option("--out", type=click.Path(), default=None, help="Write CSV here instead of stdout.")
@@ -223,7 +224,7 @@ def cmd_gap_sweep(ctx, **_) -> None:
     if int(vals["kmax"]) < 1:
         raise click.UsageError("kmax must be >= 1")
     try:
-        result = gapopt.sweep(grid, int(vals["kmax"]), int(vals["seed"]))
+        result = gapopt.sweep(grid, int(vals["kmax"]))
     except ValueError as exc:
         raise click.UsageError(str(exc))
     rows = gapopt.sweep_csv_rows(result)

@@ -1,31 +1,26 @@
 """Universality rate gap: evaluation, analytic gradients, worst-case search.
 
 The gap at a fixed target distortion is the random-coding rate minus the
-oracle waterfilling rate.  The worst case over spectra is found by a
-deterministic multi-start search: a coarse log-space scan over (levels,
-weights) for each level count k, then a BFGS ascent on the analytic gap
-gradient from the top 16 scan cells per k, under the reparametrization
-levels = exp(x), weights = softmax(y), projected to unit mean.
-
-Each level count is searched on its own, alike at any k_max, and a higher
-level count replaces the best of the lower ones only if it gains more than
-1e-15 of gap: that rule alone makes the searched gap monotone in k_max, and a
-k that refinds the same spectrum does not replace it.  The gap is flat at its
-maximum, so maximizing it in float64 fixes the argmax only to about 1e-7; each
-ascent stops there, and the best point is finished by a stationarity solve:
-Newton on the KKT conditions of the gap over the set sum w = 1, sum w v = 1,
-in raw levels and weights, with the analytic gap gradient (grad_rates,
-grad_rates_weights) and the exact gap Hessian; levels that coalesce or lose
-their weight are merged (_collapse).  The solved point replaces the searched
-one unless it loses more than 1e-15 of gap, and its residual
-(stationarity_residual) is reported per grid point.  The golden sweep fixture
-is regenerated with tools/regen_golden_sweep.py.
+oracle waterfilling rate.  Its worst case over spectra with at most k_max
+levels is searched deterministically.  BFGS ascents on the analytic gap
+gradient, in the chart levels = exp(x), weights = softmax(y) at unit mean,
+start from the one-level spectrum and the 16 (k_max - 1) best cells of an
+exhaustive two-level scan; the gap is flat at its maximum, so each stops at
+the 1e-7 that float64 resolves, and the best point is finished by Newton on
+the KKT conditions over sum w = 1, sum w v = 1 with the exact gap Hessian,
+merging levels that coalesce or lose their weight (_collapse).  Then
+vertex-direction steps (Wynn, Ann. Math. Statist. 41, 1970; Lindsay, Ann.
+Statist. 11, 1983): while the exact maximum of phi, the gap's derivative in
+the direction of a new level (_max_phi), exceeds STATIONARY_TOL and fewer
+than k_max levels are in use, a level is mixed in at its argmax, ascended
+and solved with the rest.  A point replaces the best only if it gains more
+than 1e-15 of gap, and a solved point replaces the searched one unless it
+loses more.  tools/regen_golden_sweep.py regenerates the golden sweep.
 """
 
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +31,6 @@ from .errors import KinkError, SolverError
 from .spectra import Spectrum
 
 _LN2 = math.log(2.0)
-_STREAM_GAPOPT = 5
 
 STATIONARY_TOL = 1e-11  # projected-gradient residual that counts as converged
 _NEWTON_MAX_ITER = 20
@@ -49,8 +43,7 @@ _ASCENT_GTOL = 1e-7  # max-norm of the chart gradient that stops an ascent
 _ASCENT_XTOL = 1e-12  # max-norm of a step too small to take
 _ASCENT_MAX_STEP = 2.0
 _ARMIJO = 1e-4
-_STARTS_PER_K = 16  # BFGS ascents per level count, from the best scan cells
-_COARSE_PER_K = 256  # random scan cells per level count k >= 3
+_STARTS_PER_K = 16  # two-level BFGS ascents per level count above one
 
 
 @dataclass(frozen=True)
@@ -70,10 +63,10 @@ class GapRecord:
 class PointDiagnostics:
     """Optimizer bookkeeping for one grid point.
 
-    restarts counts the BFGS ascents of the multi-start search; residual
-    is the stationarity residual of the reported spectrum (see
-    stationarity_residual; unit-free, so it means the same at every d*),
-    and converged is 1 when it is at most STATIONARY_TOL, else 0.
+    restarts counts the BFGS ascents; residual is the reported spectrum's
+    stationarity residual (unit-free, so it means the same at every d*),
+    converged is 1 when it is at most STATIONARY_TOL, else 0, and max_phi
+    is its equivalence check (_max_phi).
     """
 
     d_star: float
@@ -81,6 +74,7 @@ class PointDiagnostics:
     converged: int
     best_k: int
     residual: float
+    max_phi: float
 
 
 @dataclass(frozen=True)
@@ -99,21 +93,7 @@ def gap_at(s: Spectrum, d_star: float) -> GapRecord:
     rate_wf = waterfill.r_wf(s, t)
     T = rdrc.t_rc_for_distortion(s, d_star)
     rate_rc = rdrc.r_rc(s, T)
-    return GapRecord(
-        spectrum=s,
-        d_star=d_star,
-        rate_wf_bits=rate_wf,
-        rate_rc_bits=rate_rc,
-        gap_bits=rate_rc - rate_wf,
-        level_t=t,
-        level_T=T,
-    )
-
-
-def _check_kink(values, t: float) -> None:
-    for v in values:
-        if abs(v - t) <= 1e-9 * max(v, t):
-            raise KinkError(f"level {v} sits on the waterfilling level {t}")
+    return GapRecord(s, d_star, rate_wf, rate_rc, rate_rc - rate_wf, t, T)
 
 
 def _rate_grads(values, weights, t: float, T: float):
@@ -129,10 +109,7 @@ def _rate_grads(values, weights, t: float, T: float):
     num = sum(w * v / (1.0 + v * T) for v, w in zip(values, weights))
     den = sum(w * v * v / (1.0 + v * T) ** 2 for v, w in zip(values, weights))
     A = num / den
-    levels_wf = tuple(
-        w / (2.0 * _LN2 * v) if v > t else w / (2.0 * _LN2 * t)
-        for v, w in zip(values, weights)
-    )
+    levels_wf = tuple(w / (2.0 * _LN2 * max(v, t)) for v, w in zip(values, weights))
     levels_rc = tuple(
         w / (2.0 * _LN2) * (T / (1.0 + v * T) + A / (1.0 + v * T) ** 2)
         for v, w in zip(values, weights)
@@ -190,7 +167,9 @@ def _levels(values, weights, d_star: float) -> tuple[float, float]:
     """Water level t and parameter T on raw arrays; raises KinkError on the
     waterfilling kink."""
     t = waterfill._t_wf_exact(values, weights, d_star)
-    _check_kink(values, t)
+    for v in values:
+        if abs(v - t) <= 1e-9 * max(v, t):
+            raise KinkError(f"level {v} sits on the waterfilling level {t}")
     return t, rdrc._t_for_distortion_newton(values, weights, d_star)
 
 
@@ -204,12 +183,9 @@ def stationarity_residual(s: Spectrum, d_star: float) -> float:
     """Distance of s from a stationary point of the gap over spectra with
     s.k levels: the max-norm of the gap gradient in (log levels, weights)
     less its least-squares fit by the gradients there of sum w = 1 and
-    sum w v = 1.  Unit-free, so its rounding floor does not grow like 1/v
-    as the low level shrinks with d*.
-
-    The water level and T come from the same solvers as gap_at (closed
-    form and Newton), which are accurate to rounding; raises KinkError on
-    the waterfilling kink.
+    sum w v = 1 (_log_fit).  Unit-free, so its rounding floor does not grow
+    like 1/v as the low level shrinks with d*.  Raises KinkError on the
+    waterfilling kink.
     """
     if not 0.0 < d_star < 1.0:
         raise ValueError("d_star must lie in (0, 1)")
@@ -217,11 +193,18 @@ def stationarity_residual(s: Spectrum, d_star: float) -> float:
 
 
 def _residual(values, weights, d_star: float) -> float:
+    return float(np.max(np.abs(_log_fit(values, weights, *_levels(values, weights, d_star))[0])))
+
+
+def _log_fit(values, weights, t: float, T: float):
+    """The gap gradient in (log levels, weights) less its least-squares fit by
+    the gradients there of sum w = 1 and sum w v = 1, and the multipliers."""
     k, v, w = len(values), np.asarray(values, dtype=float), np.asarray(weights, dtype=float)
-    g = _gap_grad(values, weights, *_levels(values, weights, d_star))
+    g = _gap_grad(values, weights, t, T)
     g[:k] *= v
     J = np.array([np.r_[np.zeros(k), np.ones(k)], np.r_[w * v, v]])
-    return float(np.max(np.abs(g - J.T @ np.linalg.lstsq(J.T, g, rcond=None)[0])))
+    mult = np.linalg.lstsq(J.T, g, rcond=None)[0]
+    return g - J.T @ mult, mult
 
 
 def _gap_hessian(values, weights, d_star: float, t: float, T: float) -> np.ndarray:
@@ -275,6 +258,40 @@ def _kkt(values, weights, d_star: float):
     H[j, k + j] -= mult[1]
     H[k + j, j] -= mult[1]
     return g - J.T @ mult, J, H
+
+
+def _max_phi(values, weights, d_star: float) -> tuple[float, float]:
+    """(max, argmax) over levels v >= 0 of phi(v), _rate_grads' gap derivative
+    in the weight of a new level v less the constraints' multipliers m0 + m1 v
+    (_log_fit).  The gap is concave in the spectrum at fixed T, so max phi <= 0
+    certifies a point over any level count.  With u = 1 + vT and A as in
+    _rate_grads, 2 ln2 phi' = T/u + A/u^2 - 2 ln2 m1 - 1/max(v, t) is a
+    quadratic over u^2 below t and a cubic over v u^2 above it; phi is C^1, so
+    the max is at a root, at 0 or t, or is the limit at v = inf, returned with
+    argmax inf: -inf (m1 > 0), +inf (m1 < 0) or, at m1 = 0, as for one level
+    (whose fitted m1 is rounding: the gap ignores its scale),
+    (ln(tT) + A/T - 1) / (2 ln2) - m0.  Raises KinkError on the kink.
+    """
+    t, T = _levels(values, weights, d_star)
+    m0, m1 = _log_fit(values, weights, t, T)[1].tolist()
+    m1 = m1 if len(values) > 1 else 0.0
+    if m1 < 0.0:
+        return math.inf, math.inf
+    num = sum(w * v / (1.0 + v * T) for v, w in zip(values, weights))
+    den = sum(w * v * v / (1.0 + v * T) ** 2 for v, w in zip(values, weights))
+    A, L = num / den, 2.0 * _LN2 * m1
+    B = 1.0 / t + L
+
+    def phi(v):
+        wf = math.log(v / t) + 1.0 if v > t else v / t
+        return (math.log1p(v * T) + A * v / (1.0 + v * T) - wf) / (2.0 * _LN2) - m0 - m1 * v
+
+    # phi anywhere is a lower bound, so every root is a candidate, in range or not.
+    roots = np.r_[np.roots([-B * T * T, T * T - 2.0 * B * T, T + A - B]),
+                  np.roots([-L * T * T, -2.0 * L * T, A - T - L, -1.0])]
+    best = max([0.0, t] + [v for v in roots.real.tolist() if v > 0.0], key=phi)
+    limit = (math.log(t * T) + A / T - 1.0) / (2.0 * _LN2) - m0 if m1 == 0.0 else -math.inf
+    return (limit, math.inf) if limit > phi(best) else (phi(best), best)
 
 
 def _newton(values, weights, d_star: float):
@@ -345,17 +362,13 @@ def _stationary_point(values, weights, d_star: float):
     v, w = _collapse(values, weights)
     while True:
         try:
-            sv, sw = _sorted_desc(*_newton(v, w, d_star))
+            pairs = sorted(zip(*_newton(v, w, d_star)), key=lambda p: -p[0])
+            sv, sw = [p[0] for p in pairs], [p[1] for p in pairs]
         except (KinkError, SolverError, np.linalg.LinAlgError):
             return None
         v, w = _collapse(sv, sw)
         if len(v) == len(sv):
             return sv, sw
-
-
-def _dstar_key(d_star: float) -> tuple[int, int]:
-    bits = struct.unpack("<Q", struct.pack("<d", d_star))[0]
-    return (bits & 0xFFFFFFFF, bits >> 32)
 
 
 def _unpack(z: np.ndarray, k: int) -> tuple[list[float], list[float]]:
@@ -445,117 +458,97 @@ def _ascend(z: np.ndarray, k: int, d_star: float) -> tuple[float, np.ndarray]:
     return gap, z
 
 
-def _coarse_candidates(d_star: float, k: int, seed: int) -> list[tuple[list[float], list[float]]]:
-    """Deterministic coarse scan cells for level count k (already unit-mean)."""
-    cands: list[tuple[list[float], list[float]]] = []
-    if k == 1:
-        return [([1.0], [1.0])]
-    if k == 2:
-        # Exhaustive two-level family: top weight x the low level on a log grid
-        # relative to d*, where the worst one sits (0.88-1.00 d* for d* in 1e-6..0.995).
-        for w1 in np.linspace(0.04, 0.96, 24):
-            for c in np.geomspace(0.1, 10.0, 24):
-                v2 = float(c) * d_star
-                if v2 >= 1.0:
-                    continue
-                v1 = (1.0 - (1.0 - w1) * v2) / w1
-                cands.append(([float(v1), v2], [float(w1), float(1.0 - w1)]))
-        return cands
-    rng = np.random.Generator(
-        np.random.Philox(
-            np.random.SeedSequence(
-                entropy=seed, spawn_key=(_STREAM_GAPOPT, k, *_dstar_key(d_star))
-            )
-        )
-    )
-    for _ in range(_COARSE_PER_K):
-        values = np.exp(rng.uniform(-4.0, 4.0, size=k))
-        weights = rng.dirichlet(np.ones(k))
-        if float(weights.min()) < 1e-8:
-            continue
-        order = np.argsort(-values)
-        values, weights = values[order], weights[order]
-        values = values / float(values @ weights)
-        cands.append((values.tolist(), weights.tolist()))
-    return cands
-
-
-def _search_k(d_star: float, k: int, seed: int):
-    """Best (gap, values, weights, ascents) over spectra with k levels."""
-    cands = _coarse_candidates(d_star, k, seed)
-    scored = sorted(
-        ((_gap_core(v, w, d_star), v, w) for v, w in cands), key=lambda c: -c[0]
-    )
-    starts = scored[:_STARTS_PER_K]
-    best = (-math.inf, None, None)
-    for _, v0, w0 in starts:
+def _search_k(d_star: float, k: int, n_starts: int):
+    """Best (gap, values, weights, ascents) of BFGS ascents with k = 1 or 2
+    levels from the n_starts best scan cells (one level, or top weight x low
+    level on a log grid relative to d*, where the worst one sits: 0.88-1.00 d*
+    for d* in 1e-6..0.995), in blocks of _STARTS_PER_K.  A later block beats
+    the best only by more than _GAP_SLACK, so a larger k_max that refinds the
+    same spectrum reports the same point."""
+    cells = [([1.0], [1.0])] if k == 1 else [
+        ([(1.0 - (1.0 - w1) * v2) / w1, v2], [w1, 1.0 - w1])
+        for w1 in np.linspace(0.04, 0.96, 24).tolist()
+        for v2 in (np.geomspace(0.1, 10.0, 24) * d_star).tolist() if v2 < 1.0
+    ]
+    scored = sorted(((_gap_core(v, w, d_star), v, w) for v, w in cells), key=lambda c: -c[0])
+    starts, best, best_block = scored[:n_starts], (-math.inf, None, None), 0
+    for i, (_, v0, w0) in enumerate(starts):
         gap, z = _ascend(_pack(v0, w0), k, d_star)
-        if gap > best[0]:
-            best = (gap, *_unpack(z, k))
+        if gap > best[0] + (_GAP_SLACK if i // _STARTS_PER_K > best_block else 0.0):
+            best, best_block = (gap, *_unpack(z, k)), i // _STARTS_PER_K
     return *best, len(starts)
 
 
-def _point_search(d_star: float, k_max: int, seed: int) -> tuple[GapRecord, PointDiagnostics]:
-    best = (-math.inf, [1.0], [1.0], 1)
-    restarts = 0
-    for k in range(1, k_max + 1):
-        g, v, w, runs = _search_k(d_star, k, seed)
+def _inserted(values, weights, v_new: float, slope: float, d_star: float):
+    """The unit-mean spectrum with a level v_new mixed in at weight alpha, the
+    first of 1/2, 1/4, ... above _WEIGHT_FLOOR where the gap gains _ARMIJO
+    alpha slope (slope: max phi, the gap's derivative in alpha), else None."""
+    gap, alpha = _gap_core(values, weights, d_star), 0.5
+    while alpha > _WEIGHT_FLOOR:
+        trial = _normalized(list(values) + [v_new], [(1.0 - alpha) * w for w in weights] + [alpha])
+        if _gap_core(*trial, d_star) >= gap + _ARMIJO * alpha * slope:
+            return trial
+        alpha *= 0.5
+    return None
+
+
+def _point_search(d_star: float, k_max: int) -> tuple[GapRecord, PointDiagnostics]:
+    best, restarts = (-math.inf, [1.0], [1.0], 1), 0
+    for k in range(1, min(k_max, 2) + 1):
+        g, v, w, runs = _search_k(d_star, k, _STARTS_PER_K * (k_max - 1))
         restarts += runs
         # More levels must beat fewer by more than rounding, so a k that
         # only refinds the same spectrum does not replace it.
         if g > best[0] + _GAP_SLACK:
             best = (g, v, w, k)
-    searched, values, weights, best_k = best
-    # The gap is flat at its maximum, so the search fixes the argmax only to
-    # about sqrt(eps); solving grad = 0 fixes it to about eps / |curvature|.
-    solved = _stationary_point(values, weights, d_star)
-    if solved is not None and _gap_core(*solved, d_star) >= searched - _GAP_SLACK:
-        values, weights = solved
-    else:  # report what the search found, with nothing merged that moves the gap
-        values, weights = _collapse(values, weights, 0.0, 0.0)
+    while True:
+        searched, values, weights, best_k = best
+        # The gap is flat at its maximum, so the search fixes the argmax only to
+        # about sqrt(eps); solving grad = 0 fixes it to about eps / |curvature|.
+        solved = _stationary_point(values, weights, d_star)
+        if solved is not None and _gap_core(*solved, d_star) >= searched - _GAP_SLACK:
+            values, weights = solved
+        else:  # report what the search found, with nothing merged that moves the gap
+            values, weights = _collapse(values, weights, 0.0, 0.0)
+        try:
+            max_phi, v_new = _max_phi(values, weights, d_star)
+        except KinkError:
+            max_phi = v_new = math.inf
+        if not (max_phi > STATIONARY_TOL and len(values) < k_max and v_new < math.inf):
+            break
+        if (start := _inserted(values, weights, v_new, max_phi, d_star)) is None:
+            break
+        k = len(start[0])
+        g, z = _ascend(_pack(*start), k, d_star)
+        restarts += 1
+        if not g > searched + _GAP_SLACK:
+            break
+        best = (g, *_unpack(z, k), k)
     try:
         residual = _residual(values, weights, d_star)
     except KinkError:
         residual = math.inf
     mean = sum(v * w for v, w in zip(values, weights))
-    spectrum = Spectrum(tuple(v / mean for v in values), tuple(weights))
-    record = gap_at(spectrum, d_star)
-    diag = PointDiagnostics(
-        d_star=d_star,
-        restarts=restarts,
-        converged=int(residual <= STATIONARY_TOL),
-        best_k=best_k,
-        residual=residual,
-    )
-    return record, diag
+    record = gap_at(Spectrum(tuple(v / mean for v in values), tuple(weights)), d_star)
+    converged = int(residual <= STATIONARY_TOL)
+    return record, PointDiagnostics(d_star, restarts, converged, best_k, residual, max_phi)
 
 
-def _sorted_desc(values, weights):
-    pairs = sorted(zip(values, weights), key=lambda p: -p[0])
-    return [p[0] for p in pairs], [p[1] for p in pairs]
-
-
-def maximize_gap(d_star: float, k_max: int, seed: int = 0) -> GapRecord:
-    """Best gap found over spectra with at most k_max distinct levels.  seed
-    seeds the random scan cells of k >= 3 levels; equal seeds, equal results."""
+def maximize_gap(d_star: float, k_max: int) -> GapRecord:
+    """Best gap found over spectra with at most k_max distinct levels; the
+    search is deterministic."""
     if not 0.0 < d_star < 1.0:
         raise ValueError("d_star must lie in (0, 1)")
     if not 1 <= int(k_max) <= 5:
         raise ValueError("k_max must lie in 1..5")
-    record, _ = _point_search(d_star, int(k_max), seed)
-    return record
+    return _point_search(d_star, int(k_max))[0]
 
 
 def _sweep_worker(args):
     return _point_search(*args)
 
 
-def sweep(
-    d_grid,
-    k_max: int,
-    seed: int = 0,
-    threads: int | None = None,
-) -> SweepResult:
+def sweep(d_grid, k_max: int, threads: int | None = None) -> SweepResult:
     """Per-point worst-case gaps over a distortion grid.
 
     Grid points are independent; with threads > 1 they run in a process pool
@@ -570,12 +563,11 @@ def sweep(
             raise ValueError(f"grid point {d} outside [0.005, 0.995]")
     if not 1 <= int(k_max) <= 5:
         raise ValueError("k_max must lie in 1..5")
-    args = [(d, int(k_max), seed) for d in grid]
+    args = [(d, int(k_max)) for d in grid]
     results = ordered_map(_sweep_worker, args, resolve_threads(threads))
-    records = tuple(r for r, _ in results)
-    diags = tuple(d for _, d in results)
+    records, diags = zip(*results)
     best = max(records, key=lambda r: r.gap_bits)
-    return SweepResult(d_grid=grid, records=records, best=best, diagnostics=diags)
+    return SweepResult(grid, records, best, diags)
 
 
 SWEEP_CSV_HEADER = "d_star,rate_rc_bits,rate_wf_bits,gap_bits,levels,weights"

@@ -84,7 +84,10 @@ class SimConfig:
 
     @property
     def codebook_size(self) -> int:
-        return max(1, int(math.floor(2.0 ** (self.n * self.rate_bits))))
+        """floor(2^(n R)), at least 1, with no float power past 2^1023."""
+        bits = self.n * self.rate_bits
+        shift = max(0, math.floor(bits) - 1023)
+        return max(1, math.floor(2.0 ** (bits - shift)) << shift)
 
 
 @dataclass(frozen=True)

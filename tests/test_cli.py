@@ -259,6 +259,16 @@ class TestGapSweepCommand:
         assert manifest["parameters"] == {"dstar_grid": "0.3:0.3:1", "kmax": 2, "seed": 0}
         assert payload.splitlines()[1].split(",")[3] == "0.093964"
 
+    def test_seed_is_recorded_but_unused(self, tmp_path):
+        # The search is deterministic: --seed only reaches the manifest.
+        outs = [tmp_path / f"g{seed}.csv" for seed in (0, 7)]
+        for seed, out in zip((0, 7), outs):
+            args = ["--dstar-grid", "0.3:0.3:1", "--kmax", "2", "--seed", str(seed)]
+            assert run_cli("gap-sweep", *args, "--out", str(out)).returncode == 0
+        (_, payload0, _), (_, payload7, manifest7) = (read_emitted(out) for out in outs)
+        assert payload0 == payload7
+        assert manifest7["parameters"]["seed"] == 7
+
     def test_grid_outside_bounds_rejected(self):
         assert run_cli("gap-sweep", "--dstar-grid", "0.001:0.5:0.1").returncode == 2
         assert run_cli("gap-sweep", "--kmax", "0").returncode == 2

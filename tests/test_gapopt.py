@@ -46,6 +46,24 @@ GAP_TWO_LEVEL_BELOW_GRID = {
     0.00231: 0.10823143133886463,
     0.005: 0.10812149916357672,
 }
+# The worst two-level spectra at the same d*, from the same tool: d_star ->
+# (levels, weights).
+ARGMAX_TWO_LEVEL_BELOW_GRID = {
+    1e-06: ((5.408645073090324, 8.793355001398771e-07), (0.18488905626647886, 0.8151109437335211)),
+    2.17e-06: ((5.408644701552602, 1.908158238730465e-06), (0.18488891391812198, 0.815111086081878)),
+    4.7e-06: ((5.408643898144127, 4.132878244015317e-06), (0.18488860610456967, 0.8151113938954303)),
+    1.02e-05: ((5.408642151614132, 8.96922962028052e-06), (0.18488793694260336, 0.8151120630573967)),
+    2.21e-05: ((5.408638372805997, 1.943335191590157e-05), (0.18488648910973512, 0.8151135108902648)),
+    4.8e-05: ((5.408630148566644, 4.2208284768423374e-05), (0.18488333789819408, 0.8151166621018059)),
+    0.0001: ((5.408613637513062, 8.793434325952016e-05), (0.18487701095156428, 0.8151229890484357)),
+    0.000104: ((5.408612367483602, 9.145175032301325e-05), (0.18487652425286238, 0.8151234757471376)),
+    0.000226: ((5.4085736351257845, 0.00019873389754497629), (0.18486167922186766, 0.8151383207781323)),
+    0.00049: ((5.4084898443259615, 0.00043089359570413376), (0.18482955077058152, 0.8151704492294185)),
+    0.00106: ((5.408309042038779, 0.0009321855940688396), (0.18476016022726538, 0.8152398397727346)),
+    0.0012: ((5.408264657416152, 0.0010553179138141468), (0.1847431122720552, 0.8152568877279448)),
+    0.00231: ((5.407913071885432, 0.002031692592885952), (0.18460788119211666, 0.8153921188078833)),
+    0.005: ((5.407063407821435, 0.004398682463847789), (0.1842796782971307, 0.8157203217028692)),
+}
 # The d* -> 0 limit of the worst two-level gap and its argmax (c, w), a low
 # level c d* of weight 1 - w; frozen from tools/oracle_derived.py.
 LIMIT_GAP = 0.10832560729428575
@@ -452,7 +470,7 @@ class TestStationarity:
 
     def test_below_grid_point_converges_at_two_levels(self):
         # One of 100 log-uniform d* in [1e-4, 0.995] (random.Random(7)).
-        _, diag = gapopt._point_search(0.00019022588999714564, 5, 0)
+        _, diag = gapopt._point_search(0.00019022588999714564, 5)
         assert diag.converged == 1
         assert diag.best_k == 2
 
@@ -480,7 +498,7 @@ class TestStationarity:
         v, w = gapopt._normalized([30.0, 1.2, 0.3], [5e-7, 0.6, 0.4 - 5e-7])
         searched = gapopt._gap_core(v, w, 0.3)
         assert gapopt._gap_core(*gapopt._collapse(v, w), 0.3) < searched - 1e-9
-        monkeypatch.setattr(gapopt, "_search_k", lambda d, k, seed: (searched, v, w, 1))
+        monkeypatch.setattr(gapopt, "_search_k", lambda d, k, n: (searched, v, w, 1))
         monkeypatch.setattr(gapopt, "_stationary_point", lambda *args: None)
         res = gapopt.sweep([0.3], 3, threads=1)
         s, d = res.records[0].spectrum, res.diagnostics[0]
@@ -497,6 +515,118 @@ class TestStationarity:
         )
         assert d.residual <= gapopt.STATIONARY_TOL
         assert d.converged == 1
+
+
+def _phi_on_levels(values, weights, d_star, levels):
+    """phi at each of levels, written out from the weight derivatives of the
+    two rates (not through gapopt._rate_grads), with gapopt's multipliers."""
+    t, T = gapopt._levels(values, weights, d_star)
+    m0, m1 = gapopt._log_fit(values, weights, t, T)[1]
+    v, w = np.asarray(values), np.asarray(weights)
+    A = float(w @ (v / (1.0 + v * T))) / float(w @ (v / (1.0 + v * T)) ** 2)
+    wf = np.where(levels > t, np.log(levels / t) + 1.0, levels / t)
+    rc = np.log1p(levels * T) + A * levels / (1.0 + levels * T)
+    return (rc - wf) / (2.0 * math.log(2.0)) - m0 - m1 * levels, m1
+
+
+class TestEquivalenceCheck:
+    """max phi <= 0: no spectrum with any number of levels gains gap to first
+    order at the point's T, the global-optimality condition at fixed T."""
+
+    def test_golden_rows_pass(self):
+        worst = max(gapopt._max_phi(s.values, s.weights, d)[0] for d, s in _golden_rows())
+        assert worst <= gapopt.STATIONARY_TOL
+
+    @pytest.mark.parametrize("d_star", sorted(ARGMAX_TWO_LEVEL_BELOW_GRID))
+    def test_below_grid_two_level_argmax_passes(self, d_star):
+        levels, weights = ARGMAX_TWO_LEVEL_BELOW_GRID[d_star]
+        assert gapopt._max_phi(levels, weights, d_star)[0] <= gapopt.STATIONARY_TOL
+
+    def test_exact_maximum_matches_a_dense_grid(self):
+        # Guards the quadratic (v < t) and cubic (v > t) for phi' = 0: the
+        # exact maximum is never below 400,000 log-spaced levels, and agrees
+        # with them to 1e-9 where it is finite; it is infinite only for m1 < 0.
+        rng = np.random.default_rng(11)
+        finite = 0
+        for i in range(50):
+            s = spectra.sample_random(2 + i % 4, 1000 + i)
+            d_star = float(np.exp(rng.uniform(np.log(1e-3), np.log(0.99))))
+            levels = np.geomspace(1e-3 * d_star, 1e3 / d_star, 400_000)
+            phi, m1 = _phi_on_levels(s.values, s.weights, d_star, levels)
+            exact, argmax = gapopt._max_phi(s.values, s.weights, d_star)
+            assert exact >= float(phi.max()) - 1e-12
+            if math.isinf(exact):
+                assert m1 < 0.0 and math.isinf(argmax)
+                continue
+            finite += 1
+            assert exact == pytest.approx(float(phi.max()), abs=1e-9)
+            assert exact == pytest.approx(float(_phi_on_levels(
+                s.values, s.weights, d_star, np.array([argmax]))[0][0]), rel=1e-14, abs=1e-15)
+        assert finite >= 20
+
+    def test_one_level_spectrum(self):
+        # One level has m1 = 0 (the gap does not depend on its scale), so the
+        # supremum may be the limit at v -> inf, which no level attains.
+        d_star = 0.9
+        limit = (math.log(1.0 - d_star) + d_star / (1.0 - d_star)) / (2.0 * math.log(2.0))
+        phi, argmax = gapopt._max_phi([1.0], [1.0], d_star)
+        assert phi == pytest.approx(limit, rel=1e-12)
+        assert math.isinf(argmax)
+        # At d* = 0.3 a finite level below the water level beats the limit.
+        phi, argmax = gapopt._max_phi([1.0], [1.0], 0.3)
+        assert phi > (math.log(0.7) + 0.3 / 0.7) / (2.0 * math.log(2.0))
+        assert 0.0 < argmax < 0.3
+
+    def test_sweep_reports_max_phi(self):
+        res = gapopt.sweep([0.3, 0.7], 5)
+        for rec, d in zip(res.records, res.diagnostics):
+            s = rec.spectrum
+            assert d.max_phi == gapopt._max_phi(s.values, s.weights, rec.d_star)[0]
+            assert d.max_phi <= gapopt.STATIONARY_TOL
+            assert d.restarts == 1 + 4 * gapopt._STARTS_PER_K
+
+
+class TestVertexDirection:
+    """On the grid the k = 2 search already meets the equivalence check, so
+    the insertion step never fires there; a non-stationary two-level point
+    (residual ~7e-4, phi ~0.13 near v = 216) stands in for the k = 2 best."""
+
+    D_STAR = 0.865
+    LEVELS = [504.6718775488723, 0.511488327895775]
+    WEIGHTS = [0.000968960835775036, 0.999031039164225]
+
+    def _patch(self, monkeypatch):
+        search_k = gapopt._search_k
+
+        def patched(d_star, k, n_starts):
+            if k == 2:
+                gap = gapopt._gap_core(self.LEVELS, self.WEIGHTS, d_star)
+                return gap, list(self.LEVELS), list(self.WEIGHTS), n_starts
+            return search_k(d_star, k, n_starts)
+
+        monkeypatch.setattr(gapopt, "_search_k", patched)
+        return gapopt._gap_core(self.LEVELS, self.WEIGHTS, self.D_STAR)
+
+    def test_patched_point_asks_for_a_level(self):
+        phi, argmax = gapopt._max_phi(self.LEVELS, self.WEIGHTS, self.D_STAR)
+        assert phi > 0.1
+        assert 100.0 < argmax < 400.0
+
+    def test_insertion_raises_the_gap(self, monkeypatch):
+        patched_gap = self._patch(monkeypatch)
+        rec, diag = gapopt._point_search(self.D_STAR, 3)
+        assert diag.restarts == 1 + 2 * gapopt._STARTS_PER_K + 1
+        assert diag.best_k == 3
+        assert rec.gap_bits > patched_gap + 1e-5
+
+    def test_no_insertion_at_two_levels(self, monkeypatch):
+        patched_gap = self._patch(monkeypatch)
+        rec, diag = gapopt._point_search(self.D_STAR, 2)
+        assert diag.restarts == 1 + gapopt._STARTS_PER_K
+        assert rec.spectrum.k == 2
+        assert rec.gap_bits == pytest.approx(patched_gap, abs=1e-15)
+        assert diag.max_phi > gapopt.STATIONARY_TOL
+        assert diag.converged == 0
 
 
 class TestMaximizeGap:
@@ -523,12 +653,17 @@ class TestMaximizeGap:
         assert a.gap_bits == b.gap_bits
 
     def test_weightless_level_does_not_set_merge_scale(self):
-        # The best 4-level ascent at 0.765 leaves a level of weight ~1e-29 at
-        # ~3e9.  _collapse drops such a level by its weight, and no merge
-        # scale is taken from the levels, so it cannot pull the others into one.
+        # A k >= 3 ascent can leave a level of weight ~1e-29 at ~3e9 next to
+        # the two-level maximum.  _collapse drops such a level by its weight,
+        # and no merge scale is taken from the levels, so it cannot pull the
+        # others into one; the search at k_max = 4 reports two levels.
         rec = gapopt.maximize_gap(0.765, 4)
         assert rec.spectrum.k == 2
         assert rec.gap_bits > 0.05
+        v, w = (list(x) for x in (rec.spectrum.values, rec.spectrum.weights))
+        cv, cw = gapopt._collapse([3e9] + v, [1e-29] + w)
+        assert len(cv) == 2
+        assert all(abs(a - b) < 1e-12 for a, b in zip(cv + cw, v + w))
 
     @pytest.mark.parametrize("d,k", [(0.0, 2), (1.0, 2), (0.5, 0), (0.5, 6)])
     def test_domain(self, d, k):

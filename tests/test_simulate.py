@@ -65,6 +65,16 @@ class TestSimConfig:
         assert _cfg(n=3, rate_bits=0.0).codebook_size == 1
         assert _cfg(n=3, rate_bits=0.5).codebook_size == 2  # floor(2^1.5)
 
+    def test_codebook_size_past_float_range(self):
+        # 2.0 ** (n R) overflows past n R = 1024; the size is still exact for
+        # whole bits and equal to the float formula below that.
+        assert _cfg(n=2000, rate_bits=1.0).codebook_size == 2**2000
+        assert _cfg(n=1025, rate_bits=1.0).codebook_size == 2**1025
+        for n, rate in ((1023, 1.0), (2047, 0.5), (10, 0.75), (200, 1.3)):
+            assert _cfg(n=n, rate_bits=rate).codebook_size == math.floor(2.0 ** (n * rate))
+        with pytest.raises(ValueError, match="exceeds codebook_cap"):
+            simulator.build_codebook(_cfg(n=2000, rate_bits=1.0))
+
     def test_tau_threshold_zero_allowed(self):
         assert _cfg(tau_threshold=0.0).tau_threshold == 0.0
 

@@ -171,8 +171,9 @@ def main() -> None:
         print(f"argmax2 d*={d_text} gap           = {float(two_level_gap(a1, b1, da))!r}")
 
     # The d* -> 0 limit of the worst two-level gap, and the worst two-level
-    # gap below the acceptance grid, started from the limit's argmax, at 1e-4,
-    # 1.2e-3 and 12 log-spaced d* from 1e-6 to 5e-3 rounded to three digits.
+    # gap and spectrum below the acceptance grid, started from the limit's
+    # argmax, at 1e-4, 1.2e-3 and 12 log-spaced d* from 1e-6 to 5e-3 rounded
+    # to three digits.
     c0, w0 = argmax2(limit_gap, Decimal("0.879"), Decimal("0.185"))
     print(f"limit argmax (c, w)           = ({float(c0)!r}, {float(w0)!r})")
     print(f"limit gap                     = {float(limit_gap(c0, w0))!r}")
@@ -182,6 +183,8 @@ def main() -> None:
         a1, b1 = two_level_argmax(da, (1 - (1 - w0) * c0 * da) / w0, w0)
         print(f"argmax2 d*={d_float!r:<8} gap      = {float(two_level_gap(a1, b1, da))!r}")
         print(f"argmax2 d*={d_float!r:<8} low level = {float((1 - b1 * a1) / (1 - b1) / da)!r} d*")
+        print(f"argmax2 d*={d_float!r:<8} levels    = ({float(a1)!r}, {float((1 - b1 * a1) / (1 - b1))!r})")
+        print(f"argmax2 d*={d_float!r:<8} weights   = ({float(b1)!r}, {float(1 - b1)!r})")
 
 
 if __name__ == "__main__":

@@ -2,15 +2,18 @@
 
 The acceptance sweep's largest gap sits on its grid edge, d* = 0.005, so the
 sweep alone cannot show whether the gap keeps growing toward d* -> 0.  This
-runs the search of gapopt.maximize_gap(d*, 5) with the default seed at 35
+runs the search of gapopt.maximize_gap(d*, 5) at 35
 d* from 1e-8 to 0.005 (mantissas 1, 1.5, 2, 3, 5, 7 per decade), one CSV row
 per point: the gap in bits, both rates, the distance below the d* -> 0 limit
 of the worst two-level gap (LIMIT_GAP_BITS, from tools/oracle_derived.py),
 the stationarity residual of the worst spectrum (gapopt.stationarity_residual:
 the gap gradient in (log v, w) projected onto the constraints sum w = 1,
 sum w v = 1, unit-free at any d*), converged (1 when the residual is at most
-gapopt.STATIONARY_TOL, else 0), the level count the search picked, the wall
-time of the search in seconds, and the worst spectrum's levels and weights.
+gapopt.STATIONARY_TOL, else 0), max_phi (the equivalence check
+gapopt._max_phi: at most about STATIONARY_TOL when no spectrum with any
+number of levels gains gap to first order at the point's T), the level count
+the search picked, the wall time of the search in seconds, and the worst
+spectrum's levels and weights.
 
 It is a report only: it checks no bound and changes neither the acceptance
 grid nor any fixture.  Run from the repository root:
@@ -33,17 +36,17 @@ GRID = [float(f"{m}e{e}") for e in range(-8, -2) for m in (1, 1.5, 2, 3, 5, 7)][
 
 def main() -> int:
     print("d_star,gap_bits,rate_rc_bits,rate_wf_bits,limit_minus_gap,residual,"
-          "converged,best_k,seconds,levels,weights")
+          "converged,max_phi,best_k,seconds,levels,weights")
     best = None
     for d_star in GRID:
         start = time.perf_counter()
-        rec, diag = gapopt._point_search(d_star, 5, 0)
+        rec, diag = gapopt._point_search(d_star, 5)
         seconds = time.perf_counter() - start
         s = rec.spectrum
         print(
             f"{d_star:.6g},{rec.gap_bits:.9f},{rec.rate_rc_bits!r},{rec.rate_wf_bits!r},"
             f"{LIMIT_GAP_BITS - rec.gap_bits:.3e},{diag.residual:.2e},"
-            f"{diag.converged},{diag.best_k},{seconds:.3f},"
+            f"{diag.converged},{diag.max_phi:.2e},{diag.best_k},{seconds:.3f},"
             f"{';'.join(repr(v) for v in s.values)},{';'.join(repr(w) for w in s.weights)}",
             flush=True,
         )

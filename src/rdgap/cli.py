@@ -335,16 +335,8 @@ def cmd_simulate(ctx, **_) -> None:
         "eta": float(vals["eta"]) if mode == "success" else None,
         "w_batches": int(vals["w_batches"]) if mode == "success" else None,
     }
-    record = [
-        *(_sim_field(echo[k]) for k in ("mode", "n", "rate_bits", "t", "T", "spectrum",
-                                        "trials", "seed", "rotation", "tau_delta",
-                                        "tau_threshold", "eta", "w_batches")),
-        _sim_field(report.mean), _sim_field(report.se), _sim_field(report.analytic),
-        _sim_field(report.p_hat), _sim_field(report.wilson_low),
-        _sim_field(report.wilson_high), _sim_field(report.exponent),
-        _sim_field(report.exponent_is_lower_bound),
-        ";".join(report.warnings),
-    ]
+    fields = {**vars(report), **echo, "warnings": ";".join(report.warnings)}
+    record = [_sim_field(fields[k]) for k in _SIM_HEADER.split(",")]
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerow(record)
     _emit("simulate", {k: v for k, v in echo.items() if v is not None},

@@ -7,13 +7,14 @@ gradient, in the chart levels = exp(x), weights = softmax(y) at unit mean,
 start from the one-level spectrum and the 16 (k_max - 1) best cells of an
 exhaustive two-level scan; the gap is flat at its maximum, so each stops at
 the 1e-7 that float64 resolves, and the best point is finished by Newton on
-the KKT conditions over sum w = 1, sum w v = 1 with the exact gap Hessian,
-merging levels that coalesce or lose their weight (_collapse).  Then
-vertex-direction steps (Wynn, Ann. Math. Statist. 41, 1970; Lindsay, Ann.
-Statist. 11, 1983): while the exact maximum of phi, the gap's derivative in
-the direction of a new level (_max_phi), exceeds STATIONARY_TOL and fewer
-than k_max levels are in use, a level is mixed in at its argmax, ascended
-and solved with the rest.  A point replaces the best only if it gains more
+the KKT conditions over sum w = 1, sum w v = 1 in (log v, w) with the exact
+gap Hessian, merging levels that coalesce or lose their weight (_collapse);
+that solve, the stationarity residual and phi share one multiplier fit
+(_kkt).  Then vertex-direction steps (Wynn, Ann. Math. Statist. 41, 1970;
+Lindsay, Ann. Statist. 11, 1983): while the exact maximum of phi, the gap's
+derivative in the direction of a new level (_max_phi), exceeds
+STATIONARY_TOL and fewer than k_max levels are in use, a level is mixed in
+at its argmax, ascended and solved with the rest.  A point replaces the best only if it gains more
 than 1e-15 of gap, and a solved point replaces the searched one unless it
 loses more.  tools/regen_golden_sweep.py regenerates the golden sweep.
 """
@@ -183,7 +184,7 @@ def stationarity_residual(s: Spectrum, d_star: float) -> float:
     """Distance of s from a stationary point of the gap over spectra with
     s.k levels: the max-norm of the gap gradient in (log levels, weights)
     less its least-squares fit by the gradients there of sum w = 1 and
-    sum w v = 1 (_log_fit).  Unit-free, so its rounding floor does not grow
+    sum w v = 1 (_kkt).  Unit-free, so its rounding floor does not grow
     like 1/v as the low level shrinks with d*.  Raises KinkError on the
     waterfilling kink.
     """
@@ -193,18 +194,7 @@ def stationarity_residual(s: Spectrum, d_star: float) -> float:
 
 
 def _residual(values, weights, d_star: float) -> float:
-    return float(np.max(np.abs(_log_fit(values, weights, *_levels(values, weights, d_star))[0])))
-
-
-def _log_fit(values, weights, t: float, T: float):
-    """The gap gradient in (log levels, weights) less its least-squares fit by
-    the gradients there of sum w = 1 and sum w v = 1, and the multipliers."""
-    k, v, w = len(values), np.asarray(values, dtype=float), np.asarray(weights, dtype=float)
-    g = _gap_grad(values, weights, t, T)
-    g[:k] *= v
-    J = np.array([np.r_[np.zeros(k), np.ones(k)], np.r_[w * v, v]])
-    mult = np.linalg.lstsq(J.T, g, rcond=None)[0]
-    return g - J.T @ mult, mult
+    return float(np.max(np.abs(_kkt(values, weights, d_star)[0])))
 
 
 def _gap_hessian(values, weights, d_star: float, t: float, T: float) -> np.ndarray:
@@ -243,27 +233,33 @@ def _gap_hessian(values, weights, d_star: float, t: float, T: float) -> np.ndarr
 
 
 def _kkt(values, weights, d_star: float):
-    """From one t and T solve: the gap gradient in (levels, weights) minus
-    its least-squares fit by the gradients J of the constraints sum w = 1 and
-    sum w v = 1, then J, then the Lagrangian's Hessian, in which the fitted
-    multiplier of sum w v = 1 adds -mult[1] at each (v_j, w_j) entry.
+    """From one t and T solve, in the chart (log levels, weights): the gap
+    gradient less its least-squares fit by the gradients J = [(0, 1),
+    (w v, v)] of sum w = 1 and sum w v = 1 (the stationarity residual), the
+    fitted multipliers (m0, m1), J, and the Lagrangian's Hessian.  The last
+    is _gap_hessian scaled by D = diag(v, 1) on both sides, plus
+    v g_v - m1 w v on the log-level diagonal and -m1 v at each (x_j, w_j)
+    pair, with g_v the gap's raw level gradient.
     """
     k = len(values)
+    v, w = np.asarray(values, dtype=float), np.asarray(weights, dtype=float)
     t, T = _levels(values, weights, d_star)
-    g = _gap_grad(values, weights, t, T)
-    J = np.array([np.r_[np.zeros(k), np.ones(k)], np.r_[weights, values]])
+    D = np.r_[v, np.ones(k)]
+    g = D * _gap_grad(values, weights, t, T)
+    J = np.array([np.r_[np.zeros(k), np.ones(k)], np.r_[w * v, v]])
     mult = np.linalg.lstsq(J.T, g, rcond=None)[0]
-    H = _gap_hessian(values, weights, d_star, t, T)
+    H = D[:, None] * _gap_hessian(values, weights, d_star, t, T) * D
     j = np.arange(k)
-    H[j, k + j] -= mult[1]
-    H[k + j, j] -= mult[1]
-    return g - J.T @ mult, J, H
+    H[j, j] += g[:k] - mult[1] * w * v
+    H[j, k + j] -= mult[1] * v
+    H[k + j, j] -= mult[1] * v
+    return g - J.T @ mult, mult, J, H
 
 
 def _max_phi(values, weights, d_star: float) -> tuple[float, float]:
     """(max, argmax) over levels v >= 0 of phi(v), _rate_grads' gap derivative
     in the weight of a new level v less the constraints' multipliers m0 + m1 v
-    (_log_fit).  The gap is concave in the spectrum at fixed T, so max phi <= 0
+    (_kkt).  The gap is concave in the spectrum at fixed T, so max phi <= 0
     certifies a point over any level count.  With u = 1 + vT and A as in
     _rate_grads, 2 ln2 phi' = T/u + A/u^2 - 2 ln2 m1 - 1/max(v, t) is a
     quadratic over u^2 below t and a cubic over v u^2 above it; phi is C^1, so
@@ -273,7 +269,7 @@ def _max_phi(values, weights, d_star: float) -> tuple[float, float]:
     (ln(tT) + A/T - 1) / (2 ln2) - m0.  Raises KinkError on the kink.
     """
     t, T = _levels(values, weights, d_star)
-    m0, m1 = _log_fit(values, weights, t, T)[1].tolist()
+    m0, m1 = _kkt(values, weights, d_star)[1].tolist()
     m1 = m1 if len(values) > 1 else 0.0
     if m1 < 0.0:
         return math.inf, math.inf
@@ -296,30 +292,31 @@ def _max_phi(values, weights, d_star: float) -> tuple[float, float]:
 
 def _newton(values, weights, d_star: float):
     """Newton on the KKT conditions of the gap over sum w = 1, sum w v = 1,
-    in raw (levels, weights) with the exact Hessian (_kkt).
+    in (log levels, weights) with the exact Hessian (_kkt), so levels stay
+    positive and only the weights are checked.
 
     Each step solves the KKT system on the null space Z of the constraint
     Jacobian, is re-normalized onto the constraint set and is kept only
-    while the residual falls; stops when Z^T H Z is not negative definite
-    (no nearby maximum).  Steps are full, so the start must lie in Newton's
-    quadratic region; searched points do at all 199 golden grid points and
-    from d* = 1e-5 up in tools/probe_small_dstar.py.  From any other start
-    the solve stops early and the point reports converged = 0.  Returns
-    (values, weights) at the last kept point.
+    while the stationarity residual falls; stops when Z^T H Z is not
+    negative definite (no nearby maximum).  Steps are full, so the start
+    must lie in Newton's quadratic region; searched points do at all 199
+    golden grid points and at every d* of tools/probe_small_dstar.py.  From
+    any other start the solve stops early and the point reports
+    converged = 0.  Returns (values, weights) at the last kept point.
     """
     k = len(values)
-    r, J, H = _kkt(values, weights, d_star)
+    r, _, J, H = _kkt(values, weights, d_star)
     res = float(np.max(np.abs(r)))
     for _ in range(_NEWTON_MAX_ITER if k > 1 else 0):  # one level: nothing to solve
         Z = np.linalg.svd(J)[2][2:].T
         reduced = Z.T @ H @ Z
         if float(np.linalg.eigvalsh(reduced).max()) >= 0.0:
             break
-        x = np.r_[values, weights] - Z @ np.linalg.solve(reduced, Z.T @ r)
-        if float(x.min()) <= 0.0:
+        x = np.r_[np.log(values), weights] - Z @ np.linalg.solve(reduced, Z.T @ r)
+        if float(x[k:].min()) <= 0.0:
             break
-        trial = _normalized(x[:k].tolist(), x[k:].tolist())
-        r_trial, J_trial, H_trial = _kkt(*trial, d_star)
+        trial = _normalized(np.exp(x[:k]).tolist(), x[k:].tolist())
+        r_trial, _, J_trial, H_trial = _kkt(*trial, d_star)
         res_trial = float(np.max(np.abs(r_trial)))
         if not res_trial < res:
             break
@@ -357,7 +354,7 @@ def _stationary_point(values, weights, d_star: float):
     Levels that coalesce or lose their weight, before or during the solve,
     are merged by _collapse and the solve restarts with fewer levels.
     Returns (values, weights), or None on the waterfilling kink, a failed
-    T solve or a singular Newton system (below d* of about 1e-7).
+    T solve or a singular Newton system.
     """
     v, w = _collapse(values, weights)
     while True:

@@ -183,11 +183,11 @@ def _scaling(T: float, alam2, den: float, w, threshold, delta):
     ||w||_inf exceeds the threshold, then rounded by the quantizer of
     quantize_tau when delta is given.  Raises SolverError if tau leaves
     [0, ||w||_inf], which the rule never does beyond rounding."""
-    norms = np.max(np.abs(w), axis=-1)
+    norms = np.abs(w).max(axis=-1)
     tau = np.sqrt(T * ((w * w) @ alam2) / den)
     if threshold is not None:
         tau = np.where(norms > threshold, 0.0, tau)
-    if not (np.all(tau >= 0.0) and np.all(tau <= norms * (1.0 + 1e-12) + 1e-300)):
+    if not ((tau >= 0.0).all() and (tau <= norms * (1.0 + 1e-12) + 1e-300).all()):
         raise SolverError("scaling tau outside [0, ||w||_inf]")
     if delta is not None:
         unit = delta * norms

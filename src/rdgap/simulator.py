@@ -24,7 +24,6 @@ import numpy as np
 
 from . import rdrc, waterfill
 from ._parallel import ordered_map, resolve_threads
-from .errors import SolverError
 from .spectra import Spectrum, expand_to_n
 
 STREAM_CODEBOOK = 1
@@ -288,17 +287,8 @@ def _success_batch(args: tuple[dict, int, int]) -> int:
         rng = _rng(st["seed"], STREAM_WBATCH, b)
         w = rng.standard_normal(st["n"])
         wt = w @ st["u"] if st["u"] is not None else w
-        wsq = wt * wt
-        norm = float(np.max(np.abs(wt)))
-        target = float(wsq @ st["dlam"]) / st["n"] + st["eta"]
-        T = st["T"]
-        tau = math.sqrt(T * float(wsq @ st["alam2"]) / st["den"]) if T > 0.0 else 0.0
-        if st["threshold"] is not None and norm > st["threshold"]:
-            tau = 0.0
-        if not 0.0 <= tau <= norm * (1.0 + 1e-12) + 1e-300:
-            raise SolverError("scaling tau outside [0, ||w||_inf]")
-        if st["delta"] is not None and norm > 0.0:
-            tau = rdrc.quantize_tau(tau, norm, st["delta"])
+        target = float((wt * wt) @ st["dlam"]) / st["n"] + st["eta"]
+        tau = float(rdrc._scaling(st["T"], st["alam2"], st["den"], wt, st["threshold"], st["delta"]))
         c = rng.standard_normal((st["trials"], st["n"]))
         ct = c @ st["u"] if st["u"] is not None else c
         diff = wt[None, :] - tau * ct

@@ -18,6 +18,11 @@ from rdgap._manifest import (
 
 HELP_DIR = Path(__file__).parent / "fixtures" / "help"
 TWO_LEVEL_LITERAL = "1.8:0.5,0.2:0.5"
+HEADER_SIMULATE = (
+    "mode,n,rate_bits,t,T,spectrum,trials,seed,rotation,tau_delta,tau_threshold,"
+    "eta,w_batches,mean,se,analytic,p_hat,wilson_low,wilson_high,exponent,"
+    "exponent_is_lower_bound,warnings"
+)
 
 
 def run_cli(*args, env_extra=None):
@@ -306,6 +311,29 @@ class TestSimulateCommand:
         assert row["exponent_is_lower_bound"] == "false"
         assert 0.0 < float(row["wilson_low"]) < float(row["p_hat"]) < float(row["wilson_high"])
         assert float(row["exponent"]) > 0.0
+
+    @pytest.mark.parametrize("args,row", [
+        (["--mode", "scheme", "--n", "8", "--trials", "32", "--spectrum", TWO_LEVEL_LITERAL],
+         'scheme,8,1.0,,,"1.8:0.5,0.2:0.5",32,0,identity,,,,,0.23154822874728942,'
+         "0.020265920101201672,0.15811388300839202,,,,,false,"),
+        # trials echoes the option (64), not the report's 64 x 16 codeword draws
+        (["--mode", "success", "--n", "10", "--rate", "0.5", "--trials", "64", "--eta", "0.05",
+          "--w-batches", "16"],
+         "success,10,0.5,,,1.0:1.0,64,0,identity,,,0.05,16,0.0126953125,0.0034986243865512676,"
+         "0.5,0.0126953125,0.007434044913652255,0.021599089101911852,0.6299560281858908,false,"),
+        (["--mode", "coupling", "--t", "0.25", "--n", "16", "--trials", "64"],
+         "coupling,16,,0.25,,1.0:1.0,64,0,,,,,,0.25844392984032855,0.010985343987089303,0.25,"
+         ",,,,false,"),
+        (["--mode", "filter", "--T", "1", "--n", "4", "--trials", "16",
+          "--spectrum", "10.5:0.05,0.5:0.95"],
+         'filter,4,,,1.0,"10.5:0.05,0.5:0.95",16,0,,,,,,0.5150273404789022,0.07746939437539092,'
+         "0.36231884057971014,,,,,false,apportionment to n=4 left zero dimensions for: value "
+         "10.5 (weight 0.05); dropped and remaining eigenvalues rescaled to unit mean"),
+    ], ids=["scheme", "success", "coupling", "filter"])
+    def test_row_bytes(self, args, row):
+        proc = run_cli("simulate", *args)
+        assert proc.returncode == 0
+        assert proc.stdout.splitlines() == [HEADER_SIMULATE, row]
 
     def test_coupling_requires_t(self):
         proc = run_cli("simulate", "--mode", "coupling")

@@ -410,6 +410,30 @@ class TestGapHessian:
             assert float(np.max(np.abs(fd - H))) <= 1e-5 * float(np.max(np.abs(H))), (k, d_star)
             checked += 1
 
+    @pytest.mark.parametrize("d_star", [0.02, 0.3, 0.9])
+    def test_kkt_hessian_in_log_levels(self, d_star):
+        # _kkt's Lagrangian Hessian in (log v, w) matches central differences
+        # of its own Lagrangian gradient D g - J^T m at fixed multipliers m.
+        for seed in range(1, 9):
+            s = spectra.sample_random(2 + seed % 4, seed)
+            z = np.r_[np.log(s.values), s.weights]
+            k = s.k
+            try:
+                _, m, _, H = gapopt._kkt(list(s.values), list(s.weights), d_star)
+            except KinkError:
+                continue
+
+            def lagrangian_grad(z):
+                v, w = np.exp(z[:k]), z[k:]
+                g = np.r_[v, np.ones(k)] * gapopt._gap_grad(
+                    v.tolist(), w.tolist(), *gapopt._levels(v.tolist(), w.tolist(), d_star))
+                return g - m[0] * np.r_[np.zeros(k), np.ones(k)] - m[1] * np.r_[w * v, v]
+
+            h = 1e-6
+            fd = np.array([(lagrangian_grad(z + h * e) - lagrangian_grad(z - h * e)) / (2 * h)
+                           for e in np.eye(2 * k)]).T
+            assert float(np.max(np.abs(fd - H))) <= 1e-5 * float(np.max(np.abs(H))), seed
+
 
 class TestStationarity:
     @pytest.mark.parametrize("d_star", sorted(ARGMAX_TWO_LEVEL))
@@ -461,12 +485,22 @@ class TestStationarity:
         rec = gapopt.maximize_gap(d_star, 2)
         assert abs(rec.gap_bits - GAP_TWO_LEVEL_BELOW_GRID[d_star]) <= 1e-9
 
-    def test_singular_newton_system_reports_the_searched_point(self):
-        # At d* = 2e-8 the reduced Hessian of the KKT solve is singular in
-        # float64; the point reports the searched two-level spectrum.
-        rec = gapopt.maximize_gap(2e-8, 2)
+    def test_log_level_newton_converges_at_two_levels(self):
+        # At d* = 2e-8 the low level is about 1.8e-8; in (log v, w) the KKT
+        # solve still reaches STATIONARY_TOL with k_max = 2.
+        rec, diag = gapopt._point_search(2e-8, 2)
         assert rec.spectrum.k == 2
         assert 0.0 < LIMIT_GAP - rec.gap_bits < 1e-8
+        assert diag.converged == 1
+
+    @pytest.mark.parametrize("d_star", [1e-8, 2e-8, 1e-7, 3e-7])
+    def test_converges_toward_the_limit(self, d_star):
+        # The worst gap approaches LIMIT_GAP as d* -> 0, about 0.04 d* below it.
+        rec, diag = gapopt._point_search(d_star, 5)
+        assert diag.converged == 1
+        assert diag.best_k == 2
+        assert diag.max_phi <= gapopt.STATIONARY_TOL
+        assert 0.0 < LIMIT_GAP - rec.gap_bits < 0.05 * d_star
 
     def test_below_grid_point_converges_at_two_levels(self):
         # One of 100 log-uniform d* in [1e-4, 0.995] (random.Random(7)).
@@ -521,7 +555,7 @@ def _phi_on_levels(values, weights, d_star, levels):
     """phi at each of levels, written out from the weight derivatives of the
     two rates (not through gapopt._rate_grads), with gapopt's multipliers."""
     t, T = gapopt._levels(values, weights, d_star)
-    m0, m1 = gapopt._log_fit(values, weights, t, T)[1]
+    m0, m1 = gapopt._kkt(values, weights, d_star)[1]
     v, w = np.asarray(values), np.asarray(weights)
     A = float(w @ (v / (1.0 + v * T))) / float(w @ (v / (1.0 + v * T)) ** 2)
     wf = np.where(levels > t, np.log(levels / t) + 1.0, levels / t)

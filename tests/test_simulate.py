@@ -195,7 +195,8 @@ class TestCodewordSuccess:
     def test_tau_out_of_range_raises(self):
         # A raised error, not an assert, so the check survives python -O.
         state = {"n": 4, "seed": 0, "trials": 2, "eta": 0.1, "u": None, "T": 1.0,
-                 "dlam": np.ones(4), "alam2": np.ones(4), "den": 1e-30, "threshold": None}
+                 "dlam": np.ones(4), "alam2": np.ones(4), "den": 1e-30, "threshold": None,
+                 "delta": None}
         with pytest.raises(SolverError):
             simulator._success_batch((state, 0, 1))
 

@@ -15,8 +15,9 @@ number of levels gains gap to first order at the point's T), the level count
 the search picked, the wall time of the search in seconds, and the worst
 spectrum's levels and weights.
 
-It is a report only: it checks no bound and changes neither the acceptance
-grid nor any fixture.  Run from the repository root:
+It checks no bound on the gap and changes neither the acceptance grid nor
+any fixture, but it exits 1 when any row reads converged = 0 (else 0).
+Run from the repository root:
 
     python3 tools/probe_small_dstar.py
 """
@@ -37,7 +38,7 @@ GRID = [float(f"{m}e{e}") for e in range(-8, -2) for m in (1, 1.5, 2, 3, 5, 7)][
 def main() -> int:
     print("d_star,gap_bits,rate_rc_bits,rate_wf_bits,limit_minus_gap,residual,"
           "converged,max_phi,best_k,seconds,levels,weights")
-    best = None
+    best, unconverged = None, 0
     for d_star in GRID:
         start = time.perf_counter()
         rec, diag = gapopt._point_search(d_star, 5)
@@ -50,10 +51,13 @@ def main() -> int:
             f"{';'.join(repr(v) for v in s.values)},{';'.join(repr(w) for w in s.weights)}",
             flush=True,
         )
+        unconverged += 1 - diag.converged
         if best is None or rec.gap_bits > best.gap_bits:
             best = rec
     print(f"# largest gap {best.gap_bits:.9f} bits at d* = {best.d_star:.6g}", file=sys.stderr)
-    return 0
+    if unconverged:
+        print(f"# {unconverged} of {len(GRID)} points not converged", file=sys.stderr)
+    return 1 if unconverged else 0
 
 
 if __name__ == "__main__":

@@ -8,8 +8,9 @@ are byte-identical.  `RDGAP_THREADS` caps parallelism (default: machine
 parallelism).  Exit codes: 0 success, 1 numeric failure, 2 usage error.
 
 Every subcommand accepts `--config run.json`: a JSON object whose keys are
-the long option names (dashes or underscores); explicitly passed flags take
-precedence over config values.
+the long option names (dashes or underscores), `--mode` included.  Its values
+become click's defaults, so they are converted and checked like the flags
+they stand for, and explicitly passed flags take precedence over them.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from decimal import Decimal, InvalidOperation
 from pathlib import Path
 
 import click
-from click.core import ParameterSource
 
 from . import __version__, gapopt, rdrc, simulator, spectra, waterfill
 from ._manifest import (
@@ -54,31 +54,28 @@ def _numeric_errors(f):
     return wrapper
 
 
-def _merged(ctx: click.Context) -> dict:
-    """The subcommand's parameters, config-file values overlaid onto click
-    defaults; explicit flags win."""
-    values = {k: v for k, v in ctx.params.items() if k != "config"}
-    config = ctx.params["config"]
-    if config is None:
-        return values
+def _load_config(ctx: click.Context, _param, path: str | None) -> None:
+    """Eager --config callback: the file's JSON object becomes the command's
+    default_map, so click converts, checks and ranks its values like flags."""
+    if path is None:
+        return
     try:
-        raw = json.loads(Path(config).read_text())
+        raw = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
-        raise click.UsageError(f"cannot read config file {config!r}: {exc}")
+        raise click.UsageError(f"cannot read config file {path!r}: {exc}")
     if not isinstance(raw, dict):
         raise click.UsageError("config file must hold a JSON object")
-    merged = dict(values)
+    names = {p.name for p in ctx.command.params if p.expose_value}
+    ctx.default_map = {}
     for key, value in raw.items():
-        name = str(key).replace("-", "_")
-        if name not in values:
+        name = key.replace("-", "_")
+        if name not in names:
             raise click.UsageError(f"unknown config key {key!r}")
-        if ctx.get_parameter_source(name) == ParameterSource.DEFAULT:
-            merged[name] = value
-    return merged
+        ctx.default_map[name] = value
 
 
 def _parse_grid(text: str) -> list[float]:
-    parts = str(text).split(":")
+    parts = text.split(":")
     if len(parts) != 3:
         raise click.UsageError(f"grid must be 'start:stop:step', got {text!r}")
     try:
@@ -99,7 +96,7 @@ def _parse_grid(text: str) -> list[float]:
 
 def _parse_spectrum_opt(text: str) -> spectra.Spectrum:
     try:
-        return spectra.parse_spectrum(str(text))
+        return spectra.parse_spectrum(text)
     except (ValueError, OSError) as exc:
         raise click.UsageError(f"bad spectrum {text!r}: {exc}")
 
@@ -132,7 +129,9 @@ def _emit(
 _CONFIG_OPT = click.option(
     "--config",
     type=click.Path(),
-    default=None,
+    is_eager=True,
+    expose_value=False,
+    callback=_load_config,
     help="JSON file of option values; explicit flags take precedence.",
 )
 
@@ -147,27 +146,25 @@ _CONFIG_OPT = click.option(
 @click.option("--svg", type=click.Path(), default=None, help="Write a rate-vs-distortion SVG plot.")
 @click.option("--out", type=click.Path(), default=None, help="Write CSV here instead of stdout.")
 @_CONFIG_OPT
-@click.pass_context
 @_numeric_errors
-def cmd_wf(ctx, **_) -> None:
+def cmd_wf(spectrum: str, distortion_grid: str, compare: bool, svg: str | None,
+           out: str | None) -> None:
     """Oracle waterfilling curve: CSV rows d_star,t,rate_bits."""
-    vals = _merged(ctx)
-    s = _parse_spectrum_opt(vals["spectrum"])
-    grid = _parse_grid(vals["distortion_grid"])
+    s = _parse_spectrum_opt(spectrum)
+    grid = _parse_grid(distortion_grid)
     if any(not 0.0 < d < 1.0 for d in grid):
         raise click.UsageError("distortion grid values must lie in (0, 1)")
     points = [waterfill.point_at_distortion(s, d) for d in grid]
     rows = [f"{d!r},{p.level_t!r},{p.rate_bits!r}" for d, p in zip(grid, points)]
     svg_text = None
-    if vals["svg"]:
+    if svg:
         series = [("rate_wf", grid, [p.rate_bits for p in points])]
-        if vals["compare"]:
+        if compare:
             series.append(("rate_rc", grid, [rdrc.rr_rc(s, d) for d in grid]))
         svg_text = line_plot(series, "rate vs distortion", "distortion", "rate (bits)")
     _emit("wf", {
-        "spectrum": s.as_literal(), "distortion_grid": vals["distortion_grid"],
-        "compare": bool(vals["compare"]),
-    }, "d_star,t,rate_bits", rows, vals["out"], vals["svg"], svg_text)
+        "spectrum": s.as_literal(), "distortion_grid": distortion_grid, "compare": compare,
+    }, "d_star,t,rate_bits", rows, out, svg, svg_text)
 
 
 @main.command("rdrc")
@@ -180,28 +177,26 @@ def cmd_wf(ctx, **_) -> None:
 @click.option("--svg", type=click.Path(), default=None, help="Write a distortion-vs-rate SVG plot.")
 @click.option("--out", type=click.Path(), default=None, help="Write CSV here instead of stdout.")
 @_CONFIG_OPT
-@click.pass_context
 @_numeric_errors
-def cmd_rdrc(ctx, **_) -> None:
+def cmd_rdrc(spectrum: str, rate_grid: str, compare: bool, svg: str | None,
+             out: str | None) -> None:
     """Universal random-coding curve: CSV rows rate_bits,T,d_rc."""
-    vals = _merged(ctx)
-    s = _parse_spectrum_opt(vals["spectrum"])
-    grid = _parse_grid(vals["rate_grid"])
+    s = _parse_spectrum_opt(spectrum)
+    grid = _parse_grid(rate_grid)
     if any(r <= 0.0 for r in grid):
         raise click.UsageError("rate grid values must be positive")
     ts = [rdrc.t_rc_for_rate(s, r) for r in grid]
     ds = [rdrc.d_rc(s, T) for T in ts]
     rows = [f"{r!r},{T!r},{d!r}" for r, T, d in zip(grid, ts, ds)]
     svg_text = None
-    if vals["svg"]:
+    if svg:
         series = [("d_rc", grid, ds)]
-        if vals["compare"]:
+        if compare:
             series.append(("d_wf", grid, [waterfill.dd_wf(s, r) for r in grid]))
         svg_text = line_plot(series, "distortion vs rate", "rate (bits)", "distortion")
     _emit("rdrc", {
-        "spectrum": s.as_literal(), "rate_grid": vals["rate_grid"],
-        "compare": bool(vals["compare"]),
-    }, "rate_bits,T,d_rc", rows, vals["out"], vals["svg"], svg_text)
+        "spectrum": s.as_literal(), "rate_grid": rate_grid, "compare": compare,
+    }, "rate_bits,T,d_rc", rows, out, svg, svg_text)
 
 
 @main.command("gap-sweep")
@@ -215,33 +210,27 @@ def cmd_rdrc(ctx, **_) -> None:
               help="Write a gap-vs-rate SVG plot (default: <out> with .svg suffix).")
 @click.option("--out", type=click.Path(), default=None, help="Write CSV here instead of stdout.")
 @_CONFIG_OPT
-@click.pass_context
 @_numeric_errors
-def cmd_gap_sweep(ctx, **_) -> None:
+def cmd_gap_sweep(dstar_grid: str, kmax: int, seed: int, svg: str | None,
+                  out: str | None) -> None:
     """Maximize the rate gap over spectra on a distortion grid."""
-    vals = _merged(ctx)
-    grid = _parse_grid(vals["dstar_grid"])
-    if int(vals["kmax"]) < 1:
-        raise click.UsageError("kmax must be >= 1")
+    grid = _parse_grid(dstar_grid)
     try:
-        result = gapopt.sweep(grid, int(vals["kmax"]))
+        result = gapopt.sweep(grid, kmax)
     except ValueError as exc:
         raise click.UsageError(str(exc))
     rows = gapopt.sweep_csv_rows(result)
-    svg_path = vals["svg"]
-    if svg_path is None and vals["out"]:
-        svg_path = str(Path(vals["out"]).with_suffix(".svg"))
+    if svg is None and out:
+        svg = str(Path(out).with_suffix(".svg"))
     svg_text = None
-    if svg_path:
+    if svg:
         svg_text = line_plot(
             [("gap_bits", [r.rate_rc_bits for r in result.records],
               [r.gap_bits for r in result.records])],
             "universality gap vs rate", "rate_rc (bits)", "gap (bits)",
         )
-    _emit("gap-sweep", {
-        "dstar_grid": vals["dstar_grid"], "kmax": int(vals["kmax"]),
-        "seed": int(vals["seed"]),
-    }, gapopt.SWEEP_CSV_HEADER, rows, vals["out"], svg_path, svg_text)
+    _emit("gap-sweep", {"dstar_grid": dstar_grid, "kmax": kmax, "seed": seed},
+          gapopt.SWEEP_CSV_HEADER, rows, out, svg, svg_text)
     best = result.best
     click.echo(f"global max gap_bits = {best.gap_bits:.6f} at d_star = {best.d_star!r}")
 
@@ -292,55 +281,49 @@ def _sim_field(value) -> str:
               help="Refuse codebooks larger than this.")
 @click.option("--out", type=click.Path(), default=None, help="Write CSV here instead of stdout.")
 @_CONFIG_OPT
-@click.pass_context
 @_numeric_errors
-def cmd_simulate(ctx, **_) -> None:
+def cmd_simulate(mode: str, n: int, rate: float, spectrum: str, trials: int, seed: int,
+                 t: float | None, T: float | None, tau_delta: float | None,
+                 tau_threshold: float | None, rotation: str, eta: float, w_batches: int,
+                 codebook_cap: int, out: str | None) -> None:
     """Monte-Carlo runs: scheme, success probability, or exact-expectation checks."""
-    vals = _merged(ctx)
-    s = _parse_spectrum_opt(vals["spectrum"])
-    mode = vals["mode"]
+    s = _parse_spectrum_opt(spectrum)
+    coded = mode in ("scheme", "success")
     try:
-        if mode in ("scheme", "success"):
+        if coded:
             cfg = simulator.SimConfig(
-                n=int(vals["n"]), rate_bits=float(vals["rate"]), spectrum=s,
-                trials=int(vals["trials"]), seed=int(vals["seed"]),
-                rotation=str(vals["rotation"]), tau_delta=vals["tau_delta"],
-                tau_threshold=vals["tau_threshold"],
-                codebook_cap=int(vals["codebook_cap"]), eta=float(vals["eta"]),
-                w_batches=int(vals["w_batches"]),
+                n=n, rate_bits=rate, spectrum=s, trials=trials, seed=seed,
+                rotation=rotation, tau_delta=tau_delta, tau_threshold=tau_threshold,
+                codebook_cap=codebook_cap, eta=eta, w_batches=w_batches,
             )
             report = (simulator.run_universal_scheme(cfg) if mode == "scheme"
                       else simulator.estimate_codeword_success(cfg))
         elif mode == "coupling":
-            if vals["t"] is None:
+            if t is None:
                 raise click.UsageError("--t is required for mode coupling")
-            report = simulator.simulate_wf_coupling(
-                s, float(vals["t"]), int(vals["n"]), int(vals["trials"]), int(vals["seed"]))
+            report = simulator.simulate_wf_coupling(s, t, n, trials, seed)
         else:
-            if vals["T"] is None:
+            if T is None:
                 raise click.UsageError("--T is required for mode filter")
-            report = simulator.simulate_mmse_filter(
-                s, float(vals["T"]), int(vals["n"]), int(vals["trials"]), int(vals["seed"]))
+            report = simulator.simulate_mmse_filter(s, T, n, trials, seed)
     except ValueError as exc:
         raise click.UsageError(str(exc))
     echo = {
-        "mode": mode, "n": int(vals["n"]),
-        "rate_bits": float(vals["rate"]) if mode in ("scheme", "success") else None,
-        "t": vals["t"] if mode == "coupling" else None,
-        "T": vals["T"] if mode == "filter" else None,
-        "spectrum": s.as_literal(), "trials": int(vals["trials"]), "seed": int(vals["seed"]),
-        "rotation": vals["rotation"] if mode in ("scheme", "success") else None,
-        "tau_delta": vals["tau_delta"] if mode in ("scheme", "success") else None,
-        "tau_threshold": vals["tau_threshold"] if mode in ("scheme", "success") else None,
-        "eta": float(vals["eta"]) if mode == "success" else None,
-        "w_batches": int(vals["w_batches"]) if mode == "success" else None,
+        "mode": mode, "n": n, "rate_bits": rate if coded else None,
+        "t": t if mode == "coupling" else None, "T": T if mode == "filter" else None,
+        "spectrum": s.as_literal(), "trials": trials, "seed": seed,
+        "rotation": rotation if coded else None,
+        "tau_delta": tau_delta if coded else None,
+        "tau_threshold": tau_threshold if coded else None,
+        "eta": eta if mode == "success" else None,
+        "w_batches": w_batches if mode == "success" else None,
     }
     fields = {**vars(report), **echo, "warnings": ";".join(report.warnings)}
     record = [_sim_field(fields[k]) for k in _SIM_HEADER.split(",")]
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerow(record)
     _emit("simulate", {k: v for k, v in echo.items() if v is not None},
-          _SIM_HEADER, [buf.getvalue().rstrip("\n")], vals["out"])
+          _SIM_HEADER, [buf.getvalue().rstrip("\n")], out)
 
 
 @main.command("version")

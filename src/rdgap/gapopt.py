@@ -2,9 +2,9 @@
 
 The gap at a fixed target distortion is the random-coding rate minus the
 oracle waterfilling rate.  Its worst case over spectra with at most k_max
-levels is searched deterministically.  BFGS ascents on the analytic gap
-gradient, in the chart levels = exp(x), weights = softmax(y) at unit mean,
-start from the one-level spectrum and the 16 (k_max - 1) best cells of an
+levels is searched deterministically, starting from the flat spectrum.  BFGS
+ascents on the analytic gap gradient, in the chart levels = exp(x), weights =
+softmax(y) at unit mean, start from the 16 (k_max - 1) best cells of an
 exhaustive two-level scan; the gap is flat at its maximum, so each stops at
 the 1e-7 that float64 resolves, and the best point is finished by Newton on
 the KKT conditions over sum w = 1, sum w v = 1 in (log v, w) with the exact
@@ -455,14 +455,14 @@ def _ascend(z: np.ndarray, k: int, d_star: float) -> tuple[float, np.ndarray]:
     return gap, z
 
 
-def _search_k(d_star: float, k: int, n_starts: int):
-    """Best (gap, values, weights, ascents) of BFGS ascents with k = 1 or 2
-    levels from the n_starts best scan cells (one level, or top weight x low
-    level on a log grid relative to d*, where the worst one sits: 0.88-1.00 d*
-    for d* in 1e-6..0.995), in blocks of _STARTS_PER_K.  A later block beats
-    the best only by more than _GAP_SLACK, so a larger k_max that refinds the
-    same spectrum reports the same point."""
-    cells = [([1.0], [1.0])] if k == 1 else [
+def _search_k(d_star: float, n_starts: int):
+    """Best (gap, values, weights, ascents) of two-level BFGS ascents from the
+    n_starts best scan cells (top weight x low level on a log grid relative to
+    d*, where the worst one sits: 0.88-1.00 d* for d* in 1e-6..0.995), in
+    blocks of _STARTS_PER_K.  A later block beats the best only by more than
+    _GAP_SLACK, so a larger k_max that refinds the same spectrum reports the
+    same point."""
+    cells = [
         ([(1.0 - (1.0 - w1) * v2) / w1, v2], [w1, 1.0 - w1])
         for w1 in np.linspace(0.04, 0.96, 24).tolist()
         for v2 in (np.geomspace(0.1, 10.0, 24) * d_star).tolist() if v2 < 1.0
@@ -470,9 +470,9 @@ def _search_k(d_star: float, k: int, n_starts: int):
     scored = sorted(((_gap_core(v, w, d_star), v, w) for v, w in cells), key=lambda c: -c[0])
     starts, best, best_block = scored[:n_starts], (-math.inf, None, None), 0
     for i, (_, v0, w0) in enumerate(starts):
-        gap, z = _ascend(_pack(v0, w0), k, d_star)
+        gap, z = _ascend(_pack(v0, w0), 2, d_star)
         if gap > best[0] + (_GAP_SLACK if i // _STARTS_PER_K > best_block else 0.0):
-            best, best_block = (gap, *_unpack(z, k)), i // _STARTS_PER_K
+            best, best_block = (gap, *_unpack(z, 2)), i // _STARTS_PER_K
     return *best, len(starts)
 
 
@@ -490,14 +490,13 @@ def _inserted(values, weights, v_new: float, slope: float, d_star: float):
 
 
 def _point_search(d_star: float, k_max: int) -> tuple[GapRecord, PointDiagnostics]:
-    best, restarts = (-math.inf, [1.0], [1.0], 1), 0
-    for k in range(1, min(k_max, 2) + 1):
-        g, v, w, runs = _search_k(d_star, k, _STARTS_PER_K * (k_max - 1))
-        restarts += runs
-        # More levels must beat fewer by more than rounding, so a k that
-        # only refinds the same spectrum does not replace it.
+    # The flat spectrum is the starting best; two levels must beat it by more
+    # than rounding, so a search that only refinds it does not replace it.
+    best, restarts = (_gap_core([1.0], [1.0], d_star), [1.0], [1.0], 1), 0
+    if k_max > 1:
+        g, v, w, restarts = _search_k(d_star, _STARTS_PER_K * (k_max - 1))
         if g > best[0] + _GAP_SLACK:
-            best = (g, v, w, k)
+            best = (g, v, w, 2)
     while True:
         searched, values, weights, best_k = best
         # The gap is flat at its maximum, so the search fixes the argmax only to
@@ -533,9 +532,11 @@ def _point_search(d_star: float, k_max: int) -> tuple[GapRecord, PointDiagnostic
 
 def maximize_gap(d_star: float, k_max: int) -> GapRecord:
     """Best gap found over spectra with at most k_max distinct levels; the
-    search is deterministic."""
-    if not 0.0 < d_star < 1.0:
-        raise ValueError("d_star must lie in (0, 1)")
+    search is deterministic.  Below d* = 1e-8 the gap's rounding exceeds
+    _GAP_SLACK, so the search could not tell its solved point from the
+    searched one; such d* are rejected."""
+    if not 1e-8 <= d_star < 1.0:
+        raise ValueError("d_star must lie in [1e-8, 1)")
     if not 1 <= int(k_max) <= 5:
         raise ValueError("k_max must lie in 1..5")
     return _point_search(d_star, int(k_max))[0]

@@ -201,10 +201,11 @@ def tau(s: Spectrum, w_tilde, rate: float, threshold: float | None = None) -> fl
     """Codebook scaling tau for a source realization in the eigenbasis.
 
     tau = sqrt(T * sum m_j w~_j^2 lam_j^2/(1+lam_j T)^2 / sum m_j lam_j/(1+lam_j T))
-    with T solved from the rate and (lam, m) from _reading: per level
-    (entries are root-mean-square coordinates at that level) when
-    len(w~) == s.k, else per coordinate.  With a threshold, tau is 0 whenever
-    ||w~||_inf exceeds it.  Always satisfies 0 <= tau <= ||w~||_inf.
+    with (lam, m) from _reading: per level (entries are root-mean-square
+    coordinates at that level) when len(w~) == s.k, else per coordinate; T is
+    solved from the rate on that (lam, m), as in the simulated scheme.  With
+    a threshold, tau is 0 whenever ||w~||_inf exceeds it.  Always satisfies
+    0 <= tau <= ||w~||_inf.
     """
     if not rate > 0.0:
         raise ValueError("rate must be positive")
@@ -212,7 +213,7 @@ def tau(s: Spectrum, w_tilde, rate: float, threshold: float | None = None) -> fl
         raise ValueError("threshold must be nonnegative")
     w = np.asarray([float(u) for u in w_tilde], dtype=float)
     lam, m = _reading(s, w)
-    T = t_rc_for_rate(s, rate)
+    T = _t_for_rate(lam.tolist(), m.tolist(), rate)
     u = 1.0 + lam * T
     return float(_scaling(T, m * lam**2 / u**2, float(m @ (lam / u)), w, threshold, None))
 

@@ -18,7 +18,7 @@ receive the kernel and all items once, at pool start (`fork` on POSIX,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -91,7 +91,9 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class SimReport:
-    """Measured statistics with uncertainty; reproducible from the config."""
+    """Measured statistics with uncertainty; reproducible from the config.
+    The trial modes also carry per_trial, which == leaves out (an array has
+    no single truth value)."""
 
     mode: str
     mean: float
@@ -104,7 +106,7 @@ class SimReport:
     exponent: float | None = None
     exponent_is_lower_bound: bool = False
     warnings: tuple[str, ...] = ()
-    per_trial: np.ndarray | None = None
+    per_trial: np.ndarray | None = field(default=None, compare=False)
 
 
 def haar_orthogonal(n: int, seed: int) -> np.ndarray:
@@ -184,8 +186,9 @@ def _map_units(kernel, state: dict, total: int, size: int, threads: int | None) 
     return ordered_map(kernel, units, resolve_threads(threads))
 
 
-def _run_trials(mode, kernel, state, trials, threads, keep_per_trial, analytic, warnings):
-    """Run a per-trial kernel in fixed _CHUNK-trial units; report mean and SE."""
+def _run_trials(mode, kernel, state, trials, threads, analytic, warnings):
+    """Run a per-trial kernel in fixed _CHUNK-trial units; report mean, SE and
+    the per-trial values."""
     if trials < 1:
         raise ValueError("trials must be positive")
     per_trial = np.concatenate(_map_units(kernel, state, trials, _CHUNK, threads))
@@ -197,7 +200,7 @@ def _run_trials(mode, kernel, state, trials, threads, keep_per_trial, analytic, 
         analytic=analytic,
         trials=trials,
         warnings=warnings,
-        per_trial=per_trial if keep_per_trial else None,
+        per_trial=per_trial,
     )
 
 
@@ -248,9 +251,7 @@ def _scheme_chunk(args: tuple[dict, int, int]) -> np.ndarray:
     return (a0 + best) / n
 
 
-def run_universal_scheme(
-    config: SimConfig, threads: int | None = None, keep_per_trial: bool = False
-) -> SimReport:
+def run_universal_scheme(config: SimConfig, threads: int | None = None) -> SimReport:
     """Run the random-codebook quantizer end to end.
 
     Per trial: draw W ~ N(0, I_n), compute the scaling tau in the eigenbasis
@@ -267,9 +268,7 @@ def run_universal_scheme(
     st["codebook_rot"] = c_rot
     st["codebook_gram"] = (c_rot * c_rot) @ st["lam"]
     analytic = rdrc.dd_rc(config.spectrum, config.rate_bits)
-    return _run_trials(
-        "scheme", _scheme_chunk, st, config.trials, threads, keep_per_trial, analytic, warnings
-    )
+    return _run_trials("scheme", _scheme_chunk, st, config.trials, threads, analytic, warnings)
 
 
 # --- single-codeword success probability ------------------------------------
@@ -351,13 +350,7 @@ def _coupling_chunk(args: tuple[dict, int, int]) -> np.ndarray:
 
 
 def simulate_wf_coupling(
-    s: Spectrum,
-    t: float,
-    n: int,
-    trials: int,
-    seed: int,
-    threads: int | None = None,
-    keep_per_trial: bool = False,
+    s: Spectrum, t: float, n: int, trials: int, seed: int, threads: int | None = None
 ) -> SimReport:
     """Simulate the test-channel coupling W_i = Y_i + sqrt(D_i) Z_i and measure
     the covariance-weighted error against Y; its expectation is exactly d_wf."""
@@ -373,8 +366,7 @@ def simulate_wf_coupling(
         "weighted": lam,
     }
     return _run_trials(
-        "coupling", _coupling_chunk, st, trials, threads, keep_per_trial,
-        waterfill.d_wf(s, t), warnings,
+        "coupling", _coupling_chunk, st, trials, threads, waterfill.d_wf(s, t), warnings
     )
 
 
@@ -388,13 +380,7 @@ def _filter_chunk(args: tuple[dict, int, int]) -> np.ndarray:
 
 
 def simulate_mmse_filter(
-    s: Spectrum,
-    T: float,
-    n: int,
-    trials: int,
-    seed: int,
-    threads: int | None = None,
-    keep_per_trial: bool = False,
+    s: Spectrum, T: float, n: int, trials: int, seed: int, threads: int | None = None
 ) -> SimReport:
     """Add white noise at level 1/T and MMSE-estimate back; the mean squared
     error per dimension has expectation exactly d_rc(s, T)."""
@@ -408,6 +394,4 @@ def simulate_mmse_filter(
         "noise_scale": 1.0 / math.sqrt(T),
         "f": lam * T / (1.0 + lam * T),
     }
-    return _run_trials(
-        "filter", _filter_chunk, st, trials, threads, keep_per_trial, rdrc.d_rc(s, T), warnings
-    )
+    return _run_trials("filter", _filter_chunk, st, trials, threads, rdrc.d_rc(s, T), warnings)

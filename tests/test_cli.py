@@ -243,6 +243,33 @@ class TestConfigFile:
         proc = run_cli("wf", "--config", str(tmp_path / "missing.json"))
         assert proc.returncode == 2
 
+    def test_config_string_is_converted_like_the_flag(self, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"compare": "false", "distortion-grid": "0.5:0.5:1"}))
+        out = tmp_path / "wf.csv"
+        assert run_cli("wf", "--config", str(cfg), "--out", str(out)).returncode == 0
+        assert read_emitted(out)[2]["parameters"]["compare"] is False
+
+    @pytest.mark.parametrize("command,key", [
+        (["gap-sweep"], "kmax"),
+        (["simulate", "--mode", "scheme"], "n"),
+    ], ids=["kmax", "n"])
+    def test_bad_config_value_is_a_usage_error(self, tmp_path, command, key):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({key: "abc"}))
+        proc = run_cli(*command, "--config", str(cfg))
+        assert proc.returncode == 2
+        assert f"Invalid value for '--{key}'" in proc.stderr
+
+    def test_config_float_string_matches_the_flag(self, tmp_path):
+        # --mode, although required, may come from the config too.
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"mode": "scheme", "tau_delta": "0.1"}))
+        args = ["simulate", "--n", "8", "--trials", "32"]
+        proc = run_cli(*args, "--config", str(cfg))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == run_cli(*args, "--mode", "scheme", "--tau-delta", "0.1").stdout
+
 
 class TestGapSweepCommand:
     def test_kmax_one_stdout(self):

@@ -532,7 +532,7 @@ class TestStationarity:
         v, w = gapopt._normalized([30.0, 1.2, 0.3], [5e-7, 0.6, 0.4 - 5e-7])
         searched = gapopt._gap_core(v, w, 0.3)
         assert gapopt._gap_core(*gapopt._collapse(v, w), 0.3) < searched - 1e-9
-        monkeypatch.setattr(gapopt, "_search_k", lambda d, k, n: (searched, v, w, 1))
+        monkeypatch.setattr(gapopt, "_search_k", lambda d, n: (searched, v, w, 1))
         monkeypatch.setattr(gapopt, "_stationary_point", lambda *args: None)
         res = gapopt.sweep([0.3], 3, threads=1)
         s, d = res.records[0].spectrum, res.diagnostics[0]
@@ -617,7 +617,7 @@ class TestEquivalenceCheck:
             s = rec.spectrum
             assert d.max_phi == gapopt._max_phi(s.values, s.weights, rec.d_star)[0]
             assert d.max_phi <= gapopt.STATIONARY_TOL
-            assert d.restarts == 1 + 4 * gapopt._STARTS_PER_K
+            assert d.restarts == 4 * gapopt._STARTS_PER_K
 
 
 class TestVertexDirection:
@@ -630,13 +630,9 @@ class TestVertexDirection:
     WEIGHTS = [0.000968960835775036, 0.999031039164225]
 
     def _patch(self, monkeypatch):
-        search_k = gapopt._search_k
-
-        def patched(d_star, k, n_starts):
-            if k == 2:
-                gap = gapopt._gap_core(self.LEVELS, self.WEIGHTS, d_star)
-                return gap, list(self.LEVELS), list(self.WEIGHTS), n_starts
-            return search_k(d_star, k, n_starts)
+        def patched(d_star, n_starts):
+            gap = gapopt._gap_core(self.LEVELS, self.WEIGHTS, d_star)
+            return gap, list(self.LEVELS), list(self.WEIGHTS), n_starts
 
         monkeypatch.setattr(gapopt, "_search_k", patched)
         return gapopt._gap_core(self.LEVELS, self.WEIGHTS, self.D_STAR)
@@ -649,14 +645,14 @@ class TestVertexDirection:
     def test_insertion_raises_the_gap(self, monkeypatch):
         patched_gap = self._patch(monkeypatch)
         rec, diag = gapopt._point_search(self.D_STAR, 3)
-        assert diag.restarts == 1 + 2 * gapopt._STARTS_PER_K + 1
+        assert diag.restarts == 2 * gapopt._STARTS_PER_K + 1
         assert diag.best_k == 3
         assert rec.gap_bits > patched_gap + 1e-5
 
     def test_no_insertion_at_two_levels(self, monkeypatch):
         patched_gap = self._patch(monkeypatch)
         rec, diag = gapopt._point_search(self.D_STAR, 2)
-        assert diag.restarts == 1 + gapopt._STARTS_PER_K
+        assert diag.restarts == gapopt._STARTS_PER_K
         assert rec.spectrum.k == 2
         assert rec.gap_bits == pytest.approx(patched_gap, abs=1e-15)
         assert diag.max_phi > gapopt.STATIONARY_TOL
@@ -699,7 +695,7 @@ class TestMaximizeGap:
         assert len(cv) == 2
         assert all(abs(a - b) < 1e-12 for a, b in zip(cv + cw, v + w))
 
-    @pytest.mark.parametrize("d,k", [(0.0, 2), (1.0, 2), (0.5, 0), (0.5, 6)])
+    @pytest.mark.parametrize("d,k", [(0.0, 2), (1e-10, 2), (1.0, 2), (0.5, 0), (0.5, 6)])
     def test_domain(self, d, k):
         with pytest.raises(ValueError):
             gapopt.maximize_gap(d, k)
@@ -722,8 +718,8 @@ class TestSweep:
     def test_diagnostics_restart_count(self):
         res = gapopt.sweep([0.3], 3)
         d = res.diagnostics[0]
-        # k=1 runs one start; every further level count runs _STARTS_PER_K.
-        assert d.restarts == 1 + 2 * gapopt._STARTS_PER_K
+        # The flat start is not searched; each unit of k_max above 1 adds _STARTS_PER_K.
+        assert d.restarts == 2 * gapopt._STARTS_PER_K
         assert 0 <= d.converged <= d.restarts
         assert 1 <= d.best_k <= 3
 

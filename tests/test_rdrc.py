@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rdgap import rdrc, spectra, waterfill
+from rdgap import rdrc, simulator, spectra, waterfill
 from rdgap.errors import SolverError
 
 TWO_LEVEL = spectra.parse_spectrum("1.8:0.5,0.2:0.5")
@@ -267,6 +267,17 @@ class TestTau:
         assert rdrc.tau(s, per_level, 1.2) == pytest.approx(
             rdrc.tau(s, w, 1.2), rel=1e-12
         )
+
+    def test_per_coordinate_matches_the_simulated_scheme(self):
+        # Per coordinate, T comes from the n realized eigenvalues, as in the
+        # simulator, not from the spectrum's levels (which give 0.6472862742259768).
+        s = spectra.parse_spectrum("3:0.3,1:0.7")
+        w = np.array([0.3, -1.2, 0.5, 0.9])
+        st, _ = simulator._scaling_state(
+            simulator.SimConfig(n=4, rate_bits=1.0, spectrum=s, trials=1, seed=0))
+        scheme = float(rdrc._scaling(st["T"], st["alam2"], st["den"], w, None, None))
+        assert scheme == pytest.approx(0.6539933716043672, rel=1e-14)
+        assert rdrc.tau(s, w, 1.0) == pytest.approx(scheme, rel=1e-14)
 
 
 class TestQuantizeTau:

@@ -126,7 +126,6 @@ class TestUniversalScheme:
         assert rep.mean > rep.analytic
         assert 0.0 < rep.se < 0.05
         assert rep.trials == 512
-        assert rep.per_trial is None
 
     def test_matches_committed_trend_point(self, pilot_scheme_trend):
         entry = next(e for e in pilot_scheme_trend["points"] if e["n"] == 8)
@@ -145,7 +144,7 @@ class TestUniversalScheme:
         # reconstruction is 0 and the measured value is the weighted energy
         # of the source itself — reproducible coordinate by coordinate.
         cfg = _cfg(n=6, trials=16, tau_threshold=0.0, seed=21)
-        rep = simulator.run_universal_scheme(cfg, keep_per_trial=True)
+        rep = simulator.run_universal_scheme(cfg)
         lam, _ = simulator._realized_lambdas(cfg.spectrum, cfg.n)
         w = np.stack(
             [_rng(cfg.seed, STREAM_TRIAL, i).standard_normal(cfg.n) for i in range(cfg.trials)]
@@ -155,14 +154,14 @@ class TestUniversalScheme:
     def test_huge_tau_delta_rounds_scaling_to_zero(self):
         # The scaling never exceeds the sup-norm, so a rounding unit of
         # 4 * ||w~||_inf sends every tau to zero: identical to threshold 0.
-        a = simulator.run_universal_scheme(_cfg(trials=32, tau_delta=4.0), keep_per_trial=True)
-        b = simulator.run_universal_scheme(_cfg(trials=32, tau_threshold=0.0), keep_per_trial=True)
+        a = simulator.run_universal_scheme(_cfg(trials=32, tau_delta=4.0))
+        b = simulator.run_universal_scheme(_cfg(trials=32, tau_threshold=0.0))
         assert np.array_equal(a.per_trial, b.per_trial)
 
     def test_thread_count_invariance(self):
         cfg = _cfg(n=8, trials=300, seed=13)
-        one = simulator.run_universal_scheme(cfg, threads=1, keep_per_trial=True)
-        three = simulator.run_universal_scheme(cfg, threads=3, keep_per_trial=True)
+        one = simulator.run_universal_scheme(cfg, threads=1)
+        three = simulator.run_universal_scheme(cfg, threads=3)
         assert np.array_equal(one.per_trial, three.per_trial)
         assert one.mean == three.mean and one.se == three.se
 
@@ -278,7 +277,7 @@ class TestWfCoupling:
         assert abs(rep.mean - rep.analytic) < 4.0 * rep.se
 
     def test_per_trial_reproducible_from_seed(self):
-        rep = simulator.simulate_wf_coupling(FLAT, 0.25, n=6, trials=5, seed=31, keep_per_trial=True)
+        rep = simulator.simulate_wf_coupling(FLAT, 0.25, n=6, trials=5, seed=31)
         # Each trial draws the channel noise z first, then the signal part;
         # mirror w - y including its floating-point rounding.
         z, ynoise = np.empty((5, 6)), np.empty((5, 6))
@@ -298,8 +297,8 @@ class TestWfCoupling:
             simulator.simulate_wf_coupling(FLAT, 0.3, n=4, trials=0, seed=0)
 
     def test_thread_count_invariance(self):
-        a = simulator.simulate_wf_coupling(TWO_LEVEL, 0.3, 16, 600, 2, threads=1, keep_per_trial=True)
-        b = simulator.simulate_wf_coupling(TWO_LEVEL, 0.3, 16, 600, 2, threads=2, keep_per_trial=True)
+        a = simulator.simulate_wf_coupling(TWO_LEVEL, 0.3, 16, 600, 2, threads=1)
+        b = simulator.simulate_wf_coupling(TWO_LEVEL, 0.3, 16, 600, 2, threads=2)
         assert np.array_equal(a.per_trial, b.per_trial)
 
 
@@ -328,8 +327,8 @@ class TestMmseFilter:
             simulator.simulate_mmse_filter(FLAT, 0.3, n=4, trials=0, seed=0)
 
     def test_thread_count_invariance(self):
-        a = simulator.simulate_mmse_filter(FLAT, 2.0, 16, 600, 4, threads=1, keep_per_trial=True)
-        b = simulator.simulate_mmse_filter(FLAT, 2.0, 16, 600, 4, threads=2, keep_per_trial=True)
+        a = simulator.simulate_mmse_filter(FLAT, 2.0, 16, 600, 4, threads=1)
+        b = simulator.simulate_mmse_filter(FLAT, 2.0, 16, 600, 4, threads=2)
         assert np.array_equal(a.per_trial, b.per_trial)
 
 

@@ -1,18 +1,30 @@
 """Monte-Carlo validation of the quantization scheme and its couplings.
 
 Randomness contract (repository constant): every draw comes from numpy's
-Philox 4x64-10 counter-based generator, with one substream per unit of work
-derived as SeedSequence(entropy=seed, spawn_key=(stream_id, unit_index)).
-Units are trials for the scheme/coupling/filter runs and source batches for
-success-probability runs; codebook and rotation have dedicated streams.
-Parallel execution distributes whole units and reduces in unit order, so
-results never depend on the worker count.
+Philox 4x64-10 counter-based generator, with one substream per unit of work:
+unit i of stream s draws exactly what
+Generator(Philox(SeedSequence(entropy=seed, spawn_key=(s, i)))) draws, for
+seeds in [0, 2^64) and units below 2^32.  Units are trials for the
+scheme/coupling/filter runs and source batches for success-probability runs;
+codebook and rotation are unit 0 of their own streams.  Parallel execution
+distributes whole units and reduces in unit order, so results never depend
+on the worker count.
+
+A Philox substream is only its 128-bit key (Salmon et al., "Parallel random
+numbers: as easy as 1, 2, 3", SC 2011), so `_unit_rngs` derives the keys of
+a whole run of units in one vectorized pass: numpy's SeedSequence pool for
+spawn_key=(s,), then the unit index mixed in as the last entropy word and
+generate_state(2, uint64)'s output hash, and re-keys one reused Philox per
+unit.  tests/test_simulate.py checks the keys and first draws against
+numpy's own SeedSequence.
 
 Every mode runs through one unit runner, `_map_units`: each work item is
 `(state, start, count)`, where `state` is the run's read-only dict of
-precomputed arrays, so kernels read no module-level state.  Pool workers
-receive the kernel and all items once, at pool start (`fork` on POSIX,
-`spawn` elsewhere; see `_parallel`).
+precomputed arrays, so kernels read no module-level state.  A work unit is
+_CHUNK trials, or _SOURCE_BATCHES source batches for success runs, each
+batch still its own substream.  Pool workers receive the kernel and all
+items once, at pool start (`fork` on POSIX, `spawn` elsewhere; see
+`_parallel`).
 """
 
 from __future__ import annotations
@@ -31,16 +43,68 @@ STREAM_ROTATION = 2
 STREAM_TRIAL = 3
 STREAM_WBATCH = 4
 
-_CHUNK = 256  # trials per work unit; fixed so chunking never depends on threads
-_CODEWORD_BLOCK = 8192  # codewords per distance block (memory cap)
+# Work units are fixed so they never depend on the thread count.
+_CHUNK = 256  # trials per work unit
+_SOURCE_BATCHES = 32  # source batches per success work unit
+_CODEWORD_BLOCK = 8192  # codewords per distance block: two _CHUNK x block buffers, 16 MB each
 
 _Z_TWO_SIDED = 1.959963984540054  # 97.5% normal quantile
 _Z_ONE_SIDED = 1.6448536269514722  # 95% normal quantile
 
 
-def _rng(seed: int, stream: int, index: int = 0) -> np.random.Generator:
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(stream), int(index)))
-    return np.random.Generator(np.random.Philox(ss))
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx).
+_MULT_A = 0x931E8875
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+# A seed below 2^64 pads to the 4 pool words, whose mixing takes 16 hash
+# constants; the stream word takes 4 more, so the unit word starts at the 21st.
+_HASH_UNIT = 0x43B0D7E5 * pow(_MULT_A, 20, 2**32) % 2**32
+_M32 = 0xFFFFFFFF
+
+
+def _unit_keys(seed: int, stream: int, start: int, count: int) -> np.ndarray:
+    """(count, 2) uint64 Philox keys; row i is
+    SeedSequence(entropy=seed, spawn_key=(stream, start + i)).generate_state(2, np.uint64).
+    The 32-bit words are held in uint64 lanes and masked after each product."""
+    pool = np.random.SeedSequence(entropy=seed, spawn_key=(stream,)).pool
+    unit = np.arange(start, start + count, dtype=np.uint64)
+    words = np.empty((count, 4), dtype=np.uint64)
+    h = _HASH_UNIT
+    for j in range(4):  # mix_entropy: the unit word into each pool word
+        v = unit ^ h
+        h = (h * _MULT_A) & _M32
+        v = (v * h) & _M32
+        v ^= v >> 16
+        v = (_MIX_MULT_L * int(pool[j]) - _MIX_MULT_R * v) & _M32
+        words[:, j] = v ^ (v >> 16)
+    h = _INIT_B
+    for j in range(4):  # generate_state's output hash
+        v = words[:, j] ^ h
+        h = (h * _MULT_B) & _M32
+        v = (v * h) & _M32
+        words[:, j] = v ^ (v >> 16)
+    return words[:, 0::2] | (words[:, 1::2] << 32)
+
+
+def _unit_rngs(seed: int, stream: int, start: int, count: int):
+    """Yield, for the units start .. start + count - 1 of `stream`, a Generator
+    whose draws equal Generator(Philox(SeedSequence(entropy=seed,
+    spawn_key=(stream, unit)))).  It is one Philox re-keyed per unit, so each
+    unit's draws must be taken before the next unit is requested."""
+    seed, start = int(seed), int(start)
+    if not 0 <= seed < 2**64:
+        raise ValueError("seed must be a 64-bit unsigned integer")
+    if start < 0 or start + count > 2**32:
+        raise ValueError("unit indices must lie in [0, 2^32)")
+    bitgen = np.random.Philox(0)
+    state = bitgen.state  # counter 0, empty buffer: a fresh generator's state
+    rng = np.random.Generator(bitgen)
+    for key in _unit_keys(seed, stream, start, count):
+        state["state"]["key"] = key
+        bitgen.state = state
+        yield rng
 
 
 @dataclass(frozen=True)
@@ -113,7 +177,7 @@ def haar_orthogonal(n: int, seed: int) -> np.ndarray:
     """Haar-distributed orthogonal matrix (QR with positive diagonal of R)."""
     if n < 1:
         raise ValueError("n must be positive")
-    g = _rng(seed, STREAM_ROTATION).standard_normal((n, n))
+    g = next(_unit_rngs(seed, STREAM_ROTATION, 0, 1)).standard_normal((n, n))
     q, r = np.linalg.qr(g)
     d = np.sign(np.diag(r))
     d[d == 0.0] = 1.0
@@ -127,7 +191,8 @@ def build_codebook(config: SimConfig) -> np.ndarray:
     bits = config.n * config.rate_bits
     if bits >= math.log2(config.codebook_cap + 1):
         raise ValueError(f"codebook of size 2^{bits:g} exceeds codebook_cap {config.codebook_cap}")
-    vectors = _rng(config.seed, STREAM_CODEBOOK).standard_normal((config.codebook_size, config.n))
+    rng = next(_unit_rngs(config.seed, STREAM_CODEBOOK, 0, 1))
+    vectors = rng.standard_normal((config.codebook_size, config.n))
     vectors.setflags(write=False)
     return vectors
 
@@ -151,10 +216,9 @@ def _realized_lambdas(s: Spectrum, n: int) -> tuple[np.ndarray, tuple[str, ...]]
 def _trial_normals(seed: int, start: int, count: int, cols: int, draws: int = 1) -> list[np.ndarray]:
     """Stack per-trial substream draws: `draws` vectors of length `cols` each."""
     out = [np.empty((count, cols)) for _ in range(draws)]
-    for i in range(count):
-        rng = _rng(seed, STREAM_TRIAL, start + i)
-        for d in range(draws):
-            out[d][i] = rng.standard_normal(cols)
+    for i, rng in enumerate(_unit_rngs(seed, STREAM_TRIAL, start, count)):
+        for rows in out:
+            rng.standard_normal(out=rows[i])
     return out
 
 
@@ -243,11 +307,23 @@ def _scheme_chunk(args: tuple[dict, int, int]) -> np.ndarray:
     wl = wt * lam
     cb = st["codebook_rot"]
     g = st["codebook_gram"]
-    best = np.full(count, np.inf)
-    for b0 in range(0, cb.shape[0], _CODEWORD_BLOCK):
-        blk = slice(b0, min(b0 + _CODEWORD_BLOCK, cb.shape[0]))
-        score = tau[:, None] ** 2 * g[None, blk] - 2.0 * tau[:, None] * (wl @ cb[blk].T)
-        np.minimum(best, score.min(axis=1), out=best)
+    m = cb.shape[0]
+    # score = tau^2 g - 2 tau (wl . c), operation for operation, in two
+    # buffers; the last, partial block uses their leading count x size part.
+    two_tau, tau2 = 2.0 * tau[:, None], tau[:, None] ** 2
+    xbuf, ybuf = np.empty((2, count * min(m, _CODEWORD_BLOCK)))
+    block_best, best = np.empty(count), np.full(count, np.inf)
+    for b0 in range(0, m, _CODEWORD_BLOCK):
+        blk = slice(b0, min(b0 + _CODEWORD_BLOCK, m))
+        size = blk.stop - b0
+        x = xbuf[: count * size].reshape(count, size)
+        y = ybuf[: count * size].reshape(count, size)
+        np.matmul(wl, cb[blk].T, out=x)
+        np.multiply(two_tau, x, out=x)
+        np.multiply(tau2, g[blk], out=y)
+        np.subtract(y, x, out=y)
+        np.min(y, axis=1, out=block_best)
+        np.minimum(best, block_best, out=best)
     return (a0 + best) / n
 
 
@@ -282,8 +358,7 @@ def _success_batch(args: tuple[dict, int, int]) -> int:
         # minus eta exactly, so every draw succeeds; skip the float compare.
         return st["trials"] * count
     successes = 0
-    for b in range(start, start + count):
-        rng = _rng(st["seed"], STREAM_WBATCH, b)
+    for rng in _unit_rngs(st["seed"], STREAM_WBATCH, start, count):
         w = rng.standard_normal(st["n"])
         wt = w @ st["u"] if st["u"] is not None else w
         target = float((wt * wt) @ st["dlam"]) / st["n"] + st["eta"]
@@ -310,7 +385,7 @@ def estimate_codeword_success(config: SimConfig, threads: int | None = None) -> 
         raise ValueError("n * rate_bits must be <= 26 for direct sampling")
     st, warnings = _scaling_state(config)
     st.update(trials=config.trials, eta=config.eta, dlam=st["lam"] / (1.0 + st["lam"] * st["T"]))
-    counts = _map_units(_success_batch, st, config.w_batches, 1, threads)
+    counts = _map_units(_success_batch, st, config.w_batches, _SOURCE_BATCHES, threads)
     total = config.trials * config.w_batches
     successes = int(sum(counts))
     p_hat = successes / total

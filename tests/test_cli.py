@@ -398,6 +398,15 @@ class TestSimulateCommand:
         assert proc.returncode == 2
         assert "exceeds codebook_cap" in proc.stderr
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    @pytest.mark.parametrize("mode,level", [("coupling", "--t"), ("filter", "--T")])
+    def test_seed_outside_64_bits_exits_two(self, mode, level, seed):
+        # The same seed domain as scheme and success, which SimConfig checks.
+        proc = run_cli("simulate", "--mode", mode, level, "0.3", "--n", "4", "--trials", "8",
+                       "--seed", seed)
+        assert proc.returncode == 2
+        assert "seed must be a 64-bit unsigned integer" in proc.stderr
+
     @pytest.mark.parametrize("mode,level", [("coupling", "--t"), ("filter", "--T")])
     def test_zero_trials_exits_two(self, mode, level):
         proc = run_cli("simulate", "--mode", mode, level, "0.3", "--trials", "0")

@@ -5,16 +5,48 @@ import pytest
 
 from rdgap import rdrc, simulator, spectra, waterfill
 from rdgap.errors import SolverError
-from rdgap.simulator import STREAM_TRIAL, SimConfig, _rng
+from rdgap.simulator import STREAM_TRIAL, SimConfig
 
 FLAT = spectra.flat()
 TWO_LEVEL = spectra.parse_spectrum("1.8:0.5,0.2:0.5")
+
+
+def _numpy_rng(seed, stream, unit):
+    """The substream of the randomness contract, built by numpy itself."""
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(stream, unit))
+    return np.random.Generator(np.random.Philox(ss))
 
 
 def _cfg(**kw):
     base = dict(n=8, rate_bits=1.0, spectrum=FLAT, trials=64, seed=3)
     base.update(kw)
     return SimConfig(**base)
+
+
+class TestUnitRngs:
+    @pytest.mark.parametrize("start", [0, 2**32 - 40], ids=["first", "last"])
+    @pytest.mark.parametrize("stream", [1, 2, 3, 4])
+    @pytest.mark.parametrize("seed", [0, 2026, 2**32 + 5, 2**64 - 1])
+    def test_matches_numpy_seed_sequence(self, seed, stream, start):
+        keys = simulator._unit_keys(seed, stream, start, 40)
+        for i, rng in enumerate(simulator._unit_rngs(seed, stream, start, 40)):
+            ss = np.random.SeedSequence(entropy=seed, spawn_key=(stream, start + i))
+            assert np.array_equal(keys[i], ss.generate_state(2, np.uint64))
+            expected = _numpy_rng(seed, stream, start + i).standard_normal(5)
+            assert np.array_equal(rng.standard_normal(5), expected)
+
+    @pytest.mark.parametrize(
+        "seed,start,count,message",
+        [
+            (-1, 0, 1, "seed must be a 64-bit unsigned integer"),
+            (2**64, 0, 1, "seed must be a 64-bit unsigned integer"),
+            (0, -1, 1, "unit indices"),
+            (0, 2**32 - 1, 2, "unit indices"),
+        ],
+    )
+    def test_domain(self, seed, start, count, message):
+        with pytest.raises(ValueError, match=message):
+            next(simulator._unit_rngs(seed, STREAM_TRIAL, start, count))
 
 
 class TestHaarOrthogonal:
@@ -147,9 +179,36 @@ class TestUniversalScheme:
         rep = simulator.run_universal_scheme(cfg)
         lam, _ = simulator._realized_lambdas(cfg.spectrum, cfg.n)
         w = np.stack(
-            [_rng(cfg.seed, STREAM_TRIAL, i).standard_normal(cfg.n) for i in range(cfg.trials)]
+            [_numpy_rng(cfg.seed, STREAM_TRIAL, i).standard_normal(cfg.n) for i in range(cfg.trials)]
         )
         assert np.array_equal(rep.per_trial, ((w * w) @ lam + 0.0) / cfg.n)
+
+    @pytest.mark.parametrize("rotation", ["identity", "haar"])
+    @pytest.mark.parametrize(
+        "n,rate,size", [(13, 1.05, 12854), (14, 1.0, 16384)], ids=["partial", "full"]
+    )
+    def test_distance_blocks_match_one_line_formula(self, n, rate, size, rotation):
+        # 12,854 = 8192 + 4662 codewords end in a partial block.  Each block's
+        # scores must equal the plain expression bit for bit; 24 trials keep
+        # both sides in one chunk of the same rows.
+        cfg = _cfg(n=n, rate_bits=rate, trials=24, seed=43, rotation=rotation, tau_delta=0.05)
+        assert cfg.codebook_size == size
+        rep = simulator.run_universal_scheme(cfg)
+        st, _ = simulator._scaling_state(cfg)
+        u, lam = st["u"], st["lam"]
+        w = np.stack([_numpy_rng(cfg.seed, STREAM_TRIAL, i).standard_normal(n) for i in range(24)])
+        wt = w @ u if u is not None else w
+        tau = rdrc._scaling(st["T"], st["alam2"], st["den"], wt, None, cfg.tau_delta)
+        codebook = simulator.build_codebook(cfg)
+        cb = codebook @ u if u is not None else codebook
+        g = (cb * cb) @ lam
+        wl = wt * lam
+        best = np.full(24, np.inf)
+        for b0 in range(0, size, 8192):
+            blk = slice(b0, min(b0 + 8192, size))
+            score = tau[:, None] ** 2 * g[None, blk] - 2.0 * tau[:, None] * (wl @ cb[blk].T)
+            np.minimum(best, score.min(axis=1), out=best)
+        assert np.array_equal(rep.per_trial, ((wt * wt) @ lam + best) / n)
 
     def test_huge_tau_delta_rounds_scaling_to_zero(self):
         # The scaling never exceeds the sup-norm, so a rounding unit of
@@ -248,6 +307,7 @@ class TestCodewordSuccess:
         assert high == pytest.approx(center + half, rel=1e-12)
 
     def test_thread_count_invariance(self):
+        # 48 batches: one full work unit and a partial one
         cfg = _cfg(n=10, rate_bits=0.5, trials=64, seed=19, eta=0.05, w_batches=48)
         a = simulator.estimate_codeword_success(cfg, threads=1)
         b = simulator.estimate_codeword_success(cfg, threads=2)
@@ -282,7 +342,7 @@ class TestWfCoupling:
         # mirror w - y including its floating-point rounding.
         z, ynoise = np.empty((5, 6)), np.empty((5, 6))
         for i in range(5):
-            r = _rng(31, STREAM_TRIAL, i)
+            r = _numpy_rng(31, STREAM_TRIAL, i)
             z[i] = r.standard_normal(6)
             ynoise[i] = r.standard_normal(6)
         lam, _ = simulator._realized_lambdas(FLAT, 6)

@@ -16,7 +16,6 @@ they stand for, and explicitly passed flags take precedence over them.
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import json
 import sys
@@ -37,21 +36,20 @@ from ._svg import line_plot
 from .errors import SolverError
 
 
-@click.group()
-def main() -> None:
-    """Waterfilling vs random-coding rate-distortion curves and their gap."""
+class _Main(click.Group):
+    """Turns a SolverError from any subcommand into `error: ...` and exit 1."""
 
-
-def _numeric_errors(f):
-    @functools.wraps(f)
-    def wrapper(*args, **kwargs):
+    def invoke(self, ctx: click.Context):
         try:
-            return f(*args, **kwargs)
+            return super().invoke(ctx)
         except SolverError as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(1)
 
-    return wrapper
+
+@click.group(cls=_Main)
+def main() -> None:
+    """Waterfilling vs random-coding rate-distortion curves and their gap."""
 
 
 def _load_config(ctx: click.Context, _param, path: str | None) -> None:
@@ -79,7 +77,9 @@ def _parse_grid(text: str) -> list[float]:
     if len(parts) != 3:
         raise click.UsageError(f"grid must be 'start:stop:step', got {text!r}")
     try:
-        start, stop, step = (Decimal(p) for p in parts)
+        start, stop, step = bounds = [Decimal(p) for p in parts]
+        if not all(b.is_finite() for b in bounds):
+            raise InvalidOperation
     except InvalidOperation:
         raise click.UsageError(f"grid must be numeric 'start:stop:step', got {text!r}")
     if step <= 0:
@@ -134,19 +134,21 @@ _CONFIG_OPT = click.option(
     callback=_load_config,
     help="JSON file of option values; explicit flags take precedence.",
 )
+_SPECTRUM_OPT = click.option("--spectrum", default="flat", show_default=True,
+                             help="flat | semiflat:<f> | v:w,v:w,... | @file.csv")
+_OUT_OPT = click.option("--out", type=click.Path(), default=None,
+                        help="Write CSV here instead of stdout.")
 
 
 @main.command("wf")
-@click.option("--spectrum", default="flat", show_default=True,
-              help="flat | semiflat:<f> | v:w,v:w,... | @file.csv")
+@_SPECTRUM_OPT
 @click.option("--distortion-grid", default="0.05:0.95:0.05", show_default=True,
               help="Distortion grid start:stop:step, all in (0,1).")
 @click.option("--compare", is_flag=True, default=False, show_default=True,
               help="Overlay the random-coding rate curve in the SVG.")
 @click.option("--svg", type=click.Path(), default=None, help="Write a rate-vs-distortion SVG plot.")
-@click.option("--out", type=click.Path(), default=None, help="Write CSV here instead of stdout.")
+@_OUT_OPT
 @_CONFIG_OPT
-@_numeric_errors
 def cmd_wf(spectrum: str, distortion_grid: str, compare: bool, svg: str | None,
            out: str | None) -> None:
     """Oracle waterfilling curve: CSV rows d_star,t,rate_bits."""
@@ -168,16 +170,14 @@ def cmd_wf(spectrum: str, distortion_grid: str, compare: bool, svg: str | None,
 
 
 @main.command("rdrc")
-@click.option("--spectrum", default="flat", show_default=True,
-              help="flat | semiflat:<f> | v:w,v:w,... | @file.csv")
+@_SPECTRUM_OPT
 @click.option("--rate-grid", default="0.25:4:0.25", show_default=True,
               help="Rate grid start:stop:step in bits, all > 0.")
 @click.option("--compare", is_flag=True, default=False, show_default=True,
               help="Overlay the waterfilling distortion curve in the SVG.")
 @click.option("--svg", type=click.Path(), default=None, help="Write a distortion-vs-rate SVG plot.")
-@click.option("--out", type=click.Path(), default=None, help="Write CSV here instead of stdout.")
+@_OUT_OPT
 @_CONFIG_OPT
-@_numeric_errors
 def cmd_rdrc(spectrum: str, rate_grid: str, compare: bool, svg: str | None,
              out: str | None) -> None:
     """Universal random-coding curve: CSV rows rate_bits,T,d_rc."""
@@ -208,9 +208,8 @@ def cmd_rdrc(spectrum: str, rate_grid: str, compare: bool, svg: str | None,
               help="Written to the manifest; the search is deterministic and uses no seed.")
 @click.option("--svg", type=click.Path(), default=None,
               help="Write a gap-vs-rate SVG plot (default: <out> with .svg suffix).")
-@click.option("--out", type=click.Path(), default=None, help="Write CSV here instead of stdout.")
+@_OUT_OPT
 @_CONFIG_OPT
-@_numeric_errors
 def cmd_gap_sweep(dstar_grid: str, kmax: int, seed: int, svg: str | None,
                   out: str | None) -> None:
     """Maximize the rate gap over spectra on a distortion grid."""
@@ -258,8 +257,7 @@ def _sim_field(value) -> str:
 @click.option("--n", default=16, show_default=True, type=int, help="Dimension.")
 @click.option("--rate", default=1.0, show_default=True, type=float,
               help="Rate in bits (scheme/success modes).")
-@click.option("--spectrum", default="flat", show_default=True,
-              help="flat | semiflat:<f> | v:w,v:w,... | @file.csv")
+@_SPECTRUM_OPT
 @click.option("--trials", default=1000, show_default=True, type=int,
               help="Trials (codewords per source batch in success mode).")
 @click.option("--seed", default=0, show_default=True, type=int, help="Master seed.")
@@ -279,9 +277,8 @@ def _sim_field(value) -> str:
               help="Source batches in success mode.")
 @click.option("--codebook-cap", default=2**22, show_default=True, type=int,
               help="Refuse codebooks larger than this.")
-@click.option("--out", type=click.Path(), default=None, help="Write CSV here instead of stdout.")
+@_OUT_OPT
 @_CONFIG_OPT
-@_numeric_errors
 def cmd_simulate(mode: str, n: int, rate: float, spectrum: str, trials: int, seed: int,
                  t: float | None, T: float | None, tau_delta: float | None,
                  tau_threshold: float | None, rotation: str, eta: float, w_batches: int,

@@ -29,7 +29,7 @@ import numpy as np
 from . import rdrc, waterfill
 from ._parallel import ordered_map, resolve_threads
 from .errors import KinkError, SolverError
-from .spectra import Spectrum
+from .spectra import Spectrum, _normalized
 
 _LN2 = math.log(2.0)
 
@@ -88,8 +88,6 @@ class SweepResult:
 
 def gap_at(s: Spectrum, d_star: float) -> GapRecord:
     """Evaluate both curves at the same target distortion via the public solvers."""
-    if not 0.0 < d_star < 1.0:
-        raise ValueError("d_star must lie in (0, 1)")
     t = waterfill.t_for_distortion(s, d_star)
     rate_wf = waterfill.r_wf(s, t)
     T = rdrc.t_rc_for_distortion(s, d_star)
@@ -190,11 +188,7 @@ def stationarity_residual(s: Spectrum, d_star: float) -> float:
     """
     if not 0.0 < d_star < 1.0:
         raise ValueError("d_star must lie in (0, 1)")
-    return _residual(s.values, s.weights, d_star)
-
-
-def _residual(values, weights, d_star: float) -> float:
-    return float(np.max(np.abs(_kkt(values, weights, d_star)[0])))
+    return float(np.max(np.abs(_kkt(s.values, s.weights, d_star)[0])))
 
 
 def _gap_hessian(values, weights, d_star: float, t: float, T: float) -> np.ndarray:
@@ -236,8 +230,8 @@ def _kkt(values, weights, d_star: float):
     """From one t and T solve, in the chart (log levels, weights): the gap
     gradient less its least-squares fit by the gradients J = [(0, 1),
     (w v, v)] of sum w = 1 and sum w v = 1 (the stationarity residual), the
-    fitted multipliers (m0, m1), J, and the Lagrangian's Hessian.  The last
-    is _gap_hessian scaled by D = diag(v, 1) on both sides, plus
+    fitted multipliers (m0, m1), J, the Lagrangian's Hessian, t and T.  The
+    Hessian is _gap_hessian scaled by D = diag(v, 1) on both sides, plus
     v g_v - m1 w v on the log-level diagonal and -m1 v at each (x_j, w_j)
     pair, with g_v the gap's raw level gradient.
     """
@@ -253,10 +247,10 @@ def _kkt(values, weights, d_star: float):
     H[j, j] += g[:k] - mult[1] * w * v
     H[j, k + j] -= mult[1] * v
     H[k + j, j] -= mult[1] * v
-    return g - J.T @ mult, mult, J, H
+    return g - J.T @ mult, mult, J, H, t, T
 
 
-def _max_phi(values, weights, d_star: float) -> tuple[float, float]:
+def _max_phi(values, weights, d_star: float) -> tuple[float, float, float]:
     """(max, argmax) over levels v >= 0 of phi(v), _rate_grads' gap derivative
     in the weight of a new level v less the constraints' multipliers m0 + m1 v
     (_kkt).  The gap is concave in the spectrum at fixed T, so max phi <= 0
@@ -266,16 +260,17 @@ def _max_phi(values, weights, d_star: float) -> tuple[float, float]:
     the max is at a root, at 0 or t, or is the limit at v = inf, returned with
     argmax inf: -inf (m1 > 0), +inf (m1 < 0) or, at m1 = 0, as for one level
     (whose fitted m1 is rounding: the gap ignores its scale),
-    (ln(tT) + A/T - 1) / (2 ln2) - m0.  Raises KinkError on the kink.
+    (ln(tT) + A/T - 1) / (2 ln2) - m0.  The same _kkt evaluation's
+    stationarity residual comes third.  Raises KinkError on the kink.
     """
-    t, T = _levels(values, weights, d_star)
-    m0, m1 = _kkt(values, weights, d_star)[1].tolist()
+    r, mult, _, _, t, T = _kkt(values, weights, d_star)
+    residual = float(np.max(np.abs(r)))
+    m0, m1 = mult.tolist()
     m1 = m1 if len(values) > 1 else 0.0
     if m1 < 0.0:
-        return math.inf, math.inf
-    num = sum(w * v / (1.0 + v * T) for v, w in zip(values, weights))
+        return math.inf, math.inf, residual
     den = sum(w * v * v / (1.0 + v * T) ** 2 for v, w in zip(values, weights))
-    A, L = num / den, 2.0 * _LN2 * m1
+    A, L = rdrc._d_rc(values, weights, T) / den, 2.0 * _LN2 * m1
     B = 1.0 / t + L
 
     def phi(v):
@@ -287,7 +282,7 @@ def _max_phi(values, weights, d_star: float) -> tuple[float, float]:
                   np.roots([-L * T * T, -2.0 * L * T, A - T - L, -1.0])]
     best = max([0.0, t] + [v for v in roots.real.tolist() if v > 0.0], key=phi)
     limit = (math.log(t * T) + A / T - 1.0) / (2.0 * _LN2) - m0 if m1 == 0.0 else -math.inf
-    return (limit, math.inf) if limit > phi(best) else (phi(best), best)
+    return (limit, math.inf, residual) if limit > phi(best) else (phi(best), best, residual)
 
 
 def _newton(values, weights, d_star: float):
@@ -305,7 +300,7 @@ def _newton(values, weights, d_star: float):
     converged = 0.  Returns (values, weights) at the last kept point.
     """
     k = len(values)
-    r, _, J, H = _kkt(values, weights, d_star)
+    r, _, J, H, _, _ = _kkt(values, weights, d_star)
     res = float(np.max(np.abs(r)))
     for _ in range(_NEWTON_MAX_ITER if k > 1 else 0):  # one level: nothing to solve
         Z = np.linalg.svd(J)[2][2:].T
@@ -316,7 +311,7 @@ def _newton(values, weights, d_star: float):
         if float(x[k:].min()) <= 0.0:
             break
         trial = _normalized(np.exp(x[:k]).tolist(), x[k:].tolist())
-        r_trial, _, J_trial, H_trial = _kkt(*trial, d_star)
+        r_trial, _, J_trial, H_trial, _, _ = _kkt(*trial, d_star)
         res_trial = float(np.max(np.abs(r_trial)))
         if not res_trial < res:
             break
@@ -339,13 +334,6 @@ def _collapse(values, weights, floor: float = _WEIGHT_FLOOR, rel: float = _COALE
         else:
             merged.append([v, w])
     return _normalized([p[0] for p in merged], [p[1] for p in merged])
-
-
-def _normalized(values, weights):
-    total = sum(weights)
-    weights = [w / total for w in weights]
-    mean = sum(v * w for v, w in zip(values, weights))
-    return [v / mean for v in values], weights
 
 
 def _stationary_point(values, weights, d_star: float):
@@ -372,11 +360,7 @@ def _unpack(z: np.ndarray, k: int) -> tuple[list[float], list[float]]:
     values = [math.exp(min(max(x, -_CHART_CLIP), _CHART_CLIP)) for x in z[:k].tolist()]
     logits = z[k:].tolist() + [0.0]
     top = max(logits)
-    e = [math.exp(y - top) for y in logits]
-    total = sum(e)
-    weights = [u / total for u in e]
-    mean = sum(v * w for v, w in zip(values, weights))
-    return [v / mean for v in values], weights
+    return _normalized(values, [math.exp(y - top) for y in logits])
 
 
 def _pack(values, weights) -> np.ndarray:
@@ -507,9 +491,9 @@ def _point_search(d_star: float, k_max: int) -> tuple[GapRecord, PointDiagnostic
         else:  # report what the search found, with nothing merged that moves the gap
             values, weights = _collapse(values, weights, 0.0, 0.0)
         try:
-            max_phi, v_new = _max_phi(values, weights, d_star)
+            max_phi, v_new, residual = _max_phi(values, weights, d_star)
         except KinkError:
-            max_phi = v_new = math.inf
+            max_phi = v_new = residual = math.inf
         if not (max_phi > STATIONARY_TOL and len(values) < k_max and v_new < math.inf):
             break
         if (start := _inserted(values, weights, v_new, max_phi, d_star)) is None:
@@ -520,10 +504,6 @@ def _point_search(d_star: float, k_max: int) -> tuple[GapRecord, PointDiagnostic
         if not g > searched + _GAP_SLACK:
             break
         best = (g, *_unpack(z, k), k)
-    try:
-        residual = _residual(values, weights, d_star)
-    except KinkError:
-        residual = math.inf
     mean = sum(v * w for v, w in zip(values, weights))
     record = gap_at(Spectrum(tuple(v / mean for v in values), tuple(weights)), d_star)
     converged = int(residual <= STATIONARY_TOL)

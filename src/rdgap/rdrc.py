@@ -209,7 +209,7 @@ def tau(s: Spectrum, w_tilde, rate: float, threshold: float | None = None) -> fl
     """
     if not rate > 0.0:
         raise ValueError("rate must be positive")
-    if threshold is not None and threshold < 0.0:
+    if threshold is not None and not threshold >= 0.0:
         raise ValueError("threshold must be nonnegative")
     w = np.asarray([float(u) for u in w_tilde], dtype=float)
     lam, m = _reading(s, w)

@@ -126,7 +126,7 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("n must be positive")
-        if self.rate_bits < 0.0:
+        if not self.rate_bits >= 0.0:
             raise ValueError("rate_bits must be nonnegative")
         if self.trials < 1:
             raise ValueError("trials must be positive")
@@ -136,11 +136,11 @@ class SimConfig:
             raise ValueError("rotation must be 'identity' or 'haar'")
         if self.tau_delta is not None and not self.tau_delta > 0.0:
             raise ValueError("tau_delta must be positive when given")
-        if self.tau_threshold is not None and self.tau_threshold < 0.0:
+        if self.tau_threshold is not None and not self.tau_threshold >= 0.0:
             raise ValueError("tau_threshold must be nonnegative when given")
         if self.codebook_cap < 1:
             raise ValueError("codebook_cap must be positive")
-        if self.eta < 0.0:
+        if not self.eta >= 0.0:
             raise ValueError("eta must be nonnegative")
         if self.w_batches < 1:
             raise ValueError("w_batches must be positive")

@@ -52,7 +52,7 @@ class Spectrum:
         if abs(sum(weights) - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError("weights must sum to 1")
         mean = sum(w * v for w, v in zip(weights, values))
-        if abs(mean - 1.0) > UNIT_MEAN_TOL:
+        if not abs(mean - 1.0) <= UNIT_MEAN_TOL:  # also rejects a nan or inf value
             raise ValueError(f"weighted mean must be 1, got {mean!r}")
 
     @property
@@ -75,23 +75,12 @@ def flat() -> Spectrum:
 
 
 def from_eigenvalues(raw) -> Spectrum:
-    """Canonicalize a raw eigenvalue list: scale to unit mean, merge exact
-    duplicates into weighted levels, sort decreasing."""
-    vals = [float(v) for v in raw]
-    if not vals:
+    """Canonicalize a raw eigenvalue list as parse_spectrum does: merge exact
+    duplicates into weighted levels, sort decreasing, scale to unit mean."""
+    pairs = [(float(v), 1.0) for v in raw]
+    if not pairs:
         raise ValueError("eigenvalue list is empty")
-    if any(v < 0.0 for v in vals):
-        raise ValueError("eigenvalues must be nonnegative")
-    mean = sum(vals) / len(vals)
-    if mean <= 0.0:
-        raise ValueError("all eigenvalues are zero")
-    scaled = [v / mean for v in vals]
-    counts: dict[float, int] = {}
-    for v in scaled:
-        counts[v] = counts.get(v, 0) + 1
-    levels = sorted(counts, reverse=True)
-    n = len(vals)
-    return Spectrum(tuple(levels), tuple(counts[v] / n for v in levels))
+    return _from_pairs(pairs)
 
 
 def semi_flat(active_fraction: float) -> Spectrum:
@@ -117,9 +106,7 @@ def merge_close(s: Spectrum, tol: float) -> Spectrum:
         raise ValueError("tol must be nonnegative")
     if tol == 0.0 or s.k == 1:
         return s
-    values, weights = _merge_values(s.values, s.weights, tol)
-    mean = sum(w * v for w, v in zip(weights, values))
-    return Spectrum(tuple(v / mean for v in values), tuple(weights))
+    return Spectrum(*_normalized(*_merge_values(s.values, s.weights, tol)))
 
 
 def _merge_values(values, weights, tol):
@@ -140,8 +127,7 @@ def _merge_values(values, weights, tol):
             cur_v, cur_w, cur_sum = v, w, v * w
     out_v.append(cur_sum / cur_w)
     out_w.append(cur_w)
-    total = sum(out_w)
-    return [v for v in out_v], [w / total for w in out_w]
+    return out_v, out_w
 
 
 def sample_random(k: int, seed: int) -> Spectrum:
@@ -247,10 +233,15 @@ def _from_pairs(pairs: list[tuple[float, float]]) -> Spectrum:
     for v, w in pairs:
         merged[v] = merged.get(v, 0.0) + w
     values = sorted(merged, reverse=True)
-    weights = [merged[v] for v in values]
-    wsum = sum(weights)
-    weights = [w / wsum for w in weights]
-    mean = sum(w * v for w, v in zip(weights, values))
+    return Spectrum(*_normalized(values, [merged[v] for v in values]))
+
+
+def _normalized(values, weights):
+    """(values, weights) at unit mean: weights scaled to sum 1, then values
+    divided by their weighted mean, which must be positive."""
+    total = sum(weights)
+    weights = [w / total for w in weights]
+    mean = sum(v * w for v, w in zip(values, weights))
     if mean <= 0.0:
         raise ValueError("all eigenvalues are zero")
-    return Spectrum(tuple(v / mean for v in values), tuple(weights))
+    return [v / mean for v in values], weights

@@ -25,7 +25,7 @@ HEADER_SIMULATE = (
 )
 
 
-def run_cli(*args, env_extra=None):
+def run_cli(*args, env_extra=None, timeout=None):
     env = dict(os.environ)
     env["COLUMNS"] = "80"
     if env_extra:
@@ -35,6 +35,7 @@ def run_cli(*args, env_extra=None):
         capture_output=True,
         text=True,
         env=env,
+        timeout=timeout,
     )
 
 
@@ -108,6 +109,26 @@ class TestWf:
         proc = run_cli("wf", "--spectrum", "2:0.5,zebra:0.5")
         assert proc.returncode == 2
         assert "bad spectrum" in proc.stderr
+
+    @pytest.mark.parametrize("command", [
+        ["wf"], ["simulate", "--mode", "filter", "--T", "1", "--n", "4", "--trials", "8"],
+    ], ids=["wf", "simulate"])
+    @pytest.mark.parametrize("literal", ["nan:1", "inf:1"])
+    def test_non_finite_spectrum_rejected(self, command, literal):
+        proc = run_cli(*command, "--spectrum", literal)
+        assert proc.returncode == 2
+        assert "bad spectrum" in proc.stderr
+
+    @pytest.mark.parametrize("command,grid", [
+        ("wf", "--distortion-grid"), ("rdrc", "--rate-grid"), ("gap-sweep", "--dstar-grid"),
+    ])
+    @pytest.mark.parametrize("bounds", ["0.1:0.5:nan", "0.1:inf:0.1"])
+    def test_non_finite_grid_rejected(self, command, grid, bounds):
+        # Grid building would never end at an inf stop; the timeout turns a regression
+        # into a failure instead of a hang.
+        proc = run_cli(command, grid, bounds, timeout=60)
+        assert proc.returncode == 2
+        assert "grid must be numeric 'start:stop:step'" in proc.stderr
 
     def test_spectrum_from_file(self, tmp_path):
         f = tmp_path / "s.csv"
@@ -301,6 +322,19 @@ class TestGapSweepCommand:
         assert payload0 == payload7
         assert manifest7["parameters"]["seed"] == 7
 
+    def test_stdout_bytes(self):
+        # The whole stdout, every CSV digit included, at two k_max = 2 points.
+        proc = run_cli("gap-sweep", "--dstar-grid", "0.3:0.5:0.2", "--kmax", "2")
+        assert proc.returncode == 0
+        assert proc.stdout == (
+            "d_star,rate_rc_bits,rate_wf_bits,gap_bits,levels,weights\n"
+            "0.3,0.3458777060203822,0.2519135676387111,0.093964,"
+            "5.3441702143284155;0.2715630087217023,0.14360208897569712;0.856397911024303\n"
+            "0.5,0.23086002041376408,0.1499339897656663,0.080926,"
+            "5.371049358555652;0.46252541665035557,0.10949820958620358;0.8905017904137965\n"
+            "global max gap_bits = 0.093964 at d_star = 0.3\n"
+        )
+
     def test_grid_outside_bounds_rejected(self):
         assert run_cli("gap-sweep", "--dstar-grid", "0.001:0.5:0.1").returncode == 2
         assert run_cli("gap-sweep", "--kmax", "0").returncode == 2
@@ -406,6 +440,17 @@ class TestSimulateCommand:
                        "--seed", seed)
         assert proc.returncode == 2
         assert "seed must be a 64-bit unsigned integer" in proc.stderr
+
+    @pytest.mark.parametrize("args,message", [
+        (["--mode", "success", "--rate", "nan", "--w-batches", "2"],
+         "rate_bits must be nonnegative"),
+        (["--mode", "scheme", "--tau-threshold", "nan"],
+         "tau_threshold must be nonnegative when given"),
+    ], ids=["rate", "tau-threshold"])
+    def test_nan_option_exits_two(self, args, message):
+        proc = run_cli("simulate", *args, "--n", "4", "--trials", "8")
+        assert proc.returncode == 2
+        assert message in proc.stderr
 
     @pytest.mark.parametrize("mode,level", [("coupling", "--t"), ("filter", "--T")])
     def test_zero_trials_exits_two(self, mode, level):

@@ -419,7 +419,7 @@ class TestGapHessian:
             z = np.r_[np.log(s.values), s.weights]
             k = s.k
             try:
-                _, m, _, H = gapopt._kkt(list(s.values), list(s.weights), d_star)
+                _, m, _, H, _, _ = gapopt._kkt(list(s.values), list(s.weights), d_star)
             except KinkError:
                 continue
 
@@ -467,7 +467,7 @@ class TestStationarity:
         weights = [w[0] / 2, w[0] / 2, w[1] - 1e-8, 1e-8]
         sv, sw = gapopt._stationary_point(values, weights, 0.475)
         assert len(sv) == 2
-        assert gapopt._residual(sv, sw, 0.475) <= 1e-11
+        assert gapopt._max_phi(sv, sw, 0.475)[2] <= 1e-11
         assert all(abs(a - b) < 1e-11 for a, b in zip(sv + sw, v + w))
 
     def test_stationary_below_the_grid(self):
@@ -587,7 +587,7 @@ class TestEquivalenceCheck:
             d_star = float(np.exp(rng.uniform(np.log(1e-3), np.log(0.99))))
             levels = np.geomspace(1e-3 * d_star, 1e3 / d_star, 400_000)
             phi, m1 = _phi_on_levels(s.values, s.weights, d_star, levels)
-            exact, argmax = gapopt._max_phi(s.values, s.weights, d_star)
+            exact, argmax, _ = gapopt._max_phi(s.values, s.weights, d_star)
             assert exact >= float(phi.max()) - 1e-12
             if math.isinf(exact):
                 assert m1 < 0.0 and math.isinf(argmax)
@@ -603,11 +603,11 @@ class TestEquivalenceCheck:
         # supremum may be the limit at v -> inf, which no level attains.
         d_star = 0.9
         limit = (math.log(1.0 - d_star) + d_star / (1.0 - d_star)) / (2.0 * math.log(2.0))
-        phi, argmax = gapopt._max_phi([1.0], [1.0], d_star)
+        phi, argmax, _ = gapopt._max_phi([1.0], [1.0], d_star)
         assert phi == pytest.approx(limit, rel=1e-12)
         assert math.isinf(argmax)
         # At d* = 0.3 a finite level below the water level beats the limit.
-        phi, argmax = gapopt._max_phi([1.0], [1.0], 0.3)
+        phi, argmax, _ = gapopt._max_phi([1.0], [1.0], 0.3)
         assert phi > (math.log(0.7) + 0.3 / 0.7) / (2.0 * math.log(2.0))
         assert 0.0 < argmax < 0.3
 
@@ -638,7 +638,7 @@ class TestVertexDirection:
         return gapopt._gap_core(self.LEVELS, self.WEIGHTS, self.D_STAR)
 
     def test_patched_point_asks_for_a_level(self):
-        phi, argmax = gapopt._max_phi(self.LEVELS, self.WEIGHTS, self.D_STAR)
+        phi, argmax, _ = gapopt._max_phi(self.LEVELS, self.WEIGHTS, self.D_STAR)
         assert phi > 0.1
         assert 100.0 < argmax < 400.0
 

@@ -228,6 +228,11 @@ class TestTau:
         assert rdrc.tau(TWO_LEVEL, w, 1.0, threshold=1.5) == 0.0
         assert rdrc.tau(TWO_LEVEL, w, 1.0, threshold=2.5) > 0.0
 
+    @pytest.mark.parametrize("threshold", [-0.1, math.nan])
+    def test_threshold_domain(self, threshold):
+        with pytest.raises(ValueError, match="threshold must be nonnegative"):
+            rdrc.tau(TWO_LEVEL, [2.0, 0.5], 1.0, threshold=threshold)
+
     def test_rate_domain(self):
         with pytest.raises(ValueError):
             rdrc.tau(FLAT, [1.0], 0.0)

@@ -76,6 +76,7 @@ class TestSimConfig:
         [
             {"n": 0},
             {"rate_bits": -0.5},
+            {"rate_bits": math.nan},
             {"trials": 0},
             {"seed": -1},
             {"seed": 2**64},
@@ -83,8 +84,10 @@ class TestSimConfig:
             {"tau_delta": 0.0},
             {"tau_delta": -1.0},
             {"tau_threshold": -0.1},
+            {"tau_threshold": math.nan},
             {"codebook_cap": 0},
             {"eta": -0.01},
+            {"eta": math.nan},
             {"w_batches": 0},
         ],
     )

@@ -27,6 +27,11 @@ class TestSpectrumInvariants:
             ((1.8, 0.2), (1.5, -0.5)),  # weight out of (0,1]
             ((2.0, 0.5), (0.5, 0.5)),  # weighted mean != 1
             ((1.8, 0.2), (0.5,)),  # length mismatch
+            ((math.nan,), (1.0,)),  # nan value
+            ((1.8, math.nan), (0.5, 0.5)),  # nan level below a valid one
+            ((math.inf, 0.2), (0.5, 0.5)),  # infinite value
+            ((1.8, 0.2), (math.nan, 0.5)),  # nan weight
+            ((1.0,), (math.inf,)),  # infinite weight
         ],
     )
     def test_invalid_construction(self, values, weights):
@@ -52,10 +57,16 @@ class TestFromEigenvalues:
         s = spectra.from_eigenvalues([3.6, 0.4])
         assert s.values == (1.8, 0.2) and s.weights == (0.5, 0.5)
 
-    @pytest.mark.parametrize("raw", [[], [0, 0, 0], [1, -2]])
+    @pytest.mark.parametrize("raw", [[], [0, 0, 0], [1, -2], [math.nan, 1.0], [math.inf, 1.0]])
     def test_errors(self, raw):
         with pytest.raises(ValueError):
             spectra.from_eigenvalues(raw)
+
+    def test_same_canonical_form_as_parse_spectrum(self):
+        # Raw eigenvalues are pairs of weight 1, canonicalized like a literal.
+        raw = [3.0, 0.7, 3.0, 0.25, 0.7, 0.7]
+        literal = ",".join(f"{v!r}:1" for v in raw)
+        assert spectra.from_eigenvalues(raw) == spectra.parse_spectrum(literal)
 
     def test_idempotent_through_expansion(self):
         # Expanding a spectrum to concrete eigenvalues and re-canonicalizing
@@ -194,7 +205,8 @@ class TestParseSpectrum:
         s = spectra.parse_spectrum(f"@{p}")
         assert s == spectra.parse_spectrum("1.8:0.5,0.2:0.5")
 
-    @pytest.mark.parametrize("text", ["", "1.8;0.5", "semiflat:2", "a:b", "1:0.5,1:0.5,"])
+    @pytest.mark.parametrize("text", ["", "1.8;0.5", "semiflat:2", "a:b", "1:0.5,1:0.5,",
+                                      "nan:1", "inf:1", "1:0.5,nan:0.5", "1:nan", "1:inf"])
     def test_bad_literals(self, text):
         with pytest.raises(ValueError):
             spectra.parse_spectrum(text)

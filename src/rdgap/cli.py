@@ -72,7 +72,12 @@ def _load_config(ctx: click.Context, _param, path: str | None) -> None:
         ctx.default_map[name] = value
 
 
-def _parse_grid(text: str) -> list[float]:
+def _parse_grid(text: str, check=lambda point: None) -> list[float]:
+    """The points start, start + step, ... <= stop of a 'start:stop:step'
+    grid.  check(point) raises ValueError for a point outside the
+    subcommand's range (by default any point is in range); the grid is
+    increasing, so it sees only the first and the last point, before any
+    other is built."""
     parts = text.split(":")
     if len(parts) != 3:
         raise click.UsageError(f"grid must be 'start:stop:step', got {text!r}")
@@ -86,12 +91,31 @@ def _parse_grid(text: str) -> list[float]:
         raise click.UsageError("grid step must be positive")
     if stop < start:
         raise click.UsageError("grid stop must be >= start")
+    try:
+        last = start + (stop - start) // step * step
+    except InvalidOperation:  # more points than Decimal's 28 digits can count
+        raise click.UsageError(f"grid step too small for its range, got {text!r}")
+    try:
+        check(float(start))
+        check(float(last))
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
     out = []
     v = start
     while v <= stop:
         out.append(float(v))
         v += step
     return out
+
+
+def _check_distortion(d: float) -> None:
+    if not 0.0 < d < 1.0:
+        raise ValueError("distortion grid values must lie in (0, 1)")
+
+
+def _check_rate(r: float) -> None:
+    if r <= 0.0:
+        raise ValueError("rate grid values must be positive")
 
 
 def _parse_spectrum_opt(text: str) -> spectra.Spectrum:
@@ -153,9 +177,7 @@ def cmd_wf(spectrum: str, distortion_grid: str, compare: bool, svg: str | None,
            out: str | None) -> None:
     """Oracle waterfilling curve: CSV rows d_star,t,rate_bits."""
     s = _parse_spectrum_opt(spectrum)
-    grid = _parse_grid(distortion_grid)
-    if any(not 0.0 < d < 1.0 for d in grid):
-        raise click.UsageError("distortion grid values must lie in (0, 1)")
+    grid = _parse_grid(distortion_grid, _check_distortion)
     points = [waterfill.point_at_distortion(s, d) for d in grid]
     rows = [f"{d!r},{p.level_t!r},{p.rate_bits!r}" for d, p in zip(grid, points)]
     svg_text = None
@@ -182,9 +204,7 @@ def cmd_rdrc(spectrum: str, rate_grid: str, compare: bool, svg: str | None,
              out: str | None) -> None:
     """Universal random-coding curve: CSV rows rate_bits,T,d_rc."""
     s = _parse_spectrum_opt(spectrum)
-    grid = _parse_grid(rate_grid)
-    if any(r <= 0.0 for r in grid):
-        raise click.UsageError("rate grid values must be positive")
+    grid = _parse_grid(rate_grid, _check_rate)
     ts = [rdrc.t_rc_for_rate(s, r) for r in grid]
     ds = [rdrc.d_rc(s, T) for T in ts]
     rows = [f"{r!r},{T!r},{d!r}" for r, T, d in zip(grid, ts, ds)]
@@ -213,7 +233,7 @@ def cmd_rdrc(spectrum: str, rate_grid: str, compare: bool, svg: str | None,
 def cmd_gap_sweep(dstar_grid: str, kmax: int, seed: int, svg: str | None,
                   out: str | None) -> None:
     """Maximize the rate gap over spectra on a distortion grid."""
-    grid = _parse_grid(dstar_grid)
+    grid = _parse_grid(dstar_grid, gapopt.check_grid_point)
     try:
         result = gapopt.sweep(grid, kmax)
     except ValueError as exc:

@@ -5,8 +5,12 @@ oracle waterfilling rate.  Its worst case over spectra with at most k_max
 levels is searched deterministically, starting from the flat spectrum.  BFGS
 ascents on the analytic gap gradient, in the chart levels = exp(x), weights =
 softmax(y) at unit mean, start from the 16 (k_max - 1) best cells of an
-exhaustive two-level scan; the gap is flat at its maximum, so each stops at
-the 1e-7 that float64 resolves, and the best point is finished by Newton on
+exhaustive two-level scan.  They run in lockstep on one array chart
+(_chart_gap_grad, whose t and T row solvers equal the scalar ones bit for
+bit), with the inverse Hessian doubled wherever BFGS sees no curvature, and
+each end point is re-scored by _gap_core, the one gap that the 1e-15 rules
+below compare.  The gap is flat at its maximum, so each ascent stops at the
+1e-7 that float64 resolves, and the best point is finished by Newton on
 the KKT conditions over sum w = 1, sum w v = 1 in (log v, w) with the exact
 gap Hessian, merging levels that coalesce or lose their weight (_collapse);
 that solve, the stationarity residual and phi share one multiplier fit
@@ -356,11 +360,15 @@ def _stationary_point(values, weights, d_star: float):
             return sv, sw
 
 
-def _unpack(z: np.ndarray, k: int) -> tuple[list[float], list[float]]:
-    values = [math.exp(min(max(x, -_CHART_CLIP), _CHART_CLIP)) for x in z[:k].tolist()]
-    logits = z[k:].tolist() + [0.0]
-    top = max(logits)
-    return _normalized(values, [math.exp(y - top) for y in logits])
+def _unpack(Z: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Levels and weights ([..., k]) at the chart points Z ([..., 2k - 1]):
+    levels exp(x) with x clipped at +-_CHART_CLIP, weights softmax(y, 0),
+    then scaled to sum w = 1 and sum w v = 1."""
+    V = np.exp(np.clip(Z[..., :k], -_CHART_CLIP, _CHART_CLIP))
+    logits = np.concatenate([Z[..., k:], np.zeros(Z.shape[:-1] + (1,))], axis=-1)
+    W = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    W = W / W.sum(axis=-1, keepdims=True)
+    return V / (V * W).sum(axis=-1, keepdims=True), W
 
 
 def _pack(values, weights) -> np.ndarray:
@@ -370,73 +378,104 @@ def _pack(values, weights) -> np.ndarray:
     return np.asarray(x + y, dtype=float)
 
 
-def _chart_gap_grad(z: np.ndarray, k: int, d_star: float) -> tuple[float, np.ndarray]:
-    """Gap and its gradient in the _unpack chart z = (x, y), on Python floats
-    (at k <= 5 a numpy call costs more than the arithmetic it does).
-    The oracle rate is C^1 across the water level, so no kink check is made.
-    With s = sum g_v v the chain rule through v = exp(x) / mean and
-    w = softmax(y, 0) gives dG/dx_j = v_j (g_v,j - s w_j), 0 where x_j is
-    clipped, and, with h = g_w - s v, dG/dy_l = w_l (h_l - w.h).
+def _chart_gap_grad(Z: np.ndarray, k: int, d_star: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gaps [N] and their gradients [N, 2k - 1] in the _unpack chart at the
+    rows of Z ([N, 2k - 1]).  t and T come from the row solvers, which equal
+    the scalar ones bit for bit, and each rate is summed in _gap_core's
+    order, so a gap differs from _gap_core's only where numpy's log2 rounds
+    differently from math's (at most about 1e-15).  The oracle rate is C^1
+    across the water level, so no kink check is made.  With g_v the gap's
+    level gradient (_rate_grads) and s = sum g_v v, the chain rule through
+    v = exp(x) / mean and w = softmax(y, 0) gives dG/dx_j = v_j (g_v,j -
+    s w_j), 0 where x_j is clipped, and, with h = g_w - s v,
+    dG/dy_l = w_l (h_l - w.h).
     """
-    values, weights = _unpack(z, k)
-    t = waterfill._t_wf_exact(values, weights, d_star)
-    T = rdrc._t_for_distortion_newton(values, weights, d_star)
-    gap = rdrc._r_rc(values, weights, T) - waterfill._r_wf(values, weights, t)
-    levels_wf, levels_rc, weights_wf, weights_rc = _rate_grads(values, weights, t, T)
-    g_v = [rc - wf for rc, wf in zip(levels_rc, levels_wf)]
-    s = sum(g * v for g, v in zip(g_v, values))
-    h = [rc - wf - s * v for rc, wf, v in zip(weights_rc, weights_wf, values)]
-    wh = sum(w * u for w, u in zip(weights, h))
-    gx = [v * (g - s * w) if abs(x) < _CHART_CLIP else 0.0
-          for v, g, w, x in zip(values, g_v, weights, z.tolist())]
-    gy = [w * (u - wh) for w, u in zip(weights[:-1], h)]
-    return gap, np.array(gx + gy)
+    V, W = _unpack(Z, k)
+    t = waterfill._t_wf_exact_rows(V, W, d_star)[:, None]
+    T = rdrc._t_for_distortion_newton_rows(V, W, d_star)[:, None]
+    VT = V * T
+    u = 1.0 + VT
+    top = np.maximum(V, t)
+    log_top = np.log2(top / t)  # 0 below the water level
+    gap = 0.5 * rdrc._colsum(W * np.log2(u)) - 0.5 * rdrc._colsum(W * log_top)
+    q = V / u
+    A = (W * q).sum(axis=1, keepdims=True) / (W * q * q).sum(axis=1, keepdims=True)
+    g_v = W / (2.0 * _LN2) * (T / u + A / u**2 - 1.0 / top)
+    s = (g_v * V).sum(axis=1, keepdims=True)
+    g_w = (np.log1p(VT) + A * q - np.minimum(V, t) / t) / (2.0 * _LN2) - 0.5 * log_top
+    h = g_w - s * V
+    gx = np.where(np.abs(Z[:, :k]) < _CHART_CLIP, V * (g_v - s * W), 0.0)
+    gy = W[:, :-1] * (h[:, :-1] - (W * h).sum(axis=1, keepdims=True))
+    return gap, np.concatenate([gx, gy], axis=1)
 
 
-def _ascend(z: np.ndarray, k: int, d_star: float) -> tuple[float, np.ndarray]:
-    """BFGS ascent of the gap in the _unpack chart from z; returns (gap, z)
-    at the last accepted point, the gap equal to _gap_core at _unpack(z, k).
+def _ascend(Z: np.ndarray, k: int, d_star: float) -> list[tuple[float, list, list]]:
+    """BFGS ascents of the gap in the _unpack chart, one from each row of Z
+    ([N, 2k - 1]), run in lockstep on one _chart_gap_grad call per line-search
+    trial.  Returns per row (gap, values, weights) at its last accepted point,
+    the gap re-scored by _gap_core, so that every gap compared against
+    _GAP_SLACK is _gap_core's.
 
-    Starts from the identity inverse Hessian, caps each step at
-    _ASCENT_MAX_STEP in max-norm and halves it until the Armijo condition
-    holds; stops at _ASCENT_MAX_ITER iterations, at a gradient below
-    _ASCENT_GTOL in max-norm, or when the accepted step falls below
-    _ASCENT_XTOL (Nocedal & Wright, Numerical Optimization, 2nd ed., ch. 6).
-    A gradient of 1e-7 suffices: float64 fixes the argmax only to about 1e-7,
-    and _point_search finishes the winning point with the KKT solve.
+    Each ascent starts from the identity inverse Hessian, caps each step at
+    _ASCENT_MAX_STEP in max-norm and halves it, row by row, until the Armijo
+    condition holds; it stops at _ASCENT_MAX_ITER iterations, at a gradient
+    below _ASCENT_GTOL in max-norm, or when its accepted step would fall
+    below _ASCENT_XTOL (Nocedal & Wright, Numerical Optimization, 2nd ed.,
+    ch. 6).  Where s.y <= 0 the BFGS update is skipped and the inverse
+    Hessian doubled: Armijo backtracking never checks the curvature
+    condition, and s.y <= 0 says it failed, so the next step may be longer
+    (without this, ascents where the gap is not concave crawl to the
+    iteration cap on gradient steps).  A gradient of 1e-7 suffices: float64
+    fixes the argmax only to about 1e-7, and _point_search finishes the
+    winning point with the KKT solve.
     """
-    gap, g = _chart_gap_grad(z, k, d_star)
-    H = np.eye(z.size)
+    Z = np.array(Z, dtype=float)
+    n = Z.shape[1]
+    gap, G = _chart_gap_grad(Z, k, d_star)
+    H = np.tile(np.eye(n), (len(Z), 1, 1))
+    running = np.ones(len(Z), dtype=bool)
     for _ in range(_ASCENT_MAX_ITER):
-        if float(np.max(np.abs(g))) < _ASCENT_GTOL:
+        running &= np.abs(G).max(axis=1) >= _ASCENT_GTOL
+        rows = np.flatnonzero(running)
+        if not rows.size:
             break
-        p = H @ g
-        if float(g @ p) <= 0.0:  # H lost positive definiteness to rounding
-            H = np.eye(z.size)
-            p = g.copy()
-        step = float(np.max(np.abs(p)))
-        if step > _ASCENT_MAX_STEP:
-            p *= _ASCENT_MAX_STEP / step
-            step = _ASCENT_MAX_STEP
-        slope = float(g @ p)
-        alpha = 1.0
+        g = G[rows]
+        P = np.einsum("nij,nj->ni", H[rows], g)
+        lost = (g * P).sum(axis=1) <= 0.0  # H lost positive definiteness to rounding
+        H[rows[lost]] = np.eye(n)
+        P[lost] = g[lost]
+        step = np.abs(P).max(axis=1)
+        P *= np.minimum(1.0, _ASCENT_MAX_STEP / step)[:, None]
+        step = np.minimum(step, _ASCENT_MAX_STEP)
+        slope = (g * P).sum(axis=1)
+        alpha, taken = np.ones(rows.size), np.zeros(rows.size, dtype=bool)
+        Z_new, gap_new, G_new = Z[rows], gap[rows], G[rows]
+        todo = np.arange(rows.size)
         while True:
-            if alpha * step < _ASCENT_XTOL:
-                return gap, z
-            z_new = z + alpha * p
-            gap_new, g_new = _chart_gap_grad(z_new, k, d_star)
-            if gap_new >= gap + _ARMIJO * alpha * slope:
+            short = alpha[todo] * step[todo] < _ASCENT_XTOL
+            running[rows[todo[short]]] = False  # ends at its last accepted point
+            todo = todo[~short]
+            if not todo.size:
                 break
-            alpha *= 0.5
-        s, y = z_new - z, g - g_new  # y: change in the gradient of -gap
-        z, gap, g = z_new, gap_new, g_new
-        sy = float(s @ y)
-        if sy > 0.0:
-            Hy = H @ y
-            m = (0.5 * (sy + float(y @ Hy)) / sy**2) * s - Hy / sy
-            X = np.outer(m, s)
-            H += X + X.T  # the BFGS inverse update in one outer product
-    return gap, z
+            trial = Z[rows[todo]] + alpha[todo, None] * P[todo]
+            gap_t, G_t = _chart_gap_grad(trial, k, d_star)
+            ok = gap_t >= gap[rows[todo]] + _ARMIJO * alpha[todo] * slope[todo]
+            Z_new[todo[ok]], gap_new[todo[ok]], G_new[todo[ok]] = trial[ok], gap_t[ok], G_t[ok]
+            taken[todo[ok]] = True
+            alpha[todo[~ok]] *= 0.5
+            todo = todo[~ok]
+        rows, Z_new, gap_new, G_new = rows[taken], Z_new[taken], gap_new[taken], G_new[taken]
+        S, Y = Z_new - Z[rows], G[rows] - G_new  # Y: change in the gradient of -gap
+        Z[rows], gap[rows], G[rows] = Z_new, gap_new, G_new
+        sy = (S * Y).sum(axis=1)
+        H[rows[sy <= 0.0]] *= 2.0
+        rows, S, Y, sy = rows[sy > 0.0], S[sy > 0.0], Y[sy > 0.0], sy[sy > 0.0]
+        HY = np.einsum("nij,nj->ni", H[rows], Y)
+        M = ((0.5 * (sy + (Y * HY).sum(axis=1)) / sy**2)[:, None] * S - HY / sy[:, None])
+        X = M[:, :, None] * S[:, None, :]
+        H[rows] += X + X.transpose(0, 2, 1)  # the BFGS inverse update in one outer product
+    V, W = _unpack(Z, k)
+    return [(_gap_core(v, w, d_star), v, w) for v, w in zip(V.tolist(), W.tolist())]
 
 
 def _search_k(d_star: float, n_starts: int):
@@ -452,11 +491,12 @@ def _search_k(d_star: float, n_starts: int):
         for v2 in (np.geomspace(0.1, 10.0, 24) * d_star).tolist() if v2 < 1.0
     ]
     scored = sorted(((_gap_core(v, w, d_star), v, w) for v, w in cells), key=lambda c: -c[0])
-    starts, best, best_block = scored[:n_starts], (-math.inf, None, None), 0
-    for i, (_, v0, w0) in enumerate(starts):
-        gap, z = _ascend(_pack(v0, w0), 2, d_star)
-        if gap > best[0] + (_GAP_SLACK if i // _STARTS_PER_K > best_block else 0.0):
-            best, best_block = (gap, *_unpack(z, 2)), i // _STARTS_PER_K
+    starts = scored[:n_starts]
+    ends = _ascend(np.array([_pack(v, w) for _, v, w in starts]), 2, d_star)
+    best, best_block = (-math.inf, None, None), 0
+    for i, end in enumerate(ends):
+        if end[0] > best[0] + (_GAP_SLACK if i // _STARTS_PER_K > best_block else 0.0):
+            best, best_block = end, i // _STARTS_PER_K
     return *best, len(starts)
 
 
@@ -490,6 +530,8 @@ def _point_search(d_star: float, k_max: int) -> tuple[GapRecord, PointDiagnostic
             values, weights = solved
         else:  # report what the search found, with nothing merged that moves the gap
             values, weights = _collapse(values, weights, 0.0, 0.0)
+        mean = sum(v * w for v, w in zip(values, weights))
+        values = [v / mean for v in values]  # the spectrum reported, so the one checked
         try:
             max_phi, v_new, residual = _max_phi(values, weights, d_star)
         except KinkError:
@@ -499,13 +541,12 @@ def _point_search(d_star: float, k_max: int) -> tuple[GapRecord, PointDiagnostic
         if (start := _inserted(values, weights, v_new, max_phi, d_star)) is None:
             break
         k = len(start[0])
-        g, z = _ascend(_pack(*start), k, d_star)
+        g, v, w = _ascend(_pack(*start)[None], k, d_star)[0]
         restarts += 1
         if not g > searched + _GAP_SLACK:
             break
-        best = (g, *_unpack(z, k), k)
-    mean = sum(v * w for v, w in zip(values, weights))
-    record = gap_at(Spectrum(tuple(v / mean for v in values), tuple(weights)), d_star)
+        best = (g, v, w, k)
+    record = gap_at(Spectrum(tuple(values), tuple(weights)), d_star)
     converged = int(residual <= STATIONARY_TOL)
     return record, PointDiagnostics(d_star, restarts, converged, best_k, residual, max_phi)
 
@@ -526,6 +567,12 @@ def _sweep_worker(args):
     return _point_search(*args)
 
 
+def check_grid_point(d: float) -> None:
+    """Raise ValueError unless d lies in the sweep's range [0.005, 0.995]."""
+    if not 0.005 - 1e-12 <= d <= 0.995 + 1e-12:
+        raise ValueError(f"grid point {d} outside [0.005, 0.995]")
+
+
 def sweep(d_grid, k_max: int, threads: int | None = None) -> SweepResult:
     """Per-point worst-case gaps over a distortion grid.
 
@@ -537,8 +584,7 @@ def sweep(d_grid, k_max: int, threads: int | None = None) -> SweepResult:
     if not grid:
         raise ValueError("empty distortion grid")
     for d in grid:
-        if not 0.005 - 1e-12 <= d <= 0.995 + 1e-12:
-            raise ValueError(f"grid point {d} outside [0.005, 0.995]")
+        check_grid_point(d)
     if not 1 <= int(k_max) <= 5:
         raise ValueError("k_max must lie in 1..5")
     args = [(d, int(k_max)) for d in grid]

@@ -117,6 +117,46 @@ def _t_for_distortion_newton(values, weights, d_star: float) -> float:
     return T
 
 
+def _t_for_distortion_newton_rows(V: np.ndarray, W: np.ndarray, d_star: float) -> np.ndarray:
+    """_t_for_distortion_newton for each row of V, W ([N, k] arrays), equal
+    to it bit for bit: the same bracket, Newton steps, midpoint safeguard and
+    stops, with each sum accumulated column by column in the scalar's order;
+    a row that has stopped keeps its T."""
+    mean = _colsum(W * V / (1.0 + V * 0.0))
+    if (d_star >= mean).any():
+        raise SolverError(f"d_star {d_star} is not below the zero-rate distortion {mean.min()}")
+    lo = T = (mean / d_star - 1.0) / V.max(axis=1)
+    hi = _colsum(W) / d_star
+    live = np.ones(V.shape[0], dtype=bool)
+    for _ in range(80):
+        Q = V / (1.0 + V * T[:, None])
+        WQ = W * Q
+        g = _colsum(WQ) - d_star
+        gp = -_colsum(WQ * Q)  # the scalar's gp -= w q q, term by term
+        live &= g != 0.0  # an exact root keeps its T
+        above = g > 0.0
+        lo, hi = np.where(above, T, lo), np.where(above, hi, T)
+        # T now equals lo or hi, so the scalar's T_new = T at gp = 0 fails the
+        # bracket test just as the non-finite step g / 0 does: both bisect.
+        T_new = T - g / gp
+        T_new = np.where((lo < T_new) & (T_new < hi), T_new, 0.5 * (lo + hi))
+        stop = np.abs(T_new - T) <= 1e-14 * np.maximum(T_new, 1e-300)
+        T = np.where(live, T_new, T)
+        live &= ~stop
+        if not live.any():
+            break
+    return T
+
+
+def _colsum(X: np.ndarray) -> np.ndarray:
+    """Row sums of X added column by column, left to right, as the builtin
+    sum adds a list."""
+    acc = X[:, 0].copy()
+    for j in range(1, X.shape[1]):
+        acc += X[:, j]
+    return acc
+
+
 def t_rc_for_rate(s: Spectrum, rate: float) -> float:
     """The unique T with r_rc(s, T) = rate, rate > 0."""
     if not rate > 0.0:

@@ -459,8 +459,8 @@ def simulate_mmse_filter(
 ) -> SimReport:
     """Add white noise at level 1/T and MMSE-estimate back; the mean squared
     error per dimension has expectation exactly d_rc(s, T)."""
-    if not T > 0.0:
-        raise ValueError("T must be positive")
+    if not 0.0 < T < math.inf:
+        raise ValueError("T must be positive and finite")
     lam, warnings = _realized_lambdas(s, n)
     st = {
         "n": n,

@@ -130,6 +130,19 @@ class TestWf:
         assert proc.returncode == 2
         assert "grid must be numeric 'start:stop:step'" in proc.stderr
 
+    @pytest.mark.parametrize("command,grid,bounds,message", [
+        ("wf", "--distortion-grid", "0.5:100000:0.0001", "distortion grid values must lie in (0, 1)"),
+        ("rdrc", "--rate-grid", "-1:100000:0.0001", "rate grid values must be positive"),
+        ("gap-sweep", "--dstar-grid", "0.5:100000:0.0001", "outside [0.005, 0.995]"),
+        ("wf", "--distortion-grid", "0.1:0.9:1e-40", "grid step too small for its range"),
+    ])
+    def test_grid_rejected_before_it_is_built(self, command, grid, bounds, message):
+        # About 1e9 points, or a step that Decimal's 28 digits lose: building
+        # the grid first would take many minutes or never end.
+        proc = run_cli(command, grid, bounds, timeout=10)
+        assert proc.returncode == 2
+        assert message in proc.stderr
+
     def test_spectrum_from_file(self, tmp_path):
         f = tmp_path / "s.csv"
         f.write_text("# value,weight\n1.8,0.5\n0.2,0.5\n")
@@ -328,10 +341,10 @@ class TestGapSweepCommand:
         assert proc.returncode == 0
         assert proc.stdout == (
             "d_star,rate_rc_bits,rate_wf_bits,gap_bits,levels,weights\n"
-            "0.3,0.3458777060203822,0.2519135676387111,0.093964,"
-            "5.3441702143284155;0.2715630087217023,0.14360208897569712;0.856397911024303\n"
-            "0.5,0.23086002041376408,0.1499339897656663,0.080926,"
-            "5.371049358555652;0.46252541665035557,0.10949820958620358;0.8905017904137965\n"
+            "0.3,0.3458777060203822,0.25191356763871126,0.093964,"
+            "5.344170214328409;0.27156300872170225,0.14360208897569732;0.8563979110243027\n"
+            "0.5,0.23086002041376408,0.14993398976566635,0.080926,"
+            "5.371049358555652;0.4625254166503555,0.10949820958620363;0.8905017904137964\n"
             "global max gap_bits = 0.093964 at d_star = 0.3\n"
         )
 
@@ -405,6 +418,12 @@ class TestSimulateCommand:
         proc = run_cli("simulate", "--mode", "filter")
         assert proc.returncode == 2
         assert "--T is required" in proc.stderr
+
+    def test_infinite_T_exits_two(self):
+        proc = run_cli("simulate", "--mode", "filter", "--spectrum", "1:1", "--T", "inf",
+                       "--n", "4", "--trials", "8")
+        assert proc.returncode == 2
+        assert "T must be positive and finite" in proc.stderr
 
     def test_coupling_row(self):
         proc = run_cli("simulate", "--mode", "coupling", "--t", "0.25", "--n", "16", "--trials", "64")

@@ -313,7 +313,7 @@ class TestChartGradient:
             t = waterfill._t_wf_exact(values, weights, d_star)
             if min(abs(v - t) for v in values) < 1e-2 * t:
                 continue
-            _, grad = gapopt._chart_gap_grad(z, k, d_star)
+            grad = gapopt._chart_gap_grad(z[None], k, d_star)[1][0]
 
             def central(i, h):
                 e = np.zeros_like(z)
@@ -333,7 +333,7 @@ class TestChartGradient:
 
     def test_gap_matches_gap_core(self):
         z = np.array([0.7, -0.4, 0.1, 0.3, -0.2])
-        gap, _ = gapopt._chart_gap_grad(z, 3, 0.4)
+        gap = gapopt._chart_gap_grad(z[None], 3, 0.4)[0][0]
         assert gap == pytest.approx(gapopt._gap_core(*gapopt._unpack(z, 3), 0.4), abs=1e-15)
 
     def test_unpack_lands_on_constraint_set(self):
@@ -361,7 +361,7 @@ class TestChartGradient:
         z = np.array(z)
         assert all(abs(z[j]) > gapopt._CHART_CLIP for j in clipped)
         d_star = 0.3
-        gap, grad = gapopt._chart_gap_grad(z, k, d_star)
+        gap, grad = (x[0] for x in gapopt._chart_gap_grad(z[None], k, d_star))
         assert gap == gapopt._gap_core(*gapopt._unpack(z, k), d_star)
         assert grad.shape == (2 * k - 1,)
         for j in range(2 * k - 1):
@@ -619,6 +619,59 @@ class TestEquivalenceCheck:
             assert d.max_phi <= gapopt.STATIONARY_TOL
             assert d.restarts == 4 * gapopt._STARTS_PER_K
 
+    def test_diagnostics_describe_the_reported_spectrum(self):
+        # max_phi and the residual are those of the spectrum the record reports,
+        # at points where the solved spectrum's mean is not exactly 1.
+        res = gapopt.sweep([0.1, 0.9], 5)
+        for rec, d in zip(res.records, res.diagnostics):
+            s = rec.spectrum
+            phi, _, residual = gapopt._max_phi(s.values, s.weights, rec.d_star)
+            assert d.max_phi == phi
+            assert d.residual == residual
+
+
+class TestLockstep:
+    def test_row_solvers_equal_the_scalar_ones(self):
+        # The row forms of t and T equal the scalar solvers bit for bit on
+        # random 1-5-level spectra, tied levels included.
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(93)))
+        for i in range(200):
+            k = 1 + i % 5
+            V = rng.lognormal(0.0, 2.0, size=(16, k))
+            if k > 1 and i % 3 == 0:
+                V[:, -1] = V[:, 0]
+            W = rng.dirichlet(np.ones(k), size=16)
+            V /= (V * W).sum(axis=1, keepdims=True)
+            d_star = float(rng.uniform(1e-6, 0.999))
+            t = waterfill._t_wf_exact_rows(V, W, d_star)
+            T = rdrc._t_for_distortion_newton_rows(V, W, d_star)
+            for j, (v, w) in enumerate(zip(V.tolist(), W.tolist())):
+                assert t[j] == waterfill._t_wf_exact(v, w, d_star), (i, j)
+                assert T[j] == rdrc._t_for_distortion_newton(v, w, d_star), (i, j)
+
+    def test_ascent_does_not_crawl_where_the_gap_is_not_concave(self, monkeypatch):
+        # From this start s.y <= 0 at every step; without doubling the inverse
+        # Hessian there, the ascent took gradient steps to the iteration cap.
+        evaluations = []
+        chart = gapopt._chart_gap_grad
+        monkeypatch.setattr(gapopt, "_chart_gap_grad",
+                            lambda Z, k, d: evaluations.append(len(Z)) or chart(Z, k, d))
+        z = gapopt._pack([1.3029527270568124, 0.5455709094147815], [0.6, 0.4])
+        gapopt._ascend(z[None], 2, 0.9)
+        assert sum(evaluations) <= gapopt._ASCENT_MAX_ITER // 4
+
+    @pytest.mark.parametrize("d_star", [1e-5, 0.5, 0.995])
+    def test_lockstep_best_equals_one_at_a_time(self, d_star, monkeypatch):
+        starts = []
+        ascend = gapopt._ascend
+        monkeypatch.setattr(gapopt, "_ascend", lambda Z, k, d: starts.append(Z) or ascend(Z, k, d))
+        gapopt._search_k(d_star, 4 * gapopt._STARTS_PER_K)
+        (Z,) = starts
+        assert len(Z) == 4 * gapopt._STARTS_PER_K
+        lockstep = max(gap for gap, _, _ in ascend(Z, 2, d_star))
+        one_at_a_time = max(ascend(z[None], 2, d_star)[0][0] for z in Z)
+        assert abs(lockstep - one_at_a_time) <= gapopt._GAP_SLACK
+
 
 class TestVertexDirection:
     """On the grid the k = 2 search already meets the equivalence check, so
@@ -648,6 +701,17 @@ class TestVertexDirection:
         assert diag.restarts == 2 * gapopt._STARTS_PER_K + 1
         assert diag.best_k == 3
         assert rec.gap_bits > patched_gap + 1e-5
+
+    @pytest.mark.parametrize("k_max", [3, 4, 5])
+    def test_insertion_converges_to_the_two_level_maximum(self, k_max, monkeypatch):
+        # The inserted level's ascent ends stationary, and the solve merges it
+        # back onto the two-level maximum that the unpatched search finds.
+        unpatched = gapopt.maximize_gap(self.D_STAR, 2)
+        self._patch(monkeypatch)
+        rec, diag = gapopt._point_search(self.D_STAR, k_max)
+        assert diag.converged == 1
+        assert rec.spectrum.k == 2
+        assert rec.gap_bits == pytest.approx(unpatched.gap_bits, abs=1e-15)
 
     def test_no_insertion_at_two_levels(self, monkeypatch):
         patched_gap = self._patch(monkeypatch)

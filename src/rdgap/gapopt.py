@@ -6,8 +6,8 @@ levels is searched deterministically, starting from the flat spectrum.  BFGS
 ascents on the analytic gap gradient, in the chart levels = exp(x), weights =
 softmax(y) at unit mean, start from the 16 (k_max - 1) best cells of an
 exhaustive two-level scan.  They run in lockstep on one array chart
-(_chart_gap_grad, whose t and T row solvers equal the scalar ones bit for
-bit), with the inverse Hessian doubled wherever BFGS sees no curvature, and
+(_chart_gap_grad, whose t and T come from _gap_core's scalar solvers), with
+the inverse Hessian doubled wherever BFGS sees no curvature, and
 each end point is re-scored by _gap_core, the one gap that the 1e-15 rules
 below compare.  The gap is flat at its maximum, so each ascent stops at the
 1e-7 that float64 resolves, and the best point is finished by Newton on
@@ -378,26 +378,36 @@ def _pack(values, weights) -> np.ndarray:
     return np.asarray(x + y, dtype=float)
 
 
+def _colsum(X: np.ndarray) -> np.ndarray:
+    """Row sums of X added column by column, left to right, as the builtin
+    sum adds a list, however numpy would reduce a row."""
+    acc = X[:, 0].copy()
+    for j in range(1, X.shape[1]):
+        acc += X[:, j]
+    return acc
+
+
 def _chart_gap_grad(Z: np.ndarray, k: int, d_star: float) -> tuple[np.ndarray, np.ndarray]:
     """Gaps [N] and their gradients [N, 2k - 1] in the _unpack chart at the
-    rows of Z ([N, 2k - 1]).  t and T come from the row solvers, which equal
-    the scalar ones bit for bit, and each rate is summed in _gap_core's
-    order, so a gap differs from _gap_core's only where numpy's log2 rounds
-    differently from math's (at most about 1e-15).  The oracle rate is C^1
-    across the water level, so no kink check is made.  With g_v the gap's
-    level gradient (_rate_grads) and s = sum g_v v, the chain rule through
-    v = exp(x) / mean and w = softmax(y, 0) gives dG/dx_j = v_j (g_v,j -
-    s w_j), 0 where x_j is clipped, and, with h = g_w - s v,
+    rows of Z ([N, 2k - 1]).  Each row's t and T come from the scalar
+    solvers that _gap_core calls, and each rate is summed in _gap_core's
+    order (_colsum), so a gap differs from _gap_core's only where numpy's
+    log2 rounds differently from math's (at most about 1e-15).  The oracle
+    rate is C^1 across the water level, so no kink check is made.  With g_v
+    the gap's level gradient (_rate_grads) and s = sum g_v v, the chain rule
+    through v = exp(x) / mean and w = softmax(y, 0) gives dG/dx_j = v_j
+    (g_v,j - s w_j), 0 where x_j is clipped, and, with h = g_w - s v,
     dG/dy_l = w_l (h_l - w.h).
     """
     V, W = _unpack(Z, k)
-    t = waterfill._t_wf_exact_rows(V, W, d_star)[:, None]
-    T = rdrc._t_for_distortion_newton_rows(V, W, d_star)[:, None]
+    rows = list(zip(V.tolist(), W.tolist()))
+    t = np.array([waterfill._t_wf_exact(v, w, d_star) for v, w in rows])[:, None]
+    T = np.array([rdrc._t_for_distortion_newton(v, w, d_star) for v, w in rows])[:, None]
     VT = V * T
     u = 1.0 + VT
     top = np.maximum(V, t)
     log_top = np.log2(top / t)  # 0 below the water level
-    gap = 0.5 * rdrc._colsum(W * np.log2(u)) - 0.5 * rdrc._colsum(W * log_top)
+    gap = 0.5 * _colsum(W * np.log2(u)) - 0.5 * _colsum(W * log_top)
     q = V / u
     A = (W * q).sum(axis=1, keepdims=True) / (W * q * q).sum(axis=1, keepdims=True)
     g_v = W / (2.0 * _LN2) * (T / u + A / u**2 - 1.0 / top)

@@ -37,10 +37,14 @@ def _r_rc(values, weights, T: float) -> float:
     return 0.5 * sum(w * math.log2(1.0 + v * T) for v, w in zip(values, weights))
 
 
+def _check_T(T: float) -> None:
+    if not 0.0 <= T < math.inf:
+        raise ValueError("T must be nonnegative and finite")
+
+
 def d_rc(s: Spectrum, T: float) -> float:
     """Distortion at parameter T; equals the mean eigenvalue (1) at T = 0."""
-    if T < 0.0:
-        raise ValueError("T must be nonnegative")
+    _check_T(T)
     if T == 0.0:
         return 1.0
     return min(_d_rc(s.values, s.weights, T), 1.0)
@@ -48,8 +52,7 @@ def d_rc(s: Spectrum, T: float) -> float:
 
 def r_rc(s: Spectrum, T: float) -> float:
     """Rate in bits at parameter T; 0 at T = 0, strictly increasing."""
-    if T < 0.0:
-        raise ValueError("T must be nonnegative")
+    _check_T(T)
     return _r_rc(s.values, s.weights, T)
 
 
@@ -117,46 +120,6 @@ def _t_for_distortion_newton(values, weights, d_star: float) -> float:
     return T
 
 
-def _t_for_distortion_newton_rows(V: np.ndarray, W: np.ndarray, d_star: float) -> np.ndarray:
-    """_t_for_distortion_newton for each row of V, W ([N, k] arrays), equal
-    to it bit for bit: the same bracket, Newton steps, midpoint safeguard and
-    stops, with each sum accumulated column by column in the scalar's order;
-    a row that has stopped keeps its T."""
-    mean = _colsum(W * V / (1.0 + V * 0.0))
-    if (d_star >= mean).any():
-        raise SolverError(f"d_star {d_star} is not below the zero-rate distortion {mean.min()}")
-    lo = T = (mean / d_star - 1.0) / V.max(axis=1)
-    hi = _colsum(W) / d_star
-    live = np.ones(V.shape[0], dtype=bool)
-    for _ in range(80):
-        Q = V / (1.0 + V * T[:, None])
-        WQ = W * Q
-        g = _colsum(WQ) - d_star
-        gp = -_colsum(WQ * Q)  # the scalar's gp -= w q q, term by term
-        live &= g != 0.0  # an exact root keeps its T
-        above = g > 0.0
-        lo, hi = np.where(above, T, lo), np.where(above, hi, T)
-        # T now equals lo or hi, so the scalar's T_new = T at gp = 0 fails the
-        # bracket test just as the non-finite step g / 0 does: both bisect.
-        T_new = T - g / gp
-        T_new = np.where((lo < T_new) & (T_new < hi), T_new, 0.5 * (lo + hi))
-        stop = np.abs(T_new - T) <= 1e-14 * np.maximum(T_new, 1e-300)
-        T = np.where(live, T_new, T)
-        live &= ~stop
-        if not live.any():
-            break
-    return T
-
-
-def _colsum(X: np.ndarray) -> np.ndarray:
-    """Row sums of X added column by column, left to right, as the builtin
-    sum adds a list."""
-    acc = X[:, 0].copy()
-    for j in range(1, X.shape[1]):
-        acc += X[:, j]
-    return acc
-
-
 def t_rc_for_rate(s: Spectrum, rate: float) -> float:
     """The unique T with r_rc(s, T) = rate, rate > 0."""
     if not rate > 0.0:
@@ -208,8 +171,7 @@ def d_rc_per_w(s: Spectrum, w_tilde_sq, T: float) -> float:
     (entries are mean squared coordinates, m the weights) when len(x) == s.k,
     else per coordinate (m = 1/n).  Reduces to d_rc when all entries are 1.
     """
-    if T < 0.0:
-        raise ValueError("T must be nonnegative")
+    _check_T(T)
     x = np.asarray([float(u) for u in w_tilde_sq], dtype=float)
     if np.any(x < 0.0):
         raise ValueError("squared coordinates must be nonnegative")

@@ -154,7 +154,7 @@ def sample_random(k: int, seed: int) -> Spectrum:
         values, weights = values[order], weights[order]
         values = values / float(values @ weights)
         weights = weights / float(weights.sum())
-        if k > 1 and float(np.min(values[:-1] - values[1:])) <= 1e-9 * float(values[0]):
+        if float(np.min(values[:-1] - values[1:])) <= 1e-9 * float(values[0]):
             continue
         return Spectrum(tuple(float(v) for v in values), tuple(float(w) for w in weights))
     raise RuntimeError("could not sample a non-degenerate spectrum")

@@ -15,8 +15,6 @@ import math
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import SolverError
 from .spectra import Spectrum
 
@@ -93,30 +91,6 @@ def _t_wf_exact(values, weights, d_star: float) -> float:
         below += w * v
         wabove -= w
     raise SolverError(f"d_star {d_star} not reachable (mean {below})")
-
-
-def _t_wf_exact_rows(V: np.ndarray, W: np.ndarray, d_star: float) -> np.ndarray:
-    """_t_wf_exact for each row of V, W ([N, k] arrays), equal to it bit for
-    bit: the same segment walk over each row's stably sorted levels, with the
-    sums accumulated column by column in the scalar's order."""
-    below = np.zeros(V.shape[0])
-    wabove = np.zeros(V.shape[0])
-    for j in range(V.shape[1]):
-        wabove += W[:, j]
-    rows = np.arange(V.shape[0])[:, None]
-    order = np.argsort(V, axis=1, kind="stable")
-    V, W = V[rows, order], W[rows, order]
-    t = np.full(V.shape[0], np.nan)
-    open_ = np.ones(V.shape[0], dtype=bool)
-    for j in range(V.shape[1]):
-        hit = open_ & (below + wabove * V[:, j] >= d_star)
-        t[hit] = (d_star - below[hit]) / wabove[hit]
-        open_ &= ~hit
-        below += W[:, j] * V[:, j]
-        wabove -= W[:, j]
-    if open_.any():
-        raise SolverError(f"d_star {d_star} not reachable (mean {below[open_][0]})")
-    return t
 
 
 def rr_wf(s: Spectrum, d_star: float) -> float:

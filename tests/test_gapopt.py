@@ -335,6 +335,24 @@ class TestChartGradient:
         z = np.array([0.7, -0.4, 0.1, 0.3, -0.2])
         gap = gapopt._chart_gap_grad(z[None], 3, 0.4)[0][0]
         assert gap == pytest.approx(gapopt._gap_core(*gapopt._unpack(z, 3), 0.4), abs=1e-15)
+        # Each row of a stacked chart call equals the same row evaluated alone,
+        # bit for bit, and its gap is within 1e-15 of _gap_core's; the stack
+        # holds a row with two equal log-levels and a row clipped at the chart
+        # bound among random k = 3 rows.
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(98)))
+        Z = np.vstack([
+            [0.7, -0.4, 0.1, 0.3, -0.2],
+            [0.3, 0.3, -0.5, 0.2, -0.1],
+            [0.5, -70.0, 0.1, 0.3, -0.2],
+            rng.uniform(-2.0, 2.0, size=(15, 5)),
+        ])
+        for d_star in (1e-5, 0.4, 0.995):
+            gaps, grads = gapopt._chart_gap_grad(Z, 3, d_star)
+            for z, gap, grad in zip(Z, gaps, grads):
+                alone_gap, alone_grad = gapopt._chart_gap_grad(z[None], 3, d_star)
+                assert gap == alone_gap[0] and np.array_equal(grad, alone_grad[0]), (d_star, z)
+                core = gapopt._gap_core(*gapopt._unpack(z, 3), d_star)
+                assert abs(gap - core) <= 1e-15, (d_star, z)
 
     def test_unpack_lands_on_constraint_set(self):
         # Any z, log-levels past the clip and far-out weight logits included,
@@ -631,24 +649,6 @@ class TestEquivalenceCheck:
 
 
 class TestLockstep:
-    def test_row_solvers_equal_the_scalar_ones(self):
-        # The row forms of t and T equal the scalar solvers bit for bit on
-        # random 1-5-level spectra, tied levels included.
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(93)))
-        for i in range(200):
-            k = 1 + i % 5
-            V = rng.lognormal(0.0, 2.0, size=(16, k))
-            if k > 1 and i % 3 == 0:
-                V[:, -1] = V[:, 0]
-            W = rng.dirichlet(np.ones(k), size=16)
-            V /= (V * W).sum(axis=1, keepdims=True)
-            d_star = float(rng.uniform(1e-6, 0.999))
-            t = waterfill._t_wf_exact_rows(V, W, d_star)
-            T = rdrc._t_for_distortion_newton_rows(V, W, d_star)
-            for j, (v, w) in enumerate(zip(V.tolist(), W.tolist())):
-                assert t[j] == waterfill._t_wf_exact(v, w, d_star), (i, j)
-                assert T[j] == rdrc._t_for_distortion_newton(v, w, d_star), (i, j)
-
     def test_ascent_does_not_crawl_where_the_gap_is_not_concave(self, monkeypatch):
         # From this start s.y <= 0 at every step; without doubling the inverse
         # Hessian there, the ascent took gradient steps to the iteration cap.

@@ -45,9 +45,17 @@ class TestDRc:
     def test_semi_flat(self):
         assert rdrc.d_rc(SEMI_HALF, 1.5) == 0.25
 
-    def test_negative_t(self):
+    @pytest.mark.parametrize("T", [-0.1, math.nan, math.inf], ids=["negative", "nan", "inf"])
+    @pytest.mark.parametrize(
+        "curve",
+        [rdrc.d_rc, rdrc.r_rc, lambda s, T: rdrc.d_rc_per_w(s, [1.0, 1.0], T)],
+        ids=["d_rc", "r_rc", "d_rc_per_w"],
+    )
+    def test_negative_t(self, curve, T):
+        # T must lie in [0, inf): a nan T, and an infinite one (0 * inf is nan
+        # at the zero level), would otherwise come back as a nan curve value.
         with pytest.raises(ValueError):
-            rdrc.d_rc(FLAT, -0.1)
+            curve(SEMI_HALF, T)
 
     @given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=200))
     def test_strictly_decreasing(self, k, seed):

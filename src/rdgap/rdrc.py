@@ -173,6 +173,8 @@ def d_rc_per_w(s: Spectrum, w_tilde_sq, T: float) -> float:
     """
     _check_T(T)
     x = np.asarray([float(u) for u in w_tilde_sq], dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("squared coordinates must be finite")
     if np.any(x < 0.0):
         raise ValueError("squared coordinates must be nonnegative")
     lam, m = _reading(s, x)
@@ -225,11 +227,15 @@ def quantize_tau(tau_val: float, w_inf_norm: float, delta: float) -> float:
 
     |q(tau) - tau| <= delta * ||w~||_inf / 2.
     """
-    if not delta > 0.0:
-        raise ValueError("delta must be positive")
-    if not w_inf_norm > 0.0:
-        raise ValueError("w_inf_norm must be positive")
+    if not math.isfinite(tau_val):
+        raise ValueError("tau_val must be finite")
+    if not 0.0 < delta < math.inf:
+        raise ValueError("delta must be positive and finite")
+    if not 0.0 < w_inf_norm < math.inf:
+        raise ValueError("w_inf_norm must be positive and finite")
     unit = delta * w_inf_norm
+    if not (0.0 < unit < math.inf and math.isfinite(tau_val / unit)):
+        raise ValueError("tau_val / (delta * w_inf_norm) leaves the float range")
     return unit * math.floor(tau_val / unit + 0.5)
 
 

@@ -22,9 +22,13 @@ Every mode runs through one unit runner, `_map_units`: each work item is
 `(state, start, count)`, where `state` is the run's read-only dict of
 precomputed arrays, so kernels read no module-level state.  A work unit is
 _CHUNK trials, or _SOURCE_BATCHES source batches for success runs, each
-batch still its own substream.  Pool workers receive the kernel and all
-items once, at pool start (`fork` on POSIX, `spawn` elsewhere; see
-`_parallel`).
+batch still its own substream.  The success, coupling and filter modes
+spread their units over a process pool, since those units are bound by
+Python and the RNG; pool workers receive the kernel and all items once, at
+pool start (`fork` on POSIX, `spawn` elsewhere; see `_parallel`).  Scheme
+units run in the calling process: their codeword GEMM already runs on
+BLAS's threads, and pool workers stacked on them oversubscribe the CPUs
+(2 workers x 2 BLAS threads on 2 CPUs ran about 2x slower than serial).
 """
 
 from __future__ import annotations
@@ -46,7 +50,10 @@ STREAM_WBATCH = 4
 # Work units are fixed so they never depend on the thread count.
 _CHUNK = 256  # trials per work unit
 _SOURCE_BATCHES = 32  # source batches per success work unit
-_CODEWORD_BLOCK = 8192  # codewords per distance block: two _CHUNK x block buffers, 16 MB each
+# Codewords per distance block.  The scheme search reuses two _CHUNK x block
+# float64 buffers, 8 MB each, in the calling process; 4096 is as fast as 8192
+# and holds half the memory, 2048 and below are slower.
+_CODEWORD_BLOCK = 4096
 
 _Z_TWO_SIDED = 1.959963984540054  # 97.5% normal quantile
 _Z_ONE_SIDED = 1.6448536269514722  # 95% normal quantile
@@ -335,6 +342,12 @@ def run_universal_scheme(config: SimConfig, threads: int | None = None) -> SimRe
     covariance-weighted error (lowest index on ties), and record the
     per-dimension distortion.  The analytic reference is dd_rc at the
     configured rate.
+
+    The _CHUNK-trial units run in the calling process whatever `threads`
+    says: each unit's codeword GEMM already runs on BLAS's own threads, and
+    a process pool on top of them puts more threads than CPUs to work.
+    `threads` is kept so every mode takes the same arguments; the units,
+    and so the bytes, never depended on it.
     """
     if not config.rate_bits > 0.0:
         raise ValueError("scheme mode needs rate_bits > 0")
@@ -344,7 +357,7 @@ def run_universal_scheme(config: SimConfig, threads: int | None = None) -> SimRe
     st["codebook_rot"] = c_rot
     st["codebook_gram"] = (c_rot * c_rot) @ st["lam"]
     analytic = rdrc.dd_rc(config.spectrum, config.rate_bits)
-    return _run_trials("scheme", _scheme_chunk, st, config.trials, threads, analytic, warnings)
+    return _run_trials("scheme", _scheme_chunk, st, config.trials, 1, analytic, warnings)
 
 
 # --- single-codeword success probability ------------------------------------

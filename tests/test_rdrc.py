@@ -209,6 +209,12 @@ class TestDRcPerW:
         with pytest.raises(ValueError):
             rdrc.d_rc_per_w(FLAT, [-1.0], 1.0)
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_entry_rejected(self, x):
+        # A nan passes the x < 0 check and would come back as a nan distortion.
+        with pytest.raises(ValueError, match="finite"):
+            rdrc.d_rc_per_w(SEMI_HALF, [x, 1.0], 1.0)
+
     def test_monte_carlo_mean_matches_d_rc(self):
         # E over standard Gaussian coordinates of the per-realization curve
         # equals the ensemble curve.
@@ -307,6 +313,31 @@ class TestQuantizeTau:
     def test_domain(self, delta, norm):
         with pytest.raises(ValueError):
             rdrc.quantize_tau(0.3, norm, delta)
+
+    @pytest.mark.parametrize(
+        "tau_val,norm,delta,name",
+        [
+            (math.nan, 1.0, 0.1, "tau_val"),
+            (math.inf, 1.0, 0.1, "tau_val"),
+            (1.0, math.inf, 0.1, "w_inf_norm"),
+            (1.0, math.nan, 0.1, "w_inf_norm"),
+            (1.0, 1.0, math.inf, "delta"),
+            (1.0, 1.0, math.nan, "delta"),
+        ],
+    )
+    def test_non_finite_argument_named(self, tau_val, norm, delta, name):
+        # Otherwise the result is nan, or math.floor fails on a nan quotient.
+        with pytest.raises(ValueError, match=name):
+            rdrc.quantize_tau(tau_val, norm, delta)
+
+    @pytest.mark.parametrize(
+        "tau_val,norm,delta",
+        [(1.0, 1e200, 1e200), (1.0, 1e-200, 1e-200), (1e300, 1e-100, 1e-100)],
+        ids=["unit-overflows", "unit-underflows", "steps-overflow"],
+    )
+    def test_out_of_float_range(self, tau_val, norm, delta):
+        with pytest.raises(ValueError, match="float range"):
+            rdrc.quantize_tau(tau_val, norm, delta)
 
     @given(st.floats(min_value=0.0, max_value=10.0),
            st.floats(min_value=0.01, max_value=10.0),

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rdgap import rdrc, simulator, spectra, waterfill
+from rdgap import _parallel, rdrc, simulator, spectra, waterfill
 from rdgap.errors import SolverError
 from rdgap.simulator import STREAM_TRIAL, SimConfig
 
@@ -191,9 +191,9 @@ class TestUniversalScheme:
         "n,rate,size", [(13, 1.05, 12854), (14, 1.0, 16384)], ids=["partial", "full"]
     )
     def test_distance_blocks_match_one_line_formula(self, n, rate, size, rotation):
-        # 12,854 = 8192 + 4662 codewords end in a partial block.  Each block's
-        # scores must equal the plain expression bit for bit; 24 trials keep
-        # both sides in one chunk of the same rows.
+        # 12,854 = 3 x 4096 + 566 codewords end in a partial block.  Each
+        # block's scores must equal the plain expression bit for bit; 24
+        # trials keep both sides in one chunk of the same rows.
         cfg = _cfg(n=n, rate_bits=rate, trials=24, seed=43, rotation=rotation, tau_delta=0.05)
         assert cfg.codebook_size == size
         rep = simulator.run_universal_scheme(cfg)
@@ -207,8 +207,9 @@ class TestUniversalScheme:
         g = (cb * cb) @ lam
         wl = wt * lam
         best = np.full(24, np.inf)
-        for b0 in range(0, size, 8192):
-            blk = slice(b0, min(b0 + 8192, size))
+        block = simulator._CODEWORD_BLOCK
+        for b0 in range(0, size, block):
+            blk = slice(b0, min(b0 + block, size))
             score = tau[:, None] ** 2 * g[None, blk] - 2.0 * tau[:, None] * (wl @ cb[blk].T)
             np.minimum(best, score.min(axis=1), out=best)
         assert np.array_equal(rep.per_trial, ((wt * wt) @ lam + best) / n)
@@ -226,6 +227,30 @@ class TestUniversalScheme:
         three = simulator.run_universal_scheme(cfg, threads=3)
         assert np.array_equal(one.per_trial, three.per_trial)
         assert one.mean == three.mean and one.se == three.se
+
+    def test_threads_start_no_process(self, monkeypatch):
+        # Scheme units run in the calling process at any thread count: their
+        # GEMM already runs on BLAS's threads.  600 trials are three units.
+        cfg = _cfg(n=8, spectrum=TWO_LEVEL, trials=600, seed=5, rotation="haar", tau_delta=0.1)
+        serial = simulator.run_universal_scheme(cfg, threads=1)
+
+        def no_pool(method=None):
+            raise AssertionError("scheme mode started a process pool")
+
+        monkeypatch.setattr(_parallel.multiprocessing, "get_context", no_pool)
+        pooled = simulator.run_universal_scheme(cfg, threads=2)
+        assert pooled.per_trial.tobytes() == serial.per_trial.tobytes()
+
+    @pytest.mark.parametrize("block", [4096, 8192, 1000])
+    def test_codeword_block_invariance(self, monkeypatch, block):
+        # n = 12 at rate 1 is a 4,096-codeword book: one block at 4096 and
+        # 8192, four full blocks and a partial one of 96 at 1000.
+        cfg = _cfg(n=12, spectrum=TWO_LEVEL, trials=300, seed=7, rotation="haar", tau_delta=0.05)
+        assert cfg.codebook_size == 4096
+        reference = simulator.run_universal_scheme(cfg)
+        monkeypatch.setattr(simulator, "_CODEWORD_BLOCK", block)
+        blocked = simulator.run_universal_scheme(cfg)
+        assert blocked.per_trial.tobytes() == reference.per_trial.tobytes()
 
     def test_rotation_invariance_on_flat(self):
         # A flat spectrum makes the weighted metric rotation-invariant, so

@@ -26,9 +26,9 @@ batch still its own substream.  The success, coupling and filter modes
 spread their units over a process pool, since those units are bound by
 Python and the RNG; pool workers receive the kernel and all items once, at
 pool start (`fork` on POSIX, `spawn` elsewhere; see `_parallel`).  Scheme
-units run in the calling process: their codeword GEMM already runs on
-BLAS's threads, and pool workers stacked on them oversubscribe the CPUs
-(2 workers x 2 BLAS threads on 2 CPUs ran about 2x slower than serial).
+units run in the calling process, since their codeword GEMM already runs on
+BLAS's threads: on a 2-CPU machine, 2 pool workers x 2 BLAS threads ran
+about 2x slower than serial.  Machines with more CPUs were not measured.
 """
 
 from __future__ import annotations
@@ -51,8 +51,8 @@ STREAM_WBATCH = 4
 _CHUNK = 256  # trials per work unit
 _SOURCE_BATCHES = 32  # source batches per success work unit
 # Codewords per distance block.  The scheme search reuses two _CHUNK x block
-# float64 buffers, 8 MB each, in the calling process; 4096 is as fast as 8192
-# and holds half the memory, 2048 and below are slower.
+# float64 buffers, 8 MB each, in the calling process; on 2 CPUs 4096 was as
+# fast as 8192 with half the memory, and 2048 and below were slower.
 _CODEWORD_BLOCK = 4096
 
 _Z_TWO_SIDED = 1.959963984540054  # 97.5% normal quantile
@@ -344,8 +344,9 @@ def run_universal_scheme(config: SimConfig, threads: int | None = None) -> SimRe
     configured rate.
 
     The _CHUNK-trial units run in the calling process whatever `threads`
-    says: each unit's codeword GEMM already runs on BLAS's own threads, and
-    a process pool on top of them puts more threads than CPUs to work.
+    says, and no pool is started: each unit's codeword GEMM already runs on
+    BLAS's own threads.  On a 2-CPU machine a 2-worker pool on top of them
+    ran about 2x slower than serial; more CPUs were not measured.
     `threads` is kept so every mode takes the same arguments; the units,
     and so the bytes, never depended on it.
     """

@@ -23,6 +23,10 @@ def _cfg(**kw):
     return SimConfig(**base)
 
 
+def _no_pool(method=None):
+    raise AssertionError("started a process pool")
+
+
 class TestUnitRngs:
     @pytest.mark.parametrize("start", [0, 2**32 - 40], ids=["first", "last"])
     @pytest.mark.parametrize("stream", [1, 2, 3, 4])
@@ -221,30 +225,20 @@ class TestUniversalScheme:
         b = simulator.run_universal_scheme(_cfg(trials=32, tau_threshold=0.0))
         assert np.array_equal(a.per_trial, b.per_trial)
 
-    def test_thread_count_invariance(self):
+    def test_thread_count_invariance(self, monkeypatch):
+        # Scheme units run in the calling process at any thread count, so the
+        # threads=3 run must start no pool; 300 trials are two units.
         cfg = _cfg(n=8, trials=300, seed=13)
         one = simulator.run_universal_scheme(cfg, threads=1)
+        monkeypatch.setattr(_parallel.multiprocessing, "get_context", _no_pool)
         three = simulator.run_universal_scheme(cfg, threads=3)
         assert np.array_equal(one.per_trial, three.per_trial)
         assert one.mean == three.mean and one.se == three.se
 
-    def test_threads_start_no_process(self, monkeypatch):
-        # Scheme units run in the calling process at any thread count: their
-        # GEMM already runs on BLAS's threads.  600 trials are three units.
-        cfg = _cfg(n=8, spectrum=TWO_LEVEL, trials=600, seed=5, rotation="haar", tau_delta=0.1)
-        serial = simulator.run_universal_scheme(cfg, threads=1)
-
-        def no_pool(method=None):
-            raise AssertionError("scheme mode started a process pool")
-
-        monkeypatch.setattr(_parallel.multiprocessing, "get_context", no_pool)
-        pooled = simulator.run_universal_scheme(cfg, threads=2)
-        assert pooled.per_trial.tobytes() == serial.per_trial.tobytes()
-
-    @pytest.mark.parametrize("block", [4096, 8192, 1000])
+    @pytest.mark.parametrize("block", [8192, 1000])
     def test_codeword_block_invariance(self, monkeypatch, block):
-        # n = 12 at rate 1 is a 4,096-codeword book: one block at 4096 and
-        # 8192, four full blocks and a partial one of 96 at 1000.
+        # n = 12 at rate 1 is a 4,096-codeword book: one block at the default
+        # 4096 and at 8192, four full blocks and a partial one of 96 at 1000.
         cfg = _cfg(n=12, spectrum=TWO_LEVEL, trials=300, seed=7, rotation="haar", tau_delta=0.05)
         assert cfg.codebook_size == 4096
         reference = simulator.run_universal_scheme(cfg)

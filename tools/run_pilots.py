@@ -5,18 +5,11 @@ randomness contract, then commit the refreshed JSON files:
 
     python3 tools/run_pilots.py
 
-To show that a change keeps the simulator's bytes, rerun the pilots and
-compare them with the committed files without writing anything; the exit
-status is 1, naming each differing file, if any differs:
-
-    python3 tools/run_pilots.py --check
-
 The fixtures freeze exact floating-point outputs at fixed seeds; the test
 suite asserts byte-level equality against them, so they fail loudly if the
 stream layout, chunking, or arithmetic ever changes.
 """
 
-import argparse
 import json
 import pathlib
 import sys
@@ -81,29 +74,16 @@ def pilot_scheme_trend() -> dict:
     return out
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--check", action="store_true",
-                        help="compare with the committed fixtures; write nothing")
-    check = parser.parse_args().check
-    status = 0
+def main() -> None:
+    FIXTURES.mkdir(parents=True, exist_ok=True)
     for name, fn in [
         ("pilot_success.json", pilot_success),
         ("pilot_scheme_trend.json", pilot_scheme_trend),
     ]:
         path = FIXTURES / name
-        text = json.dumps(fn(), indent=2, sort_keys=True) + "\n"
-        if not check:
-            FIXTURES.mkdir(parents=True, exist_ok=True)
-            path.write_text(text)
-            print(f"wrote {path}")
-        elif path.is_file() and path.read_bytes() == text.encode():
-            print(f"same bytes: {path.relative_to(ROOT)}")
-        else:
-            status = 1
-            print(f"differs: {path.relative_to(ROOT)}")
-    return status
+        path.write_text(json.dumps(fn(), indent=2, sort_keys=True) + "\n")
+        print(f"wrote {path}")
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    main()

@@ -1,13 +1,10 @@
-"""Deterministic parallel mapping helpers.
+"""Deterministic parallel mapping: the one way work reaches a pool worker.
 
 Work units are fixed independently of the worker count and results are
 reduced in submission order, so any thread setting yields identical output.
-Each work item carries all the state its function needs.  A pool receives
-the function and the whole item list once, at start-up, through its
-initializer: workers inherit them under `fork` (used on POSIX) and unpickle
-them once each under `spawn` (used elsewhere).  Each task is then sent as an
-index into that list, so shared state such as a codebook is never pickled
-per task.
+Each work item carries all the state its function needs, and the module
+holds none: a pool maps the items the ordinary way, pickling each one to
+its worker (`fork` on POSIX, `spawn` elsewhere).
 """
 
 from __future__ import annotations
@@ -29,24 +26,15 @@ def resolve_threads(explicit: int | None = None) -> int:
     return os.cpu_count() or 1
 
 
-def _init_worker(fn, items) -> None:
-    # Runs only inside pool workers; the calling process never binds _WORK.
-    global _WORK
-    _WORK = (fn, items)
-
-
-def _run_index(i: int):
-    fn, items = _WORK
-    return fn(items[i])
-
-
-def ordered_map(fn, items, threads: int) -> list:
-    """map(fn, items) preserving order, optionally in a process pool."""
+def ordered_map(fn, items, threads: int | None) -> list:
+    """map(fn, items) preserving order, in a process pool of
+    resolve_threads(threads) workers when that is above 1 and there are at
+    least two items.  The count is resolved first, so a bad RDGAP_THREADS
+    fails even for one item."""
+    threads = resolve_threads(threads)
     items = list(items)
     if threads <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
     ctx = multiprocessing.get_context("fork" if os.name == "posix" else "spawn")
-    with ctx.Pool(
-        processes=min(threads, len(items)), initializer=_init_worker, initargs=(fn, items)
-    ) as pool:
-        return pool.map(_run_index, range(len(items)))
+    with ctx.Pool(processes=min(threads, len(items))) as pool:
+        return pool.map(fn, items)

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rdrc, waterfill
-from ._parallel import ordered_map, resolve_threads
+from ._parallel import ordered_map
 from .errors import KinkError, SolverError
 from .spectra import Spectrum, _normalized
 
@@ -586,9 +586,9 @@ def check_grid_point(d: float) -> None:
 def sweep(d_grid, k_max: int, threads: int | None = None) -> SweepResult:
     """Per-point worst-case gaps over a distortion grid.
 
-    Grid points are independent; with threads > 1 they run in a process pool
-    and are reduced in grid order, so the result does not depend on
-    scheduling.
+    Grid points are independent; `ordered_map` resolves `threads` (None
+    reads RDGAP_THREADS), runs them in a process pool above 1 worker and
+    reduces in grid order, so the result does not depend on scheduling.
     """
     grid = tuple(float(d) for d in d_grid)
     if not grid:
@@ -598,7 +598,7 @@ def sweep(d_grid, k_max: int, threads: int | None = None) -> SweepResult:
     if not 1 <= int(k_max) <= 5:
         raise ValueError("k_max must lie in 1..5")
     args = [(d, int(k_max)) for d in grid]
-    results = ordered_map(_sweep_worker, args, resolve_threads(threads))
+    results = ordered_map(_sweep_worker, args, threads)
     records, diags = zip(*results)
     best = max(records, key=lambda r: r.gap_bits)
     return SweepResult(grid, records, best, diags)

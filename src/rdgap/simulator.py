@@ -24,9 +24,9 @@ precomputed arrays, so kernels read no module-level state.  A work unit is
 _CHUNK trials, or _SOURCE_BATCHES source batches for success runs, each
 batch still its own substream.  The success, coupling and filter modes
 spread their units over a process pool, since those units are bound by
-Python and the RNG; pool workers receive the kernel and all items once, at
-pool start (`fork` on POSIX, `spawn` elsewhere; see `_parallel`).  Scheme
-units run in the calling process, since their codeword GEMM already runs on
+Python and the RNG; `_parallel.ordered_map` resolves the worker count and
+pickles each item to a worker, its small state dict with it.  Scheme units
+run in the calling process, since their codeword GEMM already runs on
 BLAS's threads: on a 2-CPU machine, 2 pool workers x 2 BLAS threads ran
 about 2x slower than serial.  Machines with more CPUs were not measured.
 """
@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rdrc, waterfill
-from ._parallel import ordered_map, resolve_threads
+from ._parallel import ordered_map
 from .spectra import Spectrum, expand_to_n
 
 STREAM_CODEBOOK = 1
@@ -254,7 +254,7 @@ def _map_units(kernel, state: dict, total: int, size: int, threads: int | None) 
     """kernel((state, start, count)) over [0, total) cut into fixed units of
     `size`, results in unit order; the units never depend on `threads`."""
     units = [(state, i, min(size, total - i)) for i in range(0, total, size)]
-    return ordered_map(kernel, units, resolve_threads(threads))
+    return ordered_map(kernel, units, threads)
 
 
 def _run_trials(mode, kernel, state, trials, threads, analytic, warnings):
@@ -405,7 +405,7 @@ def estimate_codeword_success(config: SimConfig, threads: int | None = None) -> 
     p_hat = successes / total
     low, high = _wilson(successes, total)
     if successes > 0:
-        exponent = -math.log2(p_hat) / config.n
+        exponent = 0.0 - math.log2(p_hat) / config.n  # p_hat = 1 gives 0.0, not -0.0
         lower_only = False
     else:
         exponent = -math.log2(high) / config.n

@@ -395,6 +395,10 @@ class TestSimulateCommand:
           "--w-batches", "16"],
          "success,10,0.5,,,1.0:1.0,64,0,identity,,,0.05,16,0.0126953125,0.0034986243865512676,"
          "0.5,0.0126953125,0.007434044913652255,0.021599089101911852,0.6299560281858908,false,"),
+        # p_hat = 1: the exponent -log2(1)/n reads 0.0, not -0.0
+        (["--mode", "success", "--rate", "0", "--n", "4", "--trials", "8", "--w-batches", "2"],
+         "success,4,0.0,,,1.0:1.0,8,0,identity,,,0.0,2,1.0,0.0,0.0,1.0,0.8063923194655637,1.0,"
+         "0.0,false,"),
         (["--mode", "coupling", "--t", "0.25", "--n", "16", "--trials", "64"],
          "coupling,16,,0.25,,1.0:1.0,64,0,,,,,,0.25844392984032855,0.010985343987089303,0.25,"
          ",,,,false,"),
@@ -403,7 +407,7 @@ class TestSimulateCommand:
          'filter,4,,,1.0,"10.5:0.05,0.5:0.95",16,0,,,,,,0.5150273404789022,0.07746939437539092,'
          "0.36231884057971014,,,,,false,apportionment to n=4 left zero dimensions for: value "
          "10.5 (weight 0.05); dropped and remaining eigenvalues rescaled to unit mean"),
-    ], ids=["scheme", "success", "coupling", "filter"])
+    ], ids=["scheme", "success", "success-rate-zero", "coupling", "filter"])
     def test_row_bytes(self, args, row):
         proc = run_cli("simulate", *args)
         assert proc.returncode == 0
@@ -436,10 +440,16 @@ class TestSimulateCommand:
         assert run_cli("simulate").returncode == 2
 
     def test_non_integer_thread_count_names_the_variable(self):
-        proc = run_cli("simulate", "--mode", "filter", "--T", "1", "--n", "4", "--trials", "8",
-                       env_extra={"RDGAP_THREADS": "abc"})
-        assert proc.returncode == 2
-        assert "RDGAP_THREADS must be an integer, got 'abc'" in proc.stderr
+        # The one-point sweep would run without a pool: the count is still
+        # resolved.  Scheme mode reads no worker count, so it runs.
+        bad = {"RDGAP_THREADS": "abc"}
+        for args in (["simulate", "--mode", "filter", "--T", "1", "--n", "4", "--trials", "8"],
+                     ["gap-sweep", "--dstar-grid", "0.1:0.1:1", "--kmax", "1"]):
+            proc = run_cli(*args, env_extra=bad)
+            assert proc.returncode == 2, args
+            assert "RDGAP_THREADS must be an integer, got 'abc'" in proc.stderr
+        proc = run_cli("simulate", "--mode", "scheme", "--n", "4", "--trials", "8", env_extra=bad)
+        assert proc.returncode == 0, proc.stderr
 
     def test_invalid_run_config_exits_two(self):
         proc = run_cli("simulate", "--mode", "scheme", "--rate", "0", "--n", "8")

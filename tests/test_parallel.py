@@ -1,6 +1,5 @@
 import multiprocessing
 import os
-import pickle
 
 import pytest
 
@@ -40,22 +39,12 @@ def test_spawn_pool_matches_serial_bit_for_bit(monkeypatch, case):
         assert pooled.per_trial.tobytes() == serial.per_trial.tobytes()
 
 
-class _Unpicklable:
-    def __init__(self, value):
-        self.value = value
-
-    def __reduce__(self):
-        raise pickle.PicklingError("work item was pickled")
-
-
-def _double(item):
-    return 2 * item.value
+def _module_globals(_item):
+    return {name: repr(value) for name, value in vars(_parallel).items() if name != "__builtins__"}
 
 
 @pytest.mark.skipif(os.name != "posix", reason="ordered_map forks only on POSIX")
-def test_fork_pool_does_not_pickle_items():
-    # Under fork the items reach the workers at pool start, not once per task:
-    # large shared state (a scheme codebook) is then never copied into tasks.
-    items = [_Unpicklable(i) for i in range(5)]
-    assert _parallel.ordered_map(_double, items, 2) == [0, 2, 4, 6, 8]
-
+def test_pool_workers_bind_no_module_state():
+    # A forked worker starts with the parent's globals; mapping must add none.
+    parent = _module_globals(None)
+    assert _parallel.ordered_map(_module_globals, range(4), 2) == [parent] * 4

@@ -288,6 +288,7 @@ class TestCodewordSuccess:
         rep = simulator.estimate_codeword_success(_cfg(n=6, rate_bits=0.0, trials=32, w_batches=4))
         assert rep.p_hat == 1.0
         assert rep.exponent == 0.0
+        assert math.copysign(1.0, rep.exponent) == 1.0  # 0.0, not -0.0
         assert not rep.exponent_is_lower_bound
         assert rep.trials == 32 * 4
 

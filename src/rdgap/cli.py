@@ -6,6 +6,7 @@ comment line plus a sibling `<out>.manifest.json` recording the resolved
 parameters, tool version, and output digests.  Reruns with equal parameters
 are byte-identical.  `RDGAP_THREADS` caps parallelism (default: machine
 parallelism).  Exit codes: 0 success, 1 numeric failure, 2 usage error.
+gap-sweep and simulate import their layers, and so numpy, inside the command.
 
 Every subcommand accepts `--config run.json`: a JSON object whose keys are
 the long option names (dashes or underscores), `--mode` included.  Its values
@@ -24,7 +25,7 @@ from pathlib import Path
 
 import click
 
-from . import __version__, gapopt, rdrc, simulator, spectra, waterfill
+from . import __version__, rdrc, spectra, waterfill
 from ._manifest import (
     build_manifest,
     canonical_json,
@@ -233,6 +234,7 @@ def cmd_rdrc(spectrum: str, rate_grid: str, compare: bool, svg: str | None,
 def cmd_gap_sweep(dstar_grid: str, kmax: int, seed: int, svg: str | None,
                   out: str | None) -> None:
     """Maximize the rate gap over spectra on a distortion grid."""
+    from . import gapopt
     grid = _parse_grid(dstar_grid, gapopt.check_grid_point)
     try:
         result = gapopt.sweep(grid, kmax)
@@ -304,6 +306,7 @@ def cmd_simulate(mode: str, n: int, rate: float, spectrum: str, trials: int, see
                  tau_threshold: float | None, rotation: str, eta: float, w_batches: int,
                  codebook_cap: int, out: str | None) -> None:
     """Monte-Carlo runs: scheme, success probability, or exact-expectation checks."""
+    from . import simulator
     s = _parse_spectrum_opt(spectrum)
     coded = mode in ("scheme", "success")
     try:

@@ -3,14 +3,14 @@
 Distortion at parameter T is sum_j w_j * v_j / (1 + v_j T); rate in bits is
 (1/2) sum_j w_j * log2(1 + v_j T).  Also houses the per-realization
 distortion D(V, T), the codebook scaling tau, and its rounding quantizer.
+The functions on arrays import numpy inside the function, so the scalar
+curves load without it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import SolverError
 from .spectra import Spectrum, expand_to_n
@@ -157,6 +157,7 @@ def _reading(s: Spectrum, x) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and mass per entry of a realization vector x: the levels
     and their weights when len(x) == s.k, otherwise the n = len(x)
     eigenvalues of expand_to_n, each of mass 1/n."""
+    import numpy as np
     if len(x) == s.k:
         return np.asarray(s.values), np.asarray(s.weights)
     lams, dropped = expand_to_n(s, len(x))
@@ -171,6 +172,7 @@ def d_rc_per_w(s: Spectrum, w_tilde_sq, T: float) -> float:
     (entries are mean squared coordinates, m the weights) when len(x) == s.k,
     else per coordinate (m = 1/n).  Reduces to d_rc when all entries are 1.
     """
+    import numpy as np
     _check_T(T)
     x = np.asarray([float(u) for u in w_tilde_sq], dtype=float)
     if not np.all(np.isfinite(x)):
@@ -187,6 +189,7 @@ def _scaling(T: float, alam2, den: float, w, threshold, delta):
     ||w||_inf exceeds the threshold, then rounded by the quantizer of
     quantize_tau when delta is given.  Raises SolverError if tau leaves
     [0, ||w||_inf], which the rule never does beyond rounding."""
+    import numpy as np
     norms = np.abs(w).max(axis=-1)
     tau = np.sqrt(T * ((w * w) @ alam2) / den)
     if threshold is not None:
@@ -211,6 +214,7 @@ def tau(s: Spectrum, w_tilde, rate: float, threshold: float | None = None) -> fl
     a threshold, tau is 0 whenever ||w~||_inf exceeds it.  Always satisfies
     0 <= tau <= ||w~||_inf.
     """
+    import numpy as np
     if not rate > 0.0:
         raise ValueError("rate must be positive")
     if threshold is not None and not threshold >= 0.0:
@@ -247,6 +251,7 @@ def dd_rc_eigen_sensitivity(s: Spectrum, rate: float, level_index: int) -> float
     in T times the shift -w_j T / (u_j num) of T that keeps the rate.  The
     value vector need not have unit mean; the figure lies in [0, 2].
     """
+    import numpy as np
     if not rate > 0.0:
         raise ValueError("rate must be positive")
     j = int(level_index)

@@ -141,8 +141,10 @@ class SimConfig:
             raise ValueError("seed must be a 64-bit unsigned integer")
         if self.rotation not in ("identity", "haar"):
             raise ValueError("rotation must be 'identity' or 'haar'")
-        if self.tau_delta is not None and not self.tau_delta > 0.0:
-            raise ValueError("tau_delta must be positive when given")
+        # The quantizer rounds tau / (delta ||w||_inf), which is at most (1 + 1e-12) / delta.
+        if self.tau_delta is not None and not (
+                0.0 < self.tau_delta < math.inf and (1.0 + 1e-12) / self.tau_delta < math.inf):
+            raise ValueError("tau_delta must be positive and finite, with finite 1/tau_delta")
         if self.tau_threshold is not None and not self.tau_threshold >= 0.0:
             raise ValueError("tau_threshold must be nonnegative when given")
         if self.codebook_cap < 1:

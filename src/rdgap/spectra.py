@@ -4,7 +4,8 @@ A Spectrum stores the distinct eigenvalue levels of a covariance matrix
 together with the fraction of dimensions at each level.  The mean eigenvalue
 is pinned to 1 (one unit of variance per dimension), which makes every
 downstream curve formula dimension-free: a single Spectrum describes the
-same source at any dimension n.
+same source at any dimension n.  Only sample_random and expand_to_n use
+numpy, which they import inside the function.
 """
 
 from __future__ import annotations
@@ -12,8 +13,6 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
 
 WEIGHT_SUM_TOL = 1e-12
 UNIT_MEAN_TOL = 1e-12
@@ -137,6 +136,7 @@ def sample_random(k: int, seed: int) -> Spectrum:
     Dirichlet(1).  Rejects near-degenerate draws so the result always passes
     the full invariant set.
     """
+    import numpy as np
     if not 1 <= int(k) <= 16:
         raise ValueError("k must lie in 1..16")
     k = int(k)
@@ -167,6 +167,7 @@ def expand_to_n(s: Spectrum, n: int) -> tuple[np.ndarray, list[int]]:
     zero dimensions).  The caller decides how to handle dropped levels; the
     returned eigenvalues are NOT rescaled here.
     """
+    import numpy as np
     if n < 1:
         raise ValueError("n must be positive")
     quotas = [w * n for w in s.weights]

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -78,6 +79,30 @@ class TestRuntimeDependencies:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "False\n"
+
+    def test_curve_subcommands_start_without_numpy(self, tmp_path):
+        # wf, rdrc and version run on the scalar solvers; only gap-sweep and
+        # simulate import numpy, inside their commands.
+        code = textwrap.dedent(f"""
+            import sys
+            import rdgap
+            print("import rdgap", "numpy" in sys.modules)
+            import rdgap.cli
+            print("import rdgap.cli", "numpy" in sys.modules)
+            d = {str(tmp_path)!r}
+            for args in (["wf", "--compare", "--svg", d + "/wf.svg", "--out", d + "/wf.csv"],
+                         ["rdrc", "--compare", "--svg", d + "/rdrc.svg", "--out", d + "/rdrc.csv"],
+                         ["version"]):
+                rdgap.cli.main(args, standalone_mode=False)
+                print(args[0], "numpy" in sys.modules)
+        """)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "import rdgap False", "import rdgap.cli False", "wf False", "rdrc False",
+            f"rdgap {__version__}", "version False",
+        ]
+        assert (tmp_path / "wf.svg").exists() and (tmp_path / "rdrc.csv").exists()
 
 
 class TestWf:
@@ -428,6 +453,17 @@ class TestSimulateCommand:
                        "--n", "4", "--trials", "8")
         assert proc.returncode == 2
         assert "T must be positive and finite" in proc.stderr
+
+    @pytest.mark.parametrize("args", [
+        ["--mode", "scheme", "--tau-delta", "inf"],
+        ["--mode", "success", "--eta", "0.05", "--w-batches", "2", "--tau-delta", "inf"],
+        ["--mode", "scheme", "--tau-delta", "1e-320"],
+    ], ids=["scheme-inf", "success-inf", "scheme-reciprocal-overflows"])
+    def test_tau_delta_without_finite_reciprocal_exits_two(self, args):
+        proc = run_cli("simulate", "--n", "8", "--trials", "16", *args)
+        assert proc.returncode == 2
+        assert "tau_delta must be positive and finite" in proc.stderr
+        assert proc.stdout == ""
 
     def test_coupling_row(self):
         proc = run_cli("simulate", "--mode", "coupling", "--t", "0.25", "--n", "16", "--trials", "64")

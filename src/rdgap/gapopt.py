@@ -587,7 +587,8 @@ def sweep(d_grid, k_max: int, threads: int | None = None) -> SweepResult:
     """Per-point worst-case gaps over a distortion grid.
 
     Grid points are independent; `ordered_map` resolves `threads` (None
-    reads RDGAP_THREADS), runs them in a process pool above 1 worker and
+    reads RDGAP_THREADS) to the number of processes that compute, the
+    caller and threads - 1 children, deals the points out in strides and
     reduces in grid order, so the result does not depend on scheduling.
     """
     grid = tuple(float(d) for d in d_grid)

@@ -10,7 +10,6 @@ curves load without it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import SolverError
 from .spectra import Spectrum, expand_to_n
@@ -18,15 +17,6 @@ from .spectra import Spectrum, expand_to_n
 REL_TOL = 1e-12
 MAX_ITER = 200
 T_BRACKET_CAP = 2.0**200  # T grows like 2^(2nR); beyond this the rate is absurd
-
-
-@dataclass(frozen=True)
-class RcPoint:
-    """A point on the random-coding curve."""
-
-    level_T: float
-    distortion: float
-    rate_bits: float
 
 
 def _d_rc(values, weights, T: float) -> float:
@@ -146,11 +136,6 @@ def dd_rc(s: Spectrum, rate: float) -> float:
     if rate == 0.0:
         return d_rc(s, 0.0)
     return d_rc(s, t_rc_for_rate(s, rate))
-
-
-def point_at_rate(s: Spectrum, rate: float) -> RcPoint:
-    T = t_rc_for_rate(s, rate)
-    return RcPoint(level_T=T, distortion=d_rc(s, T), rate_bits=r_rc(s, T))
 
 
 def _reading(s: Spectrum, x) -> tuple[np.ndarray, np.ndarray]:

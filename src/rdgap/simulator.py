@@ -23,12 +23,14 @@ Every mode runs through one unit runner, `_map_units`: each work item is
 precomputed arrays, so kernels read no module-level state.  A work unit is
 _CHUNK trials, or _SOURCE_BATCHES source batches for success runs, each
 batch still its own substream.  The success, coupling and filter modes
-spread their units over a process pool, since those units are bound by
-Python and the RNG; `_parallel.ordered_map` resolves the worker count and
-pickles each item to a worker, its small state dict with it.  Scheme units
-run in the calling process, since their codeword GEMM already runs on
-BLAS's threads: on a 2-CPU machine, 2 pool workers x 2 BLAS threads ran
-about 2x slower than serial.  Machines with more CPUs were not measured.
+spread their units over RDGAP_THREADS processes, since those units are
+bound by Python and the RNG: `_parallel.ordered_map` maps one strided share
+of the units in the calling process and the others in child processes,
+each of which gets its items, small state dicts included, by fork (or
+pickled, under spawn).  Scheme units run in the calling process, since
+their codeword GEMM already runs on BLAS's threads: on a 2-CPU machine, 2
+pool workers x 2 BLAS threads ran about 2x slower than serial.  Machines
+with more CPUs were not measured.
 """
 
 from __future__ import annotations

@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import pathlib
 
 import pytest
@@ -14,6 +15,17 @@ settings.register_profile(
 settings.load_profile("deterministic")
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail a test after which a child process is still running."""
+    yield
+    left = multiprocessing.active_children()
+    for child in left:
+        child.terminate()
+        child.join()
+    assert left == [], f"child processes left running: {left}"
 
 
 @pytest.fixture(scope="session")

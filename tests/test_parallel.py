@@ -1,5 +1,7 @@
 import multiprocessing
 import os
+import signal
+import time
 
 import pytest
 
@@ -48,3 +50,76 @@ def test_pool_workers_bind_no_module_state():
     # A forked worker starts with the parent's globals; mapping must add none.
     parent = _module_globals(None)
     assert _parallel.ordered_map(_module_globals, range(4), 2) == [parent] * 4
+
+
+def _square(x):
+    return x * x
+
+
+def _pid(_item):
+    return os.getpid()
+
+
+def _child_raises(item):
+    if item == 1:  # share 1 at threads=2 runs in the child
+        raise ValueError(f"bad item {item}")
+    return item
+
+
+def _caller_raises(item):
+    if item == 0:  # share 0 runs in the caller
+        raise KeyError("caller share")
+    time.sleep(30)  # outlasts the alarm unless the child is terminated
+    return item
+
+
+def _child_dies(item):
+    if item == 1:
+        os._exit(3)
+    return item
+
+
+@pytest.fixture
+def alarm():
+    """Fail a test that hangs instead of letting it block the suite."""
+
+    def hung(signum, frame):
+        raise TimeoutError("ordered_map did not return")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(20)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("count,threads", [(7, 3), (2, 5), (1, 2), (0, 2)])
+def test_uneven_shares_keep_item_order(count, threads):
+    assert _parallel.ordered_map(_square, range(count), threads) == [x * x for x in range(count)]
+
+
+@pytest.mark.skipif(os.name != "posix", reason="ordered_map forks only on POSIX")
+def test_share_zero_runs_in_the_caller():
+    pids = _parallel.ordered_map(_pid, range(4), 2)
+    assert pids[0] == pids[2] == os.getpid()
+    assert pids[1] == pids[3] != os.getpid()
+
+
+@pytest.mark.skipif(os.name != "posix", reason="ordered_map forks only on POSIX")
+def test_child_exception_reaches_the_caller(alarm):
+    with pytest.raises(ValueError, match="bad item 1"):
+        _parallel.ordered_map(_child_raises, range(4), 2)
+
+
+@pytest.mark.skipif(os.name != "posix", reason="ordered_map forks only on POSIX")
+def test_caller_failure_leaves_no_child(alarm):
+    with pytest.raises(KeyError, match="caller share"):
+        _parallel.ordered_map(_caller_raises, range(2), 2)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.skipif(os.name != "posix", reason="ordered_map forks only on POSIX")
+def test_child_exit_without_result_raises(alarm):
+    with pytest.raises(RuntimeError, match="exited with code 3"):
+        _parallel.ordered_map(_child_dies, range(2), 2)
+    assert multiprocessing.active_children() == []

@@ -186,11 +186,6 @@ class TestCompositions:
         assert r_rc_val == pytest.approx(RR_RC_TWO_LEVEL_AT_02, abs=1e-12)
         assert r_rc_val > waterfill.rr_wf(TWO_LEVEL, 0.2)
 
-    def test_rc_point_consistency(self):
-        p = rdrc.point_at_rate(TWO_LEVEL, 1.5)
-        assert abs(p.distortion - rdrc.d_rc(TWO_LEVEL, p.level_T)) < 1e-10
-        assert abs(p.rate_bits - 1.5) < 1e-10
-
 
 class TestDRcPerW:
     def test_all_ones_reduces_to_d_rc(self):

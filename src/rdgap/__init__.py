@@ -23,8 +23,7 @@ _SOURCE = {
                      " simulate_wf_coupling",
         "spectra": "Spectrum expand_to_n flat from_eigenvalues merge_close parse_spectrum"
                    " sample_random semi_flat",
-        "waterfill": "WfPoint d_wf dd_wf per_coord_distortions point_at_distortion r_wf rr_wf"
-                     " t_for_distortion",
+        "waterfill": "d_wf dd_wf per_coord_distortions r_wf rr_wf t_for_distortion",
     }.items()
     for name in (module, *names.split())
 }

@@ -55,7 +55,8 @@ def main() -> None:
 
 def _load_config(ctx: click.Context, _param, path: str | None) -> None:
     """Eager --config callback: the file's JSON object becomes the command's
-    default_map, so click converts, checks and ranks its values like flags."""
+    default_map, so click converts, checks and ranks its values like flags;
+    a JSON float for an integer option is rejected, not truncated."""
     if path is None:
         return
     try:
@@ -64,12 +65,15 @@ def _load_config(ctx: click.Context, _param, path: str | None) -> None:
         raise click.UsageError(f"cannot read config file {path!r}: {exc}")
     if not isinstance(raw, dict):
         raise click.UsageError("config file must hold a JSON object")
-    names = {p.name for p in ctx.command.params if p.expose_value}
+    params = {p.name: p for p in ctx.command.params if p.expose_value}
     ctx.default_map = {}
     for key, value in raw.items():
         name = key.replace("-", "_")
-        if name not in names:
+        if name not in params:
             raise click.UsageError(f"unknown config key {key!r}")
+        # click's INT would truncate a JSON float such as 8.9 to 8.
+        if isinstance(params[name].type, click.types.IntParamType) and isinstance(value, float):
+            raise click.BadParameter(f"{value!r} is not an integer", ctx, params[name])
         ctx.default_map[name] = value
 
 
@@ -179,11 +183,12 @@ def cmd_wf(spectrum: str, distortion_grid: str, compare: bool, svg: str | None,
     """Oracle waterfilling curve: CSV rows d_star,t,rate_bits."""
     s = _parse_spectrum_opt(spectrum)
     grid = _parse_grid(distortion_grid, _check_distortion)
-    points = [waterfill.point_at_distortion(s, d) for d in grid]
-    rows = [f"{d!r},{p.level_t!r},{p.rate_bits!r}" for d, p in zip(grid, points)]
+    ts = [waterfill.t_for_distortion(s, d) for d in grid]
+    rates = [waterfill.r_wf(s, t) for t in ts]
+    rows = [f"{d!r},{t!r},{r!r}" for d, t, r in zip(grid, ts, rates)]
     svg_text = None
     if svg:
-        series = [("rate_wf", grid, [p.rate_bits for p in points])]
+        series = [("rate_wf", grid, rates)]
         if compare:
             series.append(("rate_rc", grid, [rdrc.rr_rc(s, d) for d in grid]))
         svg_text = line_plot(series, "rate vs distortion", "distortion", "rate (bits)")

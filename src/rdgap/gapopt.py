@@ -12,7 +12,8 @@ each end point is re-scored by _gap_core, the one gap that the 1e-15 rules
 below compare.  The gap is flat at its maximum, so each ascent stops at the
 1e-7 that float64 resolves, and the best point is finished by Newton on
 the KKT conditions over sum w = 1, sum w v = 1 in (log v, w) with the exact
-gap Hessian, merging levels that coalesce or lose their weight (_collapse);
+gap Hessian, merging levels that coalesce or lose their weight
+(spectra._collapse, merge_close's rule, at _COALESCE_REL and _WEIGHT_FLOOR);
 that solve, the stationarity residual and phi share one multiplier fit
 (_kkt).  Then vertex-direction steps (Wynn, Ann. Math. Statist. 41, 1970;
 Lindsay, Ann. Statist. 11, 1983): while the exact maximum of phi, the gap's
@@ -33,7 +34,7 @@ import numpy as np
 from . import rdrc, waterfill
 from ._parallel import ordered_map
 from .errors import KinkError, SolverError
-from .spectra import Spectrum, _normalized
+from .spectra import Spectrum, _collapse, _integer, _normalized
 
 _LN2 = math.log(2.0)
 
@@ -323,23 +324,6 @@ def _newton(values, weights, d_star: float):
     return list(values), list(weights)
 
 
-def _collapse(values, weights, floor: float = _WEIGHT_FLOOR, rel: float = _COALESCE_REL):
-    """Drop levels of weight at most floor and merge levels within rel of
-    each other; returns decreasing, unit-mean lists.  With floor = rel = 0
-    only weightless levels go and only equal levels merge, which keeps the
-    gap."""
-    merged: list[list[float]] = []
-    for v, w in sorted(zip(values, weights), key=lambda p: -p[0]):
-        if w <= floor:
-            continue
-        if merged and merged[-1][0] - v <= rel * merged[-1][0]:
-            pv, pw = merged[-1]
-            merged[-1] = [(pv * pw + v * w) / (pw + w), pw + w]
-        else:
-            merged.append([v, w])
-    return _normalized([p[0] for p in merged], [p[1] for p in merged])
-
-
 def _stationary_point(values, weights, d_star: float):
     """Solve the stationarity conditions from a searched point.
 
@@ -348,14 +332,14 @@ def _stationary_point(values, weights, d_star: float):
     Returns (values, weights), or None on the waterfilling kink, a failed
     T solve or a singular Newton system.
     """
-    v, w = _collapse(values, weights)
+    v, w = _collapse(values, weights, _WEIGHT_FLOOR, _COALESCE_REL)
     while True:
         try:
             pairs = sorted(zip(*_newton(v, w, d_star)), key=lambda p: -p[0])
             sv, sw = [p[0] for p in pairs], [p[1] for p in pairs]
         except (KinkError, SolverError, np.linalg.LinAlgError):
             return None
-        v, w = _collapse(sv, sw)
+        v, w = _collapse(sv, sw, _WEIGHT_FLOOR, _COALESCE_REL)
         if len(v) == len(sv):
             return sv, sw
 
@@ -568,9 +552,10 @@ def maximize_gap(d_star: float, k_max: int) -> GapRecord:
     searched one; such d* are rejected."""
     if not 1e-8 <= d_star < 1.0:
         raise ValueError("d_star must lie in [1e-8, 1)")
-    if not 1 <= int(k_max) <= 5:
+    k_max = _integer(k_max, "k_max")
+    if not 1 <= k_max <= 5:
         raise ValueError("k_max must lie in 1..5")
-    return _point_search(d_star, int(k_max))[0]
+    return _point_search(d_star, k_max)[0]
 
 
 def _sweep_worker(args):
@@ -596,9 +581,10 @@ def sweep(d_grid, k_max: int, threads: int | None = None) -> SweepResult:
         raise ValueError("empty distortion grid")
     for d in grid:
         check_grid_point(d)
-    if not 1 <= int(k_max) <= 5:
+    k_max = _integer(k_max, "k_max")
+    if not 1 <= k_max <= 5:
         raise ValueError("k_max must lie in 1..5")
-    args = [(d, int(k_max)) for d in grid]
+    args = [(d, k_max) for d in grid]
     results = ordered_map(_sweep_worker, args, threads)
     records, diags = zip(*results)
     best = max(records, key=lambda r: r.gap_bits)

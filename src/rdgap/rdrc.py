@@ -2,7 +2,8 @@
 
 Distortion at parameter T is sum_j w_j * v_j / (1 + v_j T); rate in bits is
 (1/2) sum_j w_j * log2(1 + v_j T).  Also houses the per-realization
-distortion D(V, T), the codebook scaling tau, and its rounding quantizer.
+distortion D(V, T) and the codebook scaling tau, both per coordinate in
+the scheme's own expressions, and tau's rounding quantizer.
 The functions on arrays import numpy inside the function, so the scalar
 curves load without it.
 """
@@ -138,24 +139,30 @@ def dd_rc(s: Spectrum, rate: float) -> float:
     return d_rc(s, t_rc_for_rate(s, rate))
 
 
-def _reading(s: Spectrum, x) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and mass per entry of a realization vector x: the levels
-    and their weights when len(x) == s.k, otherwise the n = len(x)
-    eigenvalues of expand_to_n, each of mass 1/n."""
-    import numpy as np
-    if len(x) == s.k:
-        return np.asarray(s.values), np.asarray(s.weights)
-    lams, dropped = expand_to_n(s, len(x))
+def _eigenvalues(s: Spectrum, n: int):
+    """The n eigenvalues of expand_to_n, one per coordinate; raises if a
+    level is left without a coordinate."""
+    lam, dropped = expand_to_n(s, n)
     if dropped:
-        raise ValueError(f"levels {dropped} receive zero dimensions at n={len(x)}; use a larger n")
-    return lams, np.full(len(x), 1.0 / len(x))
+        raise ValueError(f"levels {dropped} receive zero dimensions at n={n}; use a larger n")
+    return lam
+
+
+def _scaling_terms(lam, rate: float):
+    """T at the rate on the eigenvalues lam, each of mass 1 / len(lam) (0 at
+    rate 0), and the scaling rule's alam2 = lam^2 / (1 + lam T)^2 and
+    den = sum lam / (1 + lam T)."""
+    import numpy as np
+    n = len(lam)
+    T = _t_for_rate(lam.tolist(), [1.0 / n] * n, rate) if rate > 0.0 else 0.0
+    return T, lam**2 / (1.0 + lam * T) ** 2, float(np.sum(lam / (1.0 + lam * T)))
 
 
 def d_rc_per_w(s: Spectrum, w_tilde_sq, T: float) -> float:
-    """Per-realization distortion D(V, T) = sum_j m_j x_j lam_j / (1 + lam_j T)
-    for squared eigenbasis coordinates x, read by _reading: per level
-    (entries are mean squared coordinates, m the weights) when len(x) == s.k,
-    else per coordinate (m = 1/n).  Reduces to d_rc when all entries are 1.
+    """Per-realization distortion D(V, T) = (1/n) sum_i x_i lam_i / (1 + lam_i T)
+    for the n = len(x) squared eigenbasis coordinates x of one realization,
+    lam the n eigenvalues of expand_to_n: the success kernel's target.
+    Reduces to d_rc on those eigenvalues when all entries are 1.
     """
     import numpy as np
     _check_T(T)
@@ -164,8 +171,8 @@ def d_rc_per_w(s: Spectrum, w_tilde_sq, T: float) -> float:
         raise ValueError("squared coordinates must be finite")
     if np.any(x < 0.0):
         raise ValueError("squared coordinates must be nonnegative")
-    lam, m = _reading(s, x)
-    return float((m * x) @ (lam / (1.0 + lam * T)))
+    lam = _eigenvalues(s, len(x))
+    return float(x @ (lam / (1.0 + lam * T))) / len(x)
 
 
 def _scaling(T: float, alam2, den: float, w, threshold, delta):
@@ -190,14 +197,13 @@ def _scaling(T: float, alam2, den: float, w, threshold, delta):
 
 
 def tau(s: Spectrum, w_tilde, rate: float, threshold: float | None = None) -> float:
-    """Codebook scaling tau for a source realization in the eigenbasis.
+    """Codebook scaling tau for the n = len(w~) eigenbasis coordinates of one
+    source realization, as the simulated scheme computes it.
 
-    tau = sqrt(T * sum m_j w~_j^2 lam_j^2/(1+lam_j T)^2 / sum m_j lam_j/(1+lam_j T))
-    with (lam, m) from _reading: per level (entries are root-mean-square
-    coordinates at that level) when len(w~) == s.k, else per coordinate; T is
-    solved from the rate on that (lam, m), as in the simulated scheme.  With
-    a threshold, tau is 0 whenever ||w~||_inf exceeds it.  Always satisfies
-    0 <= tau <= ||w~||_inf.
+    tau = sqrt(T * sum_i w~_i^2 lam_i^2/(1+lam_i T)^2 / sum_i lam_i/(1+lam_i T))
+    with lam the n eigenvalues of expand_to_n and T solved from the rate on
+    them (_scaling_terms).  With a threshold, tau is 0 whenever ||w~||_inf
+    exceeds it.  Always satisfies 0 <= tau <= ||w~||_inf.
     """
     import numpy as np
     if not rate > 0.0:
@@ -205,10 +211,8 @@ def tau(s: Spectrum, w_tilde, rate: float, threshold: float | None = None) -> fl
     if threshold is not None and not threshold >= 0.0:
         raise ValueError("threshold must be nonnegative")
     w = np.asarray([float(u) for u in w_tilde], dtype=float)
-    lam, m = _reading(s, w)
-    T = _t_for_rate(lam.tolist(), m.tolist(), rate)
-    u = 1.0 + lam * T
-    return float(_scaling(T, m * lam**2 / u**2, float(m @ (lam / u)), w, threshold, None))
+    T, alam2, den = _scaling_terms(_eigenvalues(s, len(w)), rate)
+    return float(_scaling(T, alam2, den, w, threshold, None))
 
 
 def quantize_tau(tau_val: float, w_inf_norm: float, delta: float) -> float:

@@ -42,7 +42,7 @@ import numpy as np
 
 from . import rdrc, waterfill
 from ._parallel import ordered_map
-from .spectra import Spectrum, expand_to_n
+from .spectra import Spectrum, _integer, expand_to_n
 
 STREAM_CODEBOOK = 1
 STREAM_ROTATION = 2
@@ -102,7 +102,7 @@ def _unit_rngs(seed: int, stream: int, start: int, count: int):
     whose draws equal Generator(Philox(SeedSequence(entropy=seed,
     spawn_key=(stream, unit)))).  It is one Philox re-keyed per unit, so each
     unit's draws must be taken before the next unit is requested."""
-    seed, start = int(seed), int(start)
+    seed, start = _integer(seed, "seed"), _integer(start, "start")
     if not 0 <= seed < 2**64:
         raise ValueError("seed must be a 64-bit unsigned integer")
     if start < 0 or start + count > 2**32:
@@ -133,13 +133,15 @@ class SimConfig:
     w_batches: int = 64
 
     def __post_init__(self) -> None:
+        for name in ("n", "trials", "seed", "codebook_cap", "w_batches"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.n < 1:
             raise ValueError("n must be positive")
         if not self.rate_bits >= 0.0:
             raise ValueError("rate_bits must be nonnegative")
         if self.trials < 1:
             raise ValueError("trials must be positive")
-        if not 0 <= int(self.seed) < 2**64:
+        if not 0 <= self.seed < 2**64:
             raise ValueError("seed must be a 64-bit unsigned integer")
         if self.rotation not in ("identity", "haar"):
             raise ValueError("rotation must be 'identity' or 'haar'")
@@ -186,6 +188,7 @@ class SimReport:
 
 def haar_orthogonal(n: int, seed: int) -> np.ndarray:
     """Haar-distributed orthogonal matrix (QR with positive diagonal of R)."""
+    n = _integer(n, "n")
     if n < 1:
         raise ValueError("n must be positive")
     g = next(_unit_rngs(seed, STREAM_ROTATION, 0, 1)).standard_normal((n, n))
@@ -264,6 +267,7 @@ def _map_units(kernel, state: dict, total: int, size: int, threads: int | None) 
 def _run_trials(mode, kernel, state, trials, threads, analytic, warnings):
     """Run a per-trial kernel in fixed _CHUNK-trial units; report mean, SE and
     the per-trial values."""
+    trials = _integer(trials, "trials")
     if trials < 1:
         raise ValueError("trials must be positive")
     per_trial = np.concatenate(_map_units(kernel, state, trials, _CHUNK, threads))
@@ -282,22 +286,18 @@ def _run_trials(mode, kernel, state, trials, threads, analytic, warnings):
 def _scaling_state(config: SimConfig) -> tuple[dict, tuple[str, ...]]:
     """State the scheme and success kernels share: eigenvalues, rotation,
     the noise level T at the configured rate (0 at rate 0) and the terms
-    alam2 and den of the scaling rule (rdrc._scaling)."""
+    alam2 and den of the scaling rule (rdrc._scaling_terms)."""
     lam, warnings = _realized_lambdas(config.spectrum, config.n)
     u = None if config.rotation == "identity" else haar_orthogonal(config.n, config.seed)
-    T = (
-        rdrc._t_for_rate(lam.tolist(), [1.0 / config.n] * config.n, config.rate_bits)
-        if config.rate_bits > 0.0
-        else 0.0
-    )
+    T, alam2, den = rdrc._scaling_terms(lam, config.rate_bits)
     state = {
         "n": config.n,
         "seed": config.seed,
         "lam": lam,
         "u": u,
         "T": T,
-        "alam2": lam**2 / (1.0 + lam * T) ** 2,
-        "den": float(np.sum(lam / (1.0 + lam * T))),
+        "alam2": alam2,
+        "den": den,
         "threshold": config.tau_threshold,
         "delta": config.tau_delta,
     }

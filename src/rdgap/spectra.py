@@ -4,13 +4,15 @@ A Spectrum stores the distinct eigenvalue levels of a covariance matrix
 together with the fraction of dimensions at each level.  The mean eigenvalue
 is pinned to 1 (one unit of variance per dimension), which makes every
 downstream curve formula dimension-free: a single Spectrum describes the
-same source at any dimension n.  Only sample_random and expand_to_n use
-numpy, which they import inside the function.
+same source at any dimension n.  Close levels merge by one rule,
+_collapse, which merge_close and the gap search share.  Only sample_random
+and expand_to_n use numpy, which they import inside the function.
 """
 
 from __future__ import annotations
 
 import csv
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -19,6 +21,15 @@ UNIT_MEAN_TOL = 1e-12
 
 # Substream id used by sample_random; see README "Randomness" for the full map.
 _STREAM_SPECTRA = 0
+
+
+def _integer(value, name: str) -> int:
+    """value as an int, by operator.index, so numpy integers pass and floats
+    do not; anything else raises ValueError naming the argument."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -96,37 +107,35 @@ def semi_flat(active_fraction: float) -> Spectrum:
 
 
 def merge_close(s: Spectrum, tol: float) -> Spectrum:
-    """Merge levels within tol of each other into their weight-averaged value.
+    """Merge levels within relative tol of each other into their
+    weight-averaged value, by the rule the gap search uses (_collapse).
 
-    Adjacent-value chains closer than tol merge transitively.  The result is
+    From the top level down, a level joins the group above it when it lies
+    within tol times that group's weight-averaged value.  The result is
     re-normalized to unit mean.  tol = 0 returns s unchanged.
     """
     if tol < 0.0:
         raise ValueError("tol must be nonnegative")
     if tol == 0.0 or s.k == 1:
         return s
-    return Spectrum(*_normalized(*_merge_values(s.values, s.weights, tol)))
+    return Spectrum(*_collapse(s.values, s.weights, 0.0, tol))
 
 
-def _merge_values(values, weights, tol):
-    """Single-linkage merge of a decreasing value list; no normalization."""
-    out_v: list[float] = []
-    out_w: list[float] = []
-    cur_v = values[0]
-    cur_w = weights[0]
-    cur_sum = values[0] * weights[0]
-    for v, w in zip(values[1:], weights[1:]):
-        if cur_v - v <= tol:
-            cur_w += w
-            cur_sum += v * w
-            cur_v = v  # chain on the running lower edge
+def _collapse(values, weights, floor: float, rel: float):
+    """Drop levels of weight at most floor and merge levels within rel of
+    each other; returns decreasing, unit-mean lists.  With floor = rel = 0
+    only weightless levels go and only equal levels merge, which keeps the
+    gap."""
+    merged: list[list[float]] = []
+    for v, w in sorted(zip(values, weights), key=lambda p: -p[0]):
+        if w <= floor:
+            continue
+        if merged and merged[-1][0] - v <= rel * merged[-1][0]:
+            pv, pw = merged[-1]
+            merged[-1] = [(pv * pw + v * w) / (pw + w), pw + w]
         else:
-            out_v.append(cur_sum / cur_w)
-            out_w.append(cur_w)
-            cur_v, cur_w, cur_sum = v, w, v * w
-    out_v.append(cur_sum / cur_w)
-    out_w.append(cur_w)
-    return out_v, out_w
+            merged.append([v, w])
+    return _normalized([p[0] for p in merged], [p[1] for p in merged])
 
 
 def sample_random(k: int, seed: int) -> Spectrum:
@@ -137,13 +146,13 @@ def sample_random(k: int, seed: int) -> Spectrum:
     the full invariant set.
     """
     import numpy as np
-    if not 1 <= int(k) <= 16:
+    k, seed = _integer(k, "k"), _integer(seed, "seed")
+    if not 1 <= k <= 16:
         raise ValueError("k must lie in 1..16")
-    k = int(k)
     if k == 1:
         return flat()
     rng = np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(entropy=int(seed), spawn_key=(_STREAM_SPECTRA,)))
+        np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(_STREAM_SPECTRA,)))
     )
     for _ in range(64):
         values = np.exp(rng.uniform(-3.0, 3.0, size=k))
@@ -168,6 +177,7 @@ def expand_to_n(s: Spectrum, n: int) -> tuple[np.ndarray, list[int]]:
     returned eigenvalues are NOT rescaled here.
     """
     import numpy as np
+    n = _integer(n, "n")
     if n < 1:
         raise ValueError("n must be positive")
     quotas = [w * n for w in s.weights]
@@ -210,15 +220,23 @@ def parse_spectrum(text: str) -> Spectrum:
 
 
 def _read_spectrum_csv(path: Path) -> list[tuple[float, float]]:
+    """The value,weight rows of a CSV file.  Rows starting with '#' are
+    comments; the first other row may be a header, if it holds no digit.
+    Any other row that is not two floats raises ValueError."""
     pairs = []
+    rows = 0
     with open(path, newline="") as fh:
-        for row in csv.reader(fh):
+        for line, row in enumerate(csv.reader(fh), 1):
             if not row or row[0].strip().startswith("#"):
                 continue
+            rows += 1
             try:
-                pairs.append((float(row[0]), float(row[1])))
+                v, w = map(float, row)
             except ValueError:
-                continue  # header row
+                if rows == 1 and not any(c.isdigit() for c in "".join(row)):
+                    continue  # header row
+                raise ValueError(f"row {line} is not value,weight: {','.join(row)!r}") from None
+            pairs.append((v, w))
     if not pairs:
         raise ValueError(f"no value,weight rows in {path}")
     return pairs

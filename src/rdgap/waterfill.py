@@ -13,19 +13,9 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 from .errors import SolverError
 from .spectra import Spectrum
-
-
-@dataclass(frozen=True)
-class WfPoint:
-    """A point on the waterfilling curve."""
-
-    level_t: float
-    distortion: float
-    rate_bits: float
 
 
 def _d_wf(values, weights, t: float) -> float:
@@ -135,8 +125,3 @@ def per_coord_distortions(s: Spectrum, t: float) -> list[float]:
     _check_t(t)
     return [min(t / v, 1.0) if v > 0.0 else 1.0 for v in s.values]
 
-
-def point_at_distortion(s: Spectrum, d_star: float) -> WfPoint:
-    """The full waterfilling curve point for a target distortion."""
-    t = t_for_distortion(s, d_star)
-    return WfPoint(level_t=t, distortion=_d_wf(s.values, s.weights, t), rate_bits=_r_wf(s.values, s.weights, t))

@@ -176,6 +176,29 @@ class TestWf:
         assert via_file.returncode == 0
         assert via_file.stdout == direct.stdout
 
+    @pytest.mark.parametrize("text", [
+        "1.8,0.5\n0.2,O.5\n",  # letter O: only a first row may be a header
+        "1.8,0.5\n1.5\n",  # one column
+    ], ids=["letter", "one-column"])
+    def test_malformed_spectrum_row_exits_two(self, tmp_path, text):
+        f = tmp_path / "s.csv"
+        f.write_text(text)
+        proc = run_cli("wf", "--spectrum", f"@{f}", "--distortion-grid", "0.2:0.2:1")
+        assert proc.returncode == 2
+        assert "bad spectrum" in proc.stderr and "row 2" in proc.stderr
+        assert proc.stdout == ""
+
+    def test_stdout_bytes(self):
+        # The whole stdout, every digit included, on a two-level spectrum.
+        proc = run_cli("wf", "--spectrum", TWO_LEVEL_LITERAL, "--distortion-grid", "0.1:0.5:0.2")
+        assert proc.returncode == 0
+        assert proc.stdout == (
+            "d_star,t,rate_bits\n"
+            "0.1,0.1,1.292481250360578\n"
+            "0.3,0.39999999999999997,0.5424812503605781\n"
+            "0.5,0.8,0.2924812503605781\n"
+        )
+
     def test_svg_written_and_well_formed(self, tmp_path):
         svg = tmp_path / "plot.svg"
         proc = run_cli("wf", "--compare", "--svg", str(svg))
@@ -207,6 +230,18 @@ class TestRdrc:
 
     def test_nonpositive_rate_rejected(self):
         assert run_cli("rdrc", "--rate-grid", "0:1:0.5").returncode == 2
+
+    def test_stdout_bytes(self):
+        # The whole stdout, every digit included, on a three-level spectrum.
+        proc = run_cli("rdrc", "--spectrum", "3:0.2,1:0.5,0.1:0.3", "--rate-grid", "0.5:2:0.5")
+        assert proc.returncode == 0
+        assert proc.stdout == (
+            "rate_bits,T,d_rc\n"
+            "0.5,1.240620722395306,0.35850134377101117\n"
+            "1.0,4.305825420919064,0.15391823988316955\n"
+            "1.5,11.099787796341843,0.07170375282364938\n"
+            "2.0,25.28506448344706,0.03492236683690653\n"
+        )
 
 
 class TestManifest:
@@ -319,6 +354,18 @@ class TestConfigFile:
         proc = run_cli(*command, "--config", str(cfg))
         assert proc.returncode == 2
         assert f"Invalid value for '--{key}'" in proc.stderr
+
+    @pytest.mark.parametrize("command,config,key", [
+        (["simulate", "--mode", "filter", "--T", "1"], {"seed": 1.5, "n": 8.9}, "seed"),
+        (["gap-sweep", "--dstar-grid", "0.3:0.3:1"], {"kmax": 2.7}, "kmax"),
+    ], ids=["simulate", "gap-sweep"])
+    def test_float_for_integer_option_is_a_usage_error(self, tmp_path, command, config, key):
+        # click's INT would truncate 1.5 to 1 and 2.7 to 2.
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(config))
+        proc = run_cli(*command, "--config", str(cfg))
+        assert proc.returncode == 2
+        assert f"Invalid value for '--{key}'" in proc.stderr and proc.stdout == ""
 
     def test_config_float_string_matches_the_flag(self, tmp_path):
         # --mode, although required, may come from the config too.

@@ -549,7 +549,8 @@ class TestStationarity:
         # report the searched spectrum, not one that lost that gap.
         v, w = gapopt._normalized([30.0, 1.2, 0.3], [5e-7, 0.6, 0.4 - 5e-7])
         searched = gapopt._gap_core(v, w, 0.3)
-        assert gapopt._gap_core(*gapopt._collapse(v, w), 0.3) < searched - 1e-9
+        collapsed = gapopt._collapse(v, w, gapopt._WEIGHT_FLOOR, gapopt._COALESCE_REL)
+        assert gapopt._gap_core(*collapsed, 0.3) < searched - 1e-9
         monkeypatch.setattr(gapopt, "_search_k", lambda d, n: (searched, v, w, 1))
         monkeypatch.setattr(gapopt, "_stationary_point", lambda *args: None)
         res = gapopt.sweep([0.3], 3, threads=1)
@@ -755,7 +756,8 @@ class TestMaximizeGap:
         assert rec.spectrum.k == 2
         assert rec.gap_bits > 0.05
         v, w = (list(x) for x in (rec.spectrum.values, rec.spectrum.weights))
-        cv, cw = gapopt._collapse([3e9] + v, [1e-29] + w)
+        cv, cw = gapopt._collapse([3e9] + v, [1e-29] + w, gapopt._WEIGHT_FLOOR,
+                                  gapopt._COALESCE_REL)
         assert len(cv) == 2
         assert all(abs(a - b) < 1e-12 for a, b in zip(cv + cw, v + w))
 
@@ -763,6 +765,15 @@ class TestMaximizeGap:
     def test_domain(self, d, k):
         with pytest.raises(ValueError):
             gapopt.maximize_gap(d, k)
+
+    @pytest.mark.parametrize("search", [
+        pytest.param(lambda k: gapopt.maximize_gap(0.3, k), id="maximize_gap"),
+        pytest.param(lambda k: gapopt.sweep([0.3], k, threads=1), id="sweep"),
+    ])
+    def test_float_k_max_rejected(self, search):
+        with pytest.raises(ValueError, match="k_max must be an integer"):
+            search(2.7)
+        assert search(np.int64(1)) is not None
 
     def test_record_is_reevaluated_through_public_solvers(self):
         rec = gapopt.maximize_gap(0.25, 2)

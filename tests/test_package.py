@@ -19,8 +19,7 @@ PUBLIC = {
                   "simulate_wf_coupling"],
     "spectra": ["Spectrum", "expand_to_n", "flat", "from_eigenvalues", "merge_close",
                 "parse_spectrum", "sample_random", "semi_flat"],
-    "waterfill": ["WfPoint", "d_wf", "dd_wf", "per_coord_distortions", "point_at_distortion",
-                  "r_wf", "rr_wf", "t_for_distortion"],
+    "waterfill": ["d_wf", "dd_wf", "per_coord_distortions", "r_wf", "rr_wf", "t_for_distortion"],
 }
 CASES = [(module, name) for module, names in PUBLIC.items() for name in (module, *names)]
 

@@ -18,6 +18,21 @@ T_RC_TWO_LEVEL_RATE2 = 23.9813212862051
 T_RC_TWO_LEVEL_D02 = 3.067109605220082
 RR_RC_TWO_LEVEL_AT_02 = 0.8487930335740901
 RR_WF_TWO_LEVEL_AT_02 = 0.792481250360578
+# Three coordinates of a three-level spectrum: at n = k a vector is still
+# read per coordinate, so at rate 1 tau is the scheme's 0.749981481252849.
+THREE_LEVEL = spectra.parse_spectrum("3:0.5,1:0.3,0.2:0.2")
+W_THREE = np.array([1.1, -0.4, 0.7])
+
+
+def _realized(k, seed, n):
+    """sample_random(k, seed) as n coordinates realize it: the levels that
+    expand_to_n gives a coordinate, weighted by their counts, at unit mean."""
+    return spectra.from_eigenvalues(spectra.expand_to_n(spectra.sample_random(k, seed), n)[0])
+
+
+def _scheme_state(s, n, rate=1.0):
+    return simulator._scaling_state(
+        simulator.SimConfig(n=n, rate_bits=rate, spectrum=s, trials=1, seed=0))[0]
 
 
 def _bisect_t_for_distortion(values, weights, d_star):
@@ -189,10 +204,18 @@ class TestCompositions:
 
 class TestDRcPerW:
     def test_all_ones_reduces_to_d_rc(self):
-        for s in (FLAT, TWO_LEVEL, spectra.sample_random(5, 8)):
-            assert rdrc.d_rc_per_w(s, [1.0] * s.k, 2.0) == pytest.approx(
-                rdrc._d_rc(s.values, s.weights, 2.0), abs=1e-15
+        # On the n realized eigenvalues; at n = 2 they are TWO_LEVEL's levels.
+        for s, n in ((FLAT, 1), (TWO_LEVEL, 2), (spectra.sample_random(5, 8), 200)):
+            lam, _ = spectra.expand_to_n(s, n)
+            assert rdrc.d_rc_per_w(s, [1.0] * n, 2.0) == pytest.approx(
+                rdrc._d_rc(lam.tolist(), [1.0 / n] * n, 2.0), abs=1e-15
             )
+
+    def test_n_equal_k_is_the_success_kernels_target(self):
+        state = _scheme_state(THREE_LEVEL, 3)
+        lam, T = state["lam"], state["T"]
+        assert rdrc.d_rc_per_w(THREE_LEVEL, W_THREE**2, T) == (
+            float((W_THREE * W_THREE) @ (lam / (1.0 + lam * T))) / 3)
 
     def test_zero_vector(self):
         assert rdrc.d_rc_per_w(TWO_LEVEL, [0.0, 0.0], 1.0) == 0.0
@@ -247,11 +270,11 @@ class TestTau:
             rdrc.tau(FLAT, [1.0], 0.0)
 
     @given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=100),
-           st.integers(min_value=0, max_value=10**6))
-    def test_bounded_by_sup_norm(self, k, seed, wseed):
-        s = spectra.sample_random(k, seed)
+           st.integers(min_value=0, max_value=10**6), st.integers(min_value=1, max_value=40))
+    def test_bounded_by_sup_norm(self, k, seed, wseed, n):
+        s = _realized(k, seed, n)
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(wseed)))
-        w = rng.standard_normal(s.k)
+        w = rng.standard_normal(n)
         val = rdrc.tau(s, np.abs(w), 0.8)
         assert 0.0 <= val <= float(np.max(np.abs(w))) * (1.0 + 1e-12) + 1e-300
 
@@ -259,39 +282,39 @@ class TestTau:
         # |tau(w) - tau(w')| <= ||w - w'||_inf over 1000 random pairs.
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(4242)))
         for i in range(1000):
-            k = int(rng.integers(1, 9))
-            s = spectra.sample_random(k, i)
+            k, n = int(rng.integers(1, 9)), int(rng.integers(1, 41))
+            s = _realized(k, i, n)
             rate = float(rng.uniform(0.05, 3.0))
-            w1 = np.abs(rng.standard_normal(k))
-            w2 = np.abs(rng.standard_normal(k))
+            w1 = np.abs(rng.standard_normal(n))
+            w2 = np.abs(rng.standard_normal(n))
             diff = abs(rdrc.tau(s, w1, rate) - rdrc.tau(s, w2, rate))
             assert diff <= float(np.max(np.abs(w1 - w2))) + 1e-12
-
-    def test_per_coordinate_path_matches_per_level_rms(self):
-        # Dyadic weights expand exactly at n=8; per-level entries are the
-        # RMS coordinates of each level block.
-        s = spectra.parse_spectrum("2:0.5,0.5:0.25,0:0.25")
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(5)))
-        w = rng.standard_normal(8)
-        lams, _ = spectra.expand_to_n(s, 8)
-        per_level = []
-        for v in s.values:
-            block = w[lams == v]
-            per_level.append(math.sqrt(float(np.mean(block**2))))
-        assert rdrc.tau(s, per_level, 1.2) == pytest.approx(
-            rdrc.tau(s, w, 1.2), rel=1e-12
-        )
 
     def test_per_coordinate_matches_the_simulated_scheme(self):
         # Per coordinate, T comes from the n realized eigenvalues, as in the
         # simulator, not from the spectrum's levels (which give 0.6472862742259768).
         s = spectra.parse_spectrum("3:0.3,1:0.7")
         w = np.array([0.3, -1.2, 0.5, 0.9])
-        st, _ = simulator._scaling_state(
-            simulator.SimConfig(n=4, rate_bits=1.0, spectrum=s, trials=1, seed=0))
+        st = _scheme_state(s, 4)
         scheme = float(rdrc._scaling(st["T"], st["alam2"], st["den"], w, None, None))
         assert scheme == pytest.approx(0.6539933716043672, rel=1e-14)
-        assert rdrc.tau(s, w, 1.0) == pytest.approx(scheme, rel=1e-14)
+        assert rdrc.tau(s, w, 1.0) == scheme
+        # Bit for bit on random realizations too, from the same expressions.
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(31)))
+        for i in range(40):
+            n, rate = int(rng.integers(8, 40)), float(rng.uniform(0.1, 2.0))
+            s = _realized(int(rng.integers(2, 6)), i, n)
+            w = rng.standard_normal(n)
+            st = _scheme_state(s, n, rate)
+            scheme = float(rdrc._scaling(st["T"], st["alam2"], st["den"], w, None, None))
+            assert rdrc.tau(s, w, rate) == scheme
+
+    def test_n_equal_k_is_the_schemes_scaling(self):
+        state = _scheme_state(THREE_LEVEL, 3)
+        scheme = float(
+            rdrc._scaling(state["T"], state["alam2"], state["den"], W_THREE, None, None))
+        assert scheme == 0.749981481252849
+        assert rdrc.tau(THREE_LEVEL, W_THREE, 1.0) == scheme
 
 
 class TestQuantizeTau:

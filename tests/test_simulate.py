@@ -120,6 +120,34 @@ class TestSimConfig:
         assert _cfg(tau_threshold=0.0).tau_threshold == 0.0
 
 
+class TestIntegerArguments:
+    """Counts and seeds are read by operator.index: a float raises ValueError
+    instead of being truncated, and a numpy integer passes."""
+
+    @pytest.mark.parametrize("call", [
+        pytest.param(lambda: next(simulator._unit_rngs(1.5, STREAM_TRIAL, 0, 1)), id="unit-seed"),
+        pytest.param(lambda: next(simulator._unit_rngs(0, STREAM_TRIAL, 0.5, 1)), id="unit-start"),
+        *(pytest.param(lambda name=name: _cfg(**{name: 8.5}), id=f"config-{name}")
+          for name in ("n", "trials", "seed", "codebook_cap", "w_batches")),
+        pytest.param(lambda: simulator.haar_orthogonal(4.5, 0), id="haar-n"),
+        pytest.param(lambda: simulator.simulate_mmse_filter(FLAT, 1.0, 4, 300.5, 0, 1),
+                     id="trials"),
+        pytest.param(lambda: simulator.simulate_mmse_filter(FLAT, 1.0, 4, 8, 1.5, 1), id="seed"),
+        pytest.param(lambda: simulator.simulate_mmse_filter(FLAT, 1.0, 4, 8, -0.5, 1),
+                     id="negative-seed"),
+        pytest.param(lambda: simulator.simulate_wf_coupling(FLAT, 0.5, 4.5, 8, 0, 1), id="n"),
+    ])
+    def test_float_rejected(self, call):
+        with pytest.raises(ValueError, match="must be an integer"):
+            call()
+
+    def test_numpy_integers_pass(self):
+        cfg = _cfg(n=np.int64(8), trials=np.int32(64), seed=np.uint64(3))
+        assert cfg == _cfg() and type(cfg.seed) is int
+        assert np.array_equal(simulator.haar_orthogonal(np.int64(3), np.uint64(5)),
+                              simulator.haar_orthogonal(3, 5))
+
+
 class TestBuildCodebook:
     def test_shape_and_determinism(self):
         cfg = _cfg(n=5, rate_bits=1.0)

@@ -126,6 +126,18 @@ class TestMergeClose:
         with pytest.raises(ValueError):
             spectra.merge_close(spectra.flat(), -1e-9)
 
+    def test_tol_is_relative_to_the_group_value(self):
+        # The gap search's rule: a level joins the group above it when within
+        # tol times the group's weight-averaged value.  At tol 0.03, 3.33 and
+        # 3.25 merge (2.5 % apart) and 0.0167 and 0.0083 (50 %) do not,
+        # though only the latter lie within an absolute 0.03.
+        s = spectra.parse_spectrum("4:0.2,3.9:0.1,0.02:0.35,0.01:0.35")
+        m = spectra.merge_close(s, 0.03)
+        assert m.weights == pytest.approx((0.3, 0.35, 0.35), abs=1e-15)
+        # 0.98 is 0.02 below 1.0 but 0.03 below the group {1.02, 1.0}.
+        m = spectra.merge_close(spectra.parse_spectrum("1.02:1,1:1,0.98:1"), 0.025)
+        assert m.weights == pytest.approx((2 / 3, 1 / 3), abs=1e-15)
+
     @given(st.integers(min_value=1, max_value=16), st.integers(min_value=0, max_value=500),
            st.floats(min_value=0.0, max_value=0.5))
     def test_never_increases_level_count(self, k, seed, tol):
@@ -150,6 +162,19 @@ class TestSampleRandom:
     def test_k_out_of_range(self, k):
         with pytest.raises(ValueError):
             spectra.sample_random(k, 0)
+
+    @pytest.mark.parametrize("call", [
+        pytest.param(lambda: spectra.sample_random(2.7, 0), id="sample-k"),
+        pytest.param(lambda: spectra.sample_random(3, 1.5), id="sample-seed"),
+        pytest.param(lambda: spectra.expand_to_n(spectra.flat(), 4.5), id="expand-n"),
+    ])
+    def test_float_count_or_seed_rejected(self, call):
+        # Read by operator.index: a float is not truncated.
+        with pytest.raises(ValueError, match="must be an integer"):
+            call()
+
+    def test_numpy_integers_pass(self):
+        assert spectra.sample_random(np.int64(3), np.uint64(1)) == spectra.sample_random(3, 1)
 
     def test_thousand_seeds_all_valid(self):
         # Spectrum.__post_init__ runs the full invariant suite; constructing

@@ -210,14 +210,16 @@ class TestPerCoordDistortions:
 
 
 class TestWfPoint:
+    """A point of the `wf` subcommand's curve: t from t_for_distortion, its rate from r_wf."""
+
     def test_point_consistency(self):
-        p = waterfill.point_at_distortion(TWO_LEVEL, 0.35)
-        assert abs(p.distortion - waterfill.d_wf(TWO_LEVEL, p.level_t)) < 1e-10
-        assert p.rate_bits == waterfill.r_wf(TWO_LEVEL, p.level_t)
+        t = waterfill.t_for_distortion(TWO_LEVEL, 0.35)
+        assert abs(0.35 - waterfill.d_wf(TWO_LEVEL, t)) < 1e-10
+        assert waterfill.rr_wf(TWO_LEVEL, 0.35) == waterfill.r_wf(TWO_LEVEL, t)
 
     def test_flat_level_is_exact_on_default_grid(self):
         for d in WF_DEFAULT_GRID:
-            assert waterfill.point_at_distortion(FLAT, d).level_t == d
+            assert waterfill.t_for_distortion(FLAT, d) == d
 
     def test_rate_zero_iff_level_above_max(self):
         assert waterfill.r_wf(TWO_LEVEL, 1.8) == 0.0

@@ -131,8 +131,10 @@ def main() -> None:
     print(f"rr_rc([1.8,.2], d*=0.2)       = {float(rate_rc)!r}")
     print(f"gap([1.8,.2], d*=0.2)         = {float(rate_rc - rate_wf)!r}")
 
-    # merge_close derived example: merge 2 and 1.999 (weights .3/.3), then
-    # normalize to unit mean.  Exact decimal arithmetic.
+    # merge_close derived example at tol 0.01: 2 and 1.999 (weights .3/.3)
+    # differ by 0.05 % of the upper level, within the relative tol the gap
+    # search also uses, and merge into their weight average; then normalize
+    # to unit mean.  Exact decimal arithmetic.
     merged = (Decimal("0.3") * 2 + Decimal("0.3") * Decimal("1.999")) / Decimal("0.6")
     mean = Decimal("0.6") * merged + Decimal("0.4") * Decimal("0.5")
     print(f"merge_close v1                = {float(merged / mean)!r}")

@@ -8,11 +8,12 @@ then prints one record per grid point and replaces
 tests/fixtures/gap_sweep_kmax5_seed0.{csv,csv.manifest.json,svg} only if
 every row passes both checks:
 
-- the new gap is at least the committed row's gap minus 1e-15, so no row
-  gets worse;
+- the new gap is at least the committed row's gap minus gapopt._GAP_SLACK
+  (1e-15), so no row gets worse;
 - the new spectrum's stationarity residual (gapopt.stationarity_residual)
-  is at most 1e-11, so every row is a solved stationary point rather than
-  where one optimizer trajectory happened to stop.
+  is at most gapopt.STATIONARY_TOL (1e-11), so every row is a solved
+  stationary point rather than where one optimizer trajectory happened to
+  stop.
 
 Both gaps are evaluated with gapopt._gap_core on the row's levels and
 weights, the closed-form water level and Newton T that gap_at also uses;
@@ -40,8 +41,6 @@ from rdgap.spectra import Spectrum  # noqa: E402
 FIXTURES = ROOT / "tests" / "fixtures"
 STEM = "gap_sweep_kmax5_seed0"
 NAMES = (f"{STEM}.csv", f"{STEM}.csv.manifest.json", f"{STEM}.svg")
-GAP_SLACK = 1e-15
-RESIDUAL_TOL = 1e-11
 
 
 def read_rows(text: str) -> dict[str, tuple[float, float, list[float], list[float]]]:
@@ -78,7 +77,7 @@ def check(new_rows, old_rows) -> bool:
         gap_new = gapopt._gap_core(new[2], new[3], d_star)
         gap_old = gapopt._gap_core(old[2], old[3], d_star)
         residual = gapopt.stationarity_residual(Spectrum(tuple(new[2]), tuple(new[3])), d_star)
-        ok = gap_new >= gap_old - GAP_SLACK and residual <= RESIDUAL_TOL
+        ok = gap_new >= gap_old - gapopt._GAP_SLACK and residual <= gapopt.STATIONARY_TOL
         all_ok &= ok
         print(f"{key},{len(old[2])},{len(new[2])},{gap_new - gap_old:.3e},"
               f"{field_move(new, old):.3e},{residual:.3e},{'ok' if ok else 'FAIL'}")

@@ -16,8 +16,8 @@ _SOURCE = {
         "errors": "KinkError SolverError",
         "gapopt": "GapRecord PointDiagnostics SweepResult gap_at grad_rates grad_rates_weights"
                   " maximize_gap stationarity_residual sweep sweep_csv_rows",
-        "rdrc": "d_rc d_rc_per_w dd_rc dd_rc_eigen_sensitivity quantize_tau r_rc rr_rc"
-                " t_rc_for_distortion t_rc_for_rate tau",
+        "rdrc": "d_rc d_rc_per_w dd_rc dd_rc_eigen_sensitivity r_rc rr_rc t_rc_for_distortion"
+                " t_rc_for_rate tau",
         "simulator": "SimConfig SimReport build_codebook estimate_codeword_success"
                      " haar_orthogonal run_universal_scheme simulate_mmse_filter"
                      " simulate_wf_coupling",

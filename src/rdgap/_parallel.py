@@ -15,11 +15,13 @@ from __future__ import annotations
 import multiprocessing
 import os
 
+from .spectra import _integer
+
 
 def resolve_threads(explicit: int | None = None) -> int:
-    """Process count: explicit argument, else RDGAP_THREADS, else cpu count."""
+    """Process count: an explicit integer, else RDGAP_THREADS, else cpu count; at least 1."""
     if explicit is not None:
-        return max(1, int(explicit))
+        return max(1, _integer(explicit, "threads"))
     env = os.environ.get("RDGAP_THREADS", "").strip()
     if env:
         try:

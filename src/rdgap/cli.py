@@ -56,7 +56,7 @@ def main() -> None:
 def _load_config(ctx: click.Context, _param, path: str | None) -> None:
     """Eager --config callback: the file's JSON object becomes the command's
     default_map, so click converts, checks and ranks its values like flags;
-    a JSON float for an integer option is rejected, not truncated."""
+    a JSON float or bool for an integer option is rejected, not converted."""
     if path is None:
         return
     try:
@@ -71,8 +71,9 @@ def _load_config(ctx: click.Context, _param, path: str | None) -> None:
         name = key.replace("-", "_")
         if name not in params:
             raise click.UsageError(f"unknown config key {key!r}")
-        # click's INT would truncate a JSON float such as 8.9 to 8.
-        if isinstance(params[name].type, click.types.IntParamType) and isinstance(value, float):
+        # click's INT would truncate a JSON float such as 8.9 to 8, and read true as 1.
+        if isinstance(params[name].type, click.types.IntParamType) and isinstance(
+                value, (float, bool)):
             raise click.BadParameter(f"{value!r} is not an integer", ctx, params[name])
         ctx.default_map[name] = value
 
@@ -343,7 +344,8 @@ def cmd_simulate(mode: str, n: int, rate: float, spectrum: str, trials: int, see
         "eta": eta if mode == "success" else None,
         "w_batches": w_batches if mode == "success" else None,
     }
-    fields = {**vars(report), **echo, "warnings": ";".join(report.warnings)}
+    # A run that starts has nothing to warn of; the column stays for the schema.
+    fields = {**vars(report), **echo, "warnings": ""}
     record = [_sim_field(fields[k]) for k in _SIM_HEADER.split(",")]
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerow(record)

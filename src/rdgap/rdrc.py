@@ -3,7 +3,8 @@
 Distortion at parameter T is sum_j w_j * v_j / (1 + v_j T); rate in bits is
 (1/2) sum_j w_j * log2(1 + v_j T).  Also houses the per-realization
 distortion D(V, T) and the codebook scaling tau, both per coordinate in
-the scheme's own expressions, and tau's rounding quantizer.
+the scheme's own expressions: the simulator's one realization rule
+(_eigenvalues) and one scaling rule, quantizer included (_scaling).
 The functions on arrays import numpy inside the function, so the scalar
 curves load without it.
 """
@@ -13,7 +14,7 @@ from __future__ import annotations
 import math
 
 from .errors import SolverError
-from .spectra import Spectrum, expand_to_n
+from .spectra import Spectrum, _integer, expand_to_n
 
 REL_TOL = 1e-12
 MAX_ITER = 200
@@ -175,12 +176,21 @@ def d_rc_per_w(s: Spectrum, w_tilde_sq, T: float) -> float:
     return float(x @ (lam / (1.0 + lam * T))) / len(x)
 
 
+def _check_scaling(threshold, delta) -> None:
+    """Domain of the scaling rule's threshold and quantizer step: the
+    quantizer rounds tau / (delta ||w||_inf), at most (1 + 1e-12) / delta."""
+    if delta is not None and not (0.0 < delta < math.inf and (1.0 + 1e-12) / delta < math.inf):
+        raise ValueError("tau_delta must be positive and finite, with finite 1/tau_delta")
+    if threshold is not None and not threshold >= 0.0:
+        raise ValueError("tau_threshold must be nonnegative when given")
+
+
 def _scaling(T: float, alam2, den: float, w, threshold, delta):
     """The scheme's scaling rule for realizations w (one per row, or one
     vector) in the eigenbasis: tau = sqrt(T (w^2 . alam2) / den), 0 where
-    ||w||_inf exceeds the threshold, then rounded by the quantizer of
-    quantize_tau when delta is given.  Raises SolverError if tau leaves
-    [0, ||w||_inf], which the rule never does beyond rounding."""
+    ||w||_inf exceeds the threshold, then rounded to the nearest multiple of
+    delta ||w||_inf (half up) when delta is given.  Raises SolverError if tau
+    leaves [0, ||w||_inf] before rounding, which the rule never does."""
     import numpy as np
     norms = np.abs(w).max(axis=-1)
     tau = np.sqrt(T * ((w * w) @ alam2) / den)
@@ -189,47 +199,31 @@ def _scaling(T: float, alam2, den: float, w, threshold, delta):
     if not ((tau >= 0.0).all() and (tau <= norms * (1.0 + 1e-12) + 1e-300).all()):
         raise SolverError("scaling tau outside [0, ||w||_inf]")
     if delta is not None:
-        unit = delta * norms
-        with np.errstate(invalid="ignore", divide="ignore"):
-            q = unit * np.floor(tau / unit + 0.5)
-        tau = np.where(unit > 0.0, q, 0.0)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            unit = delta * norms
+            steps = np.floor(tau / unit + 0.5)  # 0 where unit overflows
+            tau = np.where((unit > 0.0) & (steps > 0.0), unit * steps, 0.0)
     return tau
 
 
-def tau(s: Spectrum, w_tilde, rate: float, threshold: float | None = None) -> float:
+def tau(s: Spectrum, w_tilde, rate: float, threshold: float | None = None,
+        delta: float | None = None) -> float:
     """Codebook scaling tau for the n = len(w~) eigenbasis coordinates of one
     source realization, as the simulated scheme computes it.
 
     tau = sqrt(T * sum_i w~_i^2 lam_i^2/(1+lam_i T)^2 / sum_i lam_i/(1+lam_i T))
     with lam the n eigenvalues of expand_to_n and T solved from the rate on
     them (_scaling_terms).  With a threshold, tau is 0 whenever ||w~||_inf
-    exceeds it.  Always satisfies 0 <= tau <= ||w~||_inf.
+    exceeds it; with a step delta it is rounded to the nearest multiple of
+    delta * ||w~||_inf.  0 <= tau <= ||w~||_inf (1 + delta / 2), delta = 0 without.
     """
     import numpy as np
     if not rate > 0.0:
         raise ValueError("rate must be positive")
-    if threshold is not None and not threshold >= 0.0:
-        raise ValueError("threshold must be nonnegative")
+    _check_scaling(threshold, delta)
     w = np.asarray([float(u) for u in w_tilde], dtype=float)
     T, alam2, den = _scaling_terms(_eigenvalues(s, len(w)), rate)
-    return float(_scaling(T, alam2, den, w, threshold, None))
-
-
-def quantize_tau(tau_val: float, w_inf_norm: float, delta: float) -> float:
-    """Round tau to the nearest multiple of delta * ||w~||_inf (half away up).
-
-    |q(tau) - tau| <= delta * ||w~||_inf / 2.
-    """
-    if not math.isfinite(tau_val):
-        raise ValueError("tau_val must be finite")
-    if not 0.0 < delta < math.inf:
-        raise ValueError("delta must be positive and finite")
-    if not 0.0 < w_inf_norm < math.inf:
-        raise ValueError("w_inf_norm must be positive and finite")
-    unit = delta * w_inf_norm
-    if not (0.0 < unit < math.inf and math.isfinite(tau_val / unit)):
-        raise ValueError("tau_val / (delta * w_inf_norm) leaves the float range")
-    return unit * math.floor(tau_val / unit + 0.5)
+    return float(_scaling(T, alam2, den, w, threshold, delta))
 
 
 def dd_rc_eigen_sensitivity(s: Spectrum, rate: float, level_index: int) -> float:
@@ -243,7 +237,7 @@ def dd_rc_eigen_sensitivity(s: Spectrum, rate: float, level_index: int) -> float
     import numpy as np
     if not rate > 0.0:
         raise ValueError("rate must be positive")
-    j = int(level_index)
+    j = _integer(level_index, "level_index")
     if not 0 <= j < s.k:
         raise ValueError("level_index out of range")
     T = _t_for_rate(s.values, s.weights, rate)

@@ -18,6 +18,9 @@ generate_state(2, uint64)'s output hash, and re-keys one reused Philox per
 unit.  tests/test_simulate.py checks the keys and first draws against
 numpy's own SeedSequence.
 
+Every mode realizes its spectrum at n by rdrc._eigenvalues, which refuses a
+level that n cannot place; the coded modes scale by rdrc._scaling.
+
 Every mode runs through one unit runner, `_map_units`: each work item is
 `(state, start, count)`, where `state` is the run's read-only dict of
 precomputed arrays, so kernels read no module-level state.  A work unit is
@@ -42,7 +45,7 @@ import numpy as np
 
 from . import rdrc, waterfill
 from ._parallel import ordered_map
-from .spectra import Spectrum, _integer, expand_to_n
+from .spectra import Spectrum, _integer
 
 STREAM_CODEBOOK = 1
 STREAM_ROTATION = 2
@@ -145,18 +148,14 @@ class SimConfig:
             raise ValueError("seed must be a 64-bit unsigned integer")
         if self.rotation not in ("identity", "haar"):
             raise ValueError("rotation must be 'identity' or 'haar'")
-        # The quantizer rounds tau / (delta ||w||_inf), which is at most (1 + 1e-12) / delta.
-        if self.tau_delta is not None and not (
-                0.0 < self.tau_delta < math.inf and (1.0 + 1e-12) / self.tau_delta < math.inf):
-            raise ValueError("tau_delta must be positive and finite, with finite 1/tau_delta")
-        if self.tau_threshold is not None and not self.tau_threshold >= 0.0:
-            raise ValueError("tau_threshold must be nonnegative when given")
+        rdrc._check_scaling(self.tau_threshold, self.tau_delta)
         if self.codebook_cap < 1:
             raise ValueError("codebook_cap must be positive")
         if not self.eta >= 0.0:
             raise ValueError("eta must be nonnegative")
         if self.w_batches < 1:
             raise ValueError("w_batches must be positive")
+        rdrc._eigenvalues(self.spectrum, self.n)  # a level n cannot place: refused before any draw
 
     @property
     def codebook_size(self) -> int:
@@ -168,7 +167,8 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class SimReport:
-    """Measured statistics with uncertainty; reproducible from the config.
+    """Measured statistics with uncertainty; reproducible from the config
+    and always of its spectrum (one that n cannot realize is refused).
     The trial modes also carry per_trial, which == leaves out (an array has
     no single truth value)."""
 
@@ -182,7 +182,6 @@ class SimReport:
     wilson_high: float | None = None
     exponent: float | None = None
     exponent_is_lower_bound: bool = False
-    warnings: tuple[str, ...] = ()
     per_trial: np.ndarray | None = field(default=None, compare=False)
 
 
@@ -209,22 +208,6 @@ def build_codebook(config: SimConfig) -> np.ndarray:
     vectors = rng.standard_normal((config.codebook_size, config.n))
     vectors.setflags(write=False)
     return vectors
-
-
-def _realized_lambdas(s: Spectrum, n: int) -> tuple[np.ndarray, tuple[str, ...]]:
-    """Concrete eigenvalues for dimension n, with drop warnings and rescale."""
-    lams, dropped = expand_to_n(s, n)
-    warnings = ()
-    if dropped:
-        amount = ", ".join(
-            f"value {s.values[j]!r} (weight {s.weights[j]!r})" for j in dropped
-        )
-        warnings = (
-            f"apportionment to n={n} left zero dimensions for: {amount}; "
-            "dropped and remaining eigenvalues rescaled to unit mean",
-        )
-        lams = lams / lams.mean()
-    return lams, warnings
 
 
 def _trial_normals(seed: int, start: int, count: int, cols: int, draws: int = 1) -> list[np.ndarray]:
@@ -264,7 +247,7 @@ def _map_units(kernel, state: dict, total: int, size: int, threads: int | None) 
     return ordered_map(kernel, units, threads)
 
 
-def _run_trials(mode, kernel, state, trials, threads, analytic, warnings):
+def _run_trials(mode, kernel, state, trials, threads, analytic):
     """Run a per-trial kernel in fixed _CHUNK-trial units; report mean, SE and
     the per-trial values."""
     trials = _integer(trials, "trials")
@@ -278,19 +261,18 @@ def _run_trials(mode, kernel, state, trials, threads, analytic, warnings):
         se=se,
         analytic=analytic,
         trials=trials,
-        warnings=warnings,
         per_trial=per_trial,
     )
 
 
-def _scaling_state(config: SimConfig) -> tuple[dict, tuple[str, ...]]:
+def _scaling_state(config: SimConfig) -> dict:
     """State the scheme and success kernels share: eigenvalues, rotation,
     the noise level T at the configured rate (0 at rate 0) and the terms
     alam2 and den of the scaling rule (rdrc._scaling_terms)."""
-    lam, warnings = _realized_lambdas(config.spectrum, config.n)
+    lam = rdrc._eigenvalues(config.spectrum, config.n)
     u = None if config.rotation == "identity" else haar_orthogonal(config.n, config.seed)
     T, alam2, den = rdrc._scaling_terms(lam, config.rate_bits)
-    state = {
+    return {
         "n": config.n,
         "seed": config.seed,
         "lam": lam,
@@ -301,7 +283,6 @@ def _scaling_state(config: SimConfig) -> tuple[dict, tuple[str, ...]]:
         "threshold": config.tau_threshold,
         "delta": config.tau_delta,
     }
-    return state, warnings
 
 
 # --- universal quantization scheme -----------------------------------------
@@ -357,12 +338,12 @@ def run_universal_scheme(config: SimConfig, threads: int | None = None) -> SimRe
     if not config.rate_bits > 0.0:
         raise ValueError("scheme mode needs rate_bits > 0")
     codebook = build_codebook(config)  # its cap check comes before the n x n rotation
-    st, warnings = _scaling_state(config)
+    st = _scaling_state(config)
     c_rot = codebook @ st["u"] if st["u"] is not None else codebook
     st["codebook_rot"] = c_rot
     st["codebook_gram"] = (c_rot * c_rot) @ st["lam"]
     analytic = rdrc.dd_rc(config.spectrum, config.rate_bits)
-    return _run_trials("scheme", _scheme_chunk, st, config.trials, 1, analytic, warnings)
+    return _run_trials("scheme", _scheme_chunk, st, config.trials, 1, analytic)
 
 
 # --- single-codeword success probability ------------------------------------
@@ -401,7 +382,7 @@ def estimate_codeword_success(config: SimConfig, threads: int | None = None) -> 
         raise ValueError("success mode needs eta > 0")
     if config.n * config.rate_bits > 26.0:
         raise ValueError("n * rate_bits must be <= 26 for direct sampling")
-    st, warnings = _scaling_state(config)
+    st = _scaling_state(config)
     st.update(trials=config.trials, eta=config.eta, dlam=st["lam"] / (1.0 + st["lam"] * st["T"]))
     counts = _map_units(_success_batch, st, config.w_batches, _SOURCE_BATCHES, threads)
     total = config.trials * config.w_batches
@@ -426,7 +407,6 @@ def estimate_codeword_success(config: SimConfig, threads: int | None = None) -> 
         wilson_high=high,
         exponent=exponent,
         exponent_is_lower_bound=lower_only,
-        warnings=warnings,
     )
 
 
@@ -449,7 +429,7 @@ def simulate_wf_coupling(
     the covariance-weighted error against Y; its expectation is exactly d_wf."""
     if not t > 0.0:
         raise ValueError("water level t must be positive")
-    lam, warnings = _realized_lambdas(s, n)
+    lam = rdrc._eigenvalues(s, n)
     d = np.minimum(np.divide(t, lam, out=np.full(n, np.inf), where=lam > 0.0), 1.0)
     st = {
         "n": n,
@@ -458,9 +438,7 @@ def simulate_wf_coupling(
         "sig_y": np.sqrt(1.0 - d),
         "weighted": lam,
     }
-    return _run_trials(
-        "coupling", _coupling_chunk, st, trials, threads, waterfill.d_wf(s, t), warnings
-    )
+    return _run_trials("coupling", _coupling_chunk, st, trials, threads, waterfill.d_wf(s, t))
 
 
 def _filter_chunk(args: tuple[dict, int, int]) -> np.ndarray:
@@ -479,7 +457,7 @@ def simulate_mmse_filter(
     error per dimension has expectation exactly d_rc(s, T)."""
     if not 0.0 < T < math.inf:
         raise ValueError("T must be positive and finite")
-    lam, warnings = _realized_lambdas(s, n)
+    lam = rdrc._eigenvalues(s, n)
     st = {
         "n": n,
         "seed": seed,
@@ -487,4 +465,4 @@ def simulate_mmse_filter(
         "noise_scale": 1.0 / math.sqrt(T),
         "f": lam * T / (1.0 + lam * T),
     }
-    return _run_trials("filter", _filter_chunk, st, trials, threads, rdrc.d_rc(s, T), warnings)
+    return _run_trials("filter", _filter_chunk, st, trials, threads, rdrc.d_rc(s, T))

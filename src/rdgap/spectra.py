@@ -25,11 +25,13 @@ _STREAM_SPECTRA = 0
 
 def _integer(value, name: str) -> int:
     """value as an int, by operator.index, so numpy integers pass and floats
-    do not; anything else raises ValueError naming the argument."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    and bools do not; anything else raises ValueError naming the argument."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -358,9 +358,11 @@ class TestConfigFile:
     @pytest.mark.parametrize("command,config,key", [
         (["simulate", "--mode", "filter", "--T", "1"], {"seed": 1.5, "n": 8.9}, "seed"),
         (["gap-sweep", "--dstar-grid", "0.3:0.3:1"], {"kmax": 2.7}, "kmax"),
-    ], ids=["simulate", "gap-sweep"])
+        (["simulate", "--mode", "filter", "--T", "1"], {"n": True, "trials": 8}, "n"),
+        (["gap-sweep", "--dstar-grid", "0.3:0.3:1"], {"kmax": False}, "kmax"),
+    ], ids=["simulate", "gap-sweep", "simulate-bool", "gap-sweep-bool"])
     def test_float_for_integer_option_is_a_usage_error(self, tmp_path, command, config, key):
-        # click's INT would truncate 1.5 to 1 and 2.7 to 2.
+        # click's INT would truncate 1.5 to 1 and 2.7 to 2, and read true as 1.
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps(config))
         proc = run_cli(*command, "--config", str(cfg))
@@ -474,16 +476,24 @@ class TestSimulateCommand:
         (["--mode", "coupling", "--t", "0.25", "--n", "16", "--trials", "64"],
          "coupling,16,,0.25,,1.0:1.0,64,0,,,,,,0.25844392984032855,0.010985343987089303,0.25,"
          ",,,,false,"),
-        (["--mode", "filter", "--T", "1", "--n", "4", "--trials", "16",
+        # n = 20 gives the two levels 1 and 19 coordinates
+        (["--mode", "filter", "--T", "1", "--n", "20", "--trials", "16",
           "--spectrum", "10.5:0.05,0.5:0.95"],
-         'filter,4,,,1.0,"10.5:0.05,0.5:0.95",16,0,,,,,,0.5150273404789022,0.07746939437539092,'
-         "0.36231884057971014,,,,,false,apportionment to n=4 left zero dimensions for: value "
-         "10.5 (weight 0.05); dropped and remaining eigenvalues rescaled to unit mean"),
+         'filter,20,,,1.0,"10.5:0.05,0.5:0.95",16,0,,,,,,0.3475661637925903,0.020105708560315818,'
+         "0.36231884057971014,,,,,false,"),
     ], ids=["scheme", "success", "success-rate-zero", "coupling", "filter"])
     def test_row_bytes(self, args, row):
         proc = run_cli("simulate", *args)
         assert proc.returncode == 0
         assert proc.stdout.splitlines() == [HEADER_SIMULATE, row]
+
+    def test_level_n_cannot_place_exits_two(self):
+        # At n = 4 the level 10.5 of weight 0.05 gets no coordinate.
+        proc = run_cli("simulate", "--mode", "filter", "--T", "1", "--n", "4", "--trials", "16",
+                       "--spectrum", "10.5:0.05,0.5:0.95")
+        assert proc.returncode == 2
+        assert "levels [0] receive zero dimensions at n=4" in proc.stderr
+        assert proc.stdout == ""
 
     def test_coupling_requires_t(self):
         proc = run_cli("simulate", "--mode", "coupling")

@@ -771,8 +771,9 @@ class TestMaximizeGap:
         pytest.param(lambda k: gapopt.sweep([0.3], k, threads=1), id="sweep"),
     ])
     def test_float_k_max_rejected(self, search):
-        with pytest.raises(ValueError, match="k_max must be an integer"):
-            search(2.7)
+        for k_max in (2.7, True):
+            with pytest.raises(ValueError, match="k_max must be an integer"):
+                search(k_max)
         assert search(np.int64(1)) is not None
 
     def test_record_is_reevaluated_through_public_solvers(self):

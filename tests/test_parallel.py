@@ -3,6 +3,7 @@ import os
 import signal
 import time
 
+import numpy as np
 import pytest
 
 from rdgap import _parallel, gapopt, simulator, spectra
@@ -91,6 +92,20 @@ def alarm():
     yield
     signal.alarm(0)
     signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("threads", [2.7, 2.5, True])
+def test_explicit_thread_count_is_an_integer(threads):
+    # Neither truncated to 2 nor read as 1; the search does not start.
+    with pytest.raises(ValueError, match="threads must be an integer"):
+        _parallel.resolve_threads(threads)
+    with pytest.raises(ValueError, match="threads must be an integer"):
+        gapopt.sweep([0.1, 0.2], 2, threads=threads)
+
+
+def test_explicit_thread_count_wins_and_is_at_least_one(monkeypatch):
+    monkeypatch.setenv("RDGAP_THREADS", "3")
+    assert [_parallel.resolve_threads(t) for t in (0, -2, np.int64(2), 5)] == [1, 1, 2, 5]
 
 
 @pytest.mark.parametrize("count,threads", [(7, 3), (2, 5), (1, 2), (0, 2)])

@@ -32,7 +32,7 @@ def _realized(k, seed, n):
 
 def _scheme_state(s, n, rate=1.0):
     return simulator._scaling_state(
-        simulator.SimConfig(n=n, rate_bits=rate, spectrum=s, trials=1, seed=0))[0]
+        simulator.SimConfig(n=n, rate_bits=rate, spectrum=s, trials=1, seed=0))
 
 
 def _bisect_t_for_distortion(values, weights, d_star):
@@ -318,51 +318,59 @@ class TestTau:
 
 
 class TestQuantizeTau:
+    """tau's delta rounds the scaling to the nearest multiple of
+    delta * ||w~||_inf, the scheme's quantizer."""
+
     def test_zero(self):
-        assert rdrc.quantize_tau(0.0, 1.0, 0.25) == 0.0
+        assert rdrc.tau(TWO_LEVEL, [0.0, 0.0], 1.0, delta=0.25) == 0.0
 
     def test_on_grid(self):
-        assert rdrc.quantize_tau(0.5, 1.0, 0.25) == 0.5
+        # Halving or quartering the step leaves a value on the grid as it is.
+        t = rdrc.tau(FLAT, [1.0] * 4, 1.0)
+        assert rdrc.tau(FLAT, [1.0] * 4, 1.0, delta=t / 2.0) == t
+        assert rdrc.tau(FLAT, [1.0] * 4, 1.0, delta=t / 4.0) == t
 
     def test_rounds_to_nearest(self):
-        assert rdrc.quantize_tau(0.6, 1.0, 0.5) == 0.5
+        # On the flat spectrum at rate 1, tau = ||w~||_inf sqrt(3) / 2 ~ 0.866 ||w~||_inf.
+        assert rdrc.tau(FLAT, [1.0] * 4, 1.0, delta=0.5) == 1.0
+        assert rdrc.tau(FLAT, [1.0] * 4, 1.0, delta=0.25) == 0.75
+        assert rdrc.tau(FLAT, [2.0, 2.0, -2.0, 2.0], 1.0, delta=0.25) == 1.5
 
-    @pytest.mark.parametrize("delta,norm", [(0.0, 1.0), (-0.1, 1.0), (0.5, 0.0)])
-    def test_domain(self, delta, norm):
-        with pytest.raises(ValueError):
-            rdrc.quantize_tau(0.3, norm, delta)
+    def test_overflowing_step_rounds_to_zero(self):
+        # delta * ||w~||_inf overflows: 0 is the nearest multiple, not nan.
+        assert rdrc.tau(FLAT, [1e150] * 4, 1.0, delta=1e200) == 0.0
 
-    @pytest.mark.parametrize(
-        "tau_val,norm,delta,name",
-        [
-            (math.nan, 1.0, 0.1, "tau_val"),
-            (math.inf, 1.0, 0.1, "tau_val"),
-            (1.0, math.inf, 0.1, "w_inf_norm"),
-            (1.0, math.nan, 0.1, "w_inf_norm"),
-            (1.0, 1.0, math.inf, "delta"),
-            (1.0, 1.0, math.nan, "delta"),
-        ],
-    )
-    def test_non_finite_argument_named(self, tau_val, norm, delta, name):
-        # Otherwise the result is nan, or math.floor fails on a nan quotient.
-        with pytest.raises(ValueError, match=name):
-            rdrc.quantize_tau(tau_val, norm, delta)
+    @pytest.mark.parametrize("delta", [0.0, -0.1, math.nan, math.inf, 1e-320],
+                             ids=["zero", "negative", "nan", "inf", "reciprocal-overflows"])
+    def test_domain(self, delta):
+        with pytest.raises(ValueError, match="tau_delta must be positive and finite"):
+            rdrc.tau(FLAT, [0.3, 1.0], 1.0, delta=delta)
 
-    @pytest.mark.parametrize(
-        "tau_val,norm,delta",
-        [(1.0, 1e200, 1e200), (1.0, 1e-200, 1e-200), (1e300, 1e-100, 1e-100)],
-        ids=["unit-overflows", "unit-underflows", "steps-overflow"],
-    )
-    def test_out_of_float_range(self, tau_val, norm, delta):
-        with pytest.raises(ValueError, match="float range"):
-            rdrc.quantize_tau(tau_val, norm, delta)
-
-    @given(st.floats(min_value=0.0, max_value=10.0),
-           st.floats(min_value=0.01, max_value=10.0),
+    @given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=100),
+           st.integers(min_value=0, max_value=10**6), st.integers(min_value=1, max_value=40),
            st.floats(min_value=0.001, max_value=1.0))
-    def test_half_unit_error_bound(self, t, norm, delta):
-        q = rdrc.quantize_tau(t, norm, delta)
-        assert abs(q - t) <= delta * norm / 2.0 * (1.0 + 1e-12)
+    def test_half_unit_error_bound(self, k, seed, wseed, n, delta):
+        s = _realized(k, seed, n)
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(wseed)))
+        w = rng.standard_normal(n)
+        q, t = rdrc.tau(s, w, 0.8, delta=delta), rdrc.tau(s, w, 0.8)
+        assert abs(q - t) <= delta * float(np.max(np.abs(w))) / 2.0 * (1.0 + 1e-12)
+
+    def test_matches_the_simulated_scheme(self):
+        # Threshold and step as SimConfig passes them to the scheme's state.
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(263)))
+        for i in range(240):
+            n, rate = int(rng.integers(8, 40)), float(rng.uniform(0.1, 2.0))
+            s = _realized(int(rng.integers(1, 5)), i, n)
+            delta = (None, 0.01, 0.05, 0.2, 0.5)[i % 5]
+            threshold = (None, 2.0, 3.0)[i % 3]
+            w = rng.standard_normal(n)
+            st = simulator._scaling_state(simulator.SimConfig(
+                n=n, rate_bits=rate, spectrum=s, trials=1, seed=0,
+                tau_delta=delta, tau_threshold=threshold))
+            scheme = float(rdrc._scaling(st["T"], st["alam2"], st["den"], w,
+                                         st["threshold"], st["delta"]))
+            assert rdrc.tau(s, w, rate, threshold, delta) == scheme, i
 
 
 class TestEigenSensitivity:
@@ -378,6 +386,15 @@ class TestEigenSensitivity:
                 for j in range(s.k):
                     v = rdrc.dd_rc_eigen_sensitivity(s, rate, j)
                     assert 0.0 <= v <= 2.0 + 1e-6
+
+    def test_level_index_is_an_integer(self):
+        # A float is not truncated to level 0; a numpy integer passes.
+        three = spectra.parse_spectrum("3:0.2,1:0.5,0.1:0.3")
+        for level in (0.7, True):
+            with pytest.raises(ValueError, match="level_index must be an integer"):
+                rdrc.dd_rc_eigen_sensitivity(three, 1.0, level)
+        assert rdrc.dd_rc_eigen_sensitivity(three, 1.0, np.int64(1)) == (
+            rdrc.dd_rc_eigen_sensitivity(three, 1.0, 1))
 
     def test_zero_level(self):
         # Levels (2, 0) at weights 1/2: num = den / 2 = 1 / (1 + 2T), so the

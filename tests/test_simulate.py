@@ -27,6 +27,10 @@ def _no_pool(method=None):
     raise AssertionError("started a process pool")
 
 
+def _no_draw(*_args):
+    raise AssertionError("drew from a substream")
+
+
 class TestUnitRngs:
     @pytest.mark.parametrize("start", [0, 2**32 - 40], ids=["first", "last"])
     @pytest.mark.parametrize("stream", [1, 2, 3, 4])
@@ -121,21 +125,27 @@ class TestSimConfig:
 
 
 class TestIntegerArguments:
-    """Counts and seeds are read by operator.index: a float raises ValueError
-    instead of being truncated, and a numpy integer passes."""
+    """Counts and seeds are read by operator.index: a float or a bool raises
+    ValueError instead of being truncated, and a numpy integer passes."""
 
     @pytest.mark.parametrize("call", [
         pytest.param(lambda: next(simulator._unit_rngs(1.5, STREAM_TRIAL, 0, 1)), id="unit-seed"),
         pytest.param(lambda: next(simulator._unit_rngs(0, STREAM_TRIAL, 0.5, 1)), id="unit-start"),
         *(pytest.param(lambda name=name: _cfg(**{name: 8.5}), id=f"config-{name}")
           for name in ("n", "trials", "seed", "codebook_cap", "w_batches")),
+        *(pytest.param(lambda name=name: _cfg(**{name: True}), id=f"config-{name}-bool")
+          for name in ("n", "trials", "seed", "codebook_cap", "w_batches")),
+        pytest.param(lambda: _cfg(seed=False), id="config-seed-false"),
         pytest.param(lambda: simulator.haar_orthogonal(4.5, 0), id="haar-n"),
+        pytest.param(lambda: simulator.haar_orthogonal(True, 0), id="haar-n-bool"),
         pytest.param(lambda: simulator.simulate_mmse_filter(FLAT, 1.0, 4, 300.5, 0, 1),
                      id="trials"),
         pytest.param(lambda: simulator.simulate_mmse_filter(FLAT, 1.0, 4, 8, 1.5, 1), id="seed"),
         pytest.param(lambda: simulator.simulate_mmse_filter(FLAT, 1.0, 4, 8, -0.5, 1),
                      id="negative-seed"),
         pytest.param(lambda: simulator.simulate_wf_coupling(FLAT, 0.5, 4.5, 8, 0, 1), id="n"),
+        pytest.param(lambda: simulator.simulate_wf_coupling(FLAT, 0.5, 4, True, 0, 1),
+                     id="trials-bool"),
     ])
     def test_float_rejected(self, call):
         with pytest.raises(ValueError, match="must be an integer"):
@@ -214,7 +224,7 @@ class TestUniversalScheme:
         # of the source itself — reproducible coordinate by coordinate.
         cfg = _cfg(n=6, trials=16, tau_threshold=0.0, seed=21)
         rep = simulator.run_universal_scheme(cfg)
-        lam, _ = simulator._realized_lambdas(cfg.spectrum, cfg.n)
+        lam = rdrc._eigenvalues(cfg.spectrum, cfg.n)
         w = np.stack(
             [_numpy_rng(cfg.seed, STREAM_TRIAL, i).standard_normal(cfg.n) for i in range(cfg.trials)]
         )
@@ -231,7 +241,7 @@ class TestUniversalScheme:
         cfg = _cfg(n=n, rate_bits=rate, trials=24, seed=43, rotation=rotation, tau_delta=0.05)
         assert cfg.codebook_size == size
         rep = simulator.run_universal_scheme(cfg)
-        st, _ = simulator._scaling_state(cfg)
+        st = simulator._scaling_state(cfg)
         u, lam = st["u"], st["lam"]
         w = np.stack([_numpy_rng(cfg.seed, STREAM_TRIAL, i).standard_normal(n) for i in range(24)])
         wt = w @ u if u is not None else w
@@ -290,11 +300,19 @@ class TestUniversalScheme:
         # Finite codebooks overshoot; at M = 2^16 the overhead stays small.
         assert rep.analytic < rep.mean < rep.analytic + 0.1
 
-    def test_dropped_level_warning(self):
-        skewed = spectra.parse_spectrum("1.4:0.99,0.05:0.01")
-        rep = simulator.run_universal_scheme(_cfg(n=8, spectrum=skewed, trials=16))
-        assert len(rep.warnings) == 1
-        assert "zero dimensions" in rep.warnings[0]
+    @pytest.mark.parametrize("run", [
+        pytest.param(lambda s: simulator.run_universal_scheme(_cfg(n=4, spectrum=s)), id="scheme"),
+        pytest.param(lambda s: simulator.estimate_codeword_success(
+            _cfg(n=4, spectrum=s, eta=0.05)), id="success"),
+        pytest.param(lambda s: simulator.simulate_wf_coupling(s, 0.3, 4, 8, 0, 1), id="coupling"),
+        pytest.param(lambda s: simulator.simulate_mmse_filter(s, 1.0, 4, 8, 0, 1), id="filter"),
+    ])
+    def test_dropped_level_refused(self, monkeypatch, run):
+        # At n = 4 the level 10.5 of weight 0.05 gets no coordinate: every
+        # mode refuses it before any codebook, rotation or trial is drawn.
+        monkeypatch.setattr(simulator, "_unit_rngs", _no_draw)
+        with pytest.raises(ValueError, match=r"levels \[0\] receive zero dimensions at n=4"):
+            run(spectra.parse_spectrum("10.5:0.05,0.5:0.95"))
 
 
 class TestCodewordSuccess:
@@ -398,7 +416,7 @@ class TestWfCoupling:
             r = _numpy_rng(31, STREAM_TRIAL, i)
             z[i] = r.standard_normal(6)
             ynoise[i] = r.standard_normal(6)
-        lam, _ = simulator._realized_lambdas(FLAT, 6)
+        lam = rdrc._eigenvalues(FLAT, 6)
         y = math.sqrt(0.75) * ynoise
         err = (y + 0.5 * z) - y
         assert np.array_equal(rep.per_trial, (err * err) @ lam / 6)

@@ -167,9 +167,12 @@ class TestSampleRandom:
         pytest.param(lambda: spectra.sample_random(2.7, 0), id="sample-k"),
         pytest.param(lambda: spectra.sample_random(3, 1.5), id="sample-seed"),
         pytest.param(lambda: spectra.expand_to_n(spectra.flat(), 4.5), id="expand-n"),
+        pytest.param(lambda: spectra.sample_random(True, 0), id="sample-k-bool"),
+        pytest.param(lambda: spectra.sample_random(3, False), id="sample-seed-bool"),
+        pytest.param(lambda: spectra.expand_to_n(spectra.flat(), True), id="expand-n-bool"),
     ])
     def test_float_count_or_seed_rejected(self, call):
-        # Read by operator.index: a float is not truncated.
+        # Read by operator.index: a float is not truncated, nor a bool read as 0 or 1.
         with pytest.raises(ValueError, match="must be an integer"):
             call()
 

@@ -130,12 +130,6 @@ def _rate_grads(values, weights, t: float, T: float):
     return levels_wf, levels_rc, weights_wf, weights_rc
 
 
-def _public_rate_grads(s: Spectrum, d_star: float):
-    if not 0.0 < d_star < 1.0:
-        raise ValueError("d_star must lie in (0, 1)")
-    return _rate_grads(s.values, s.weights, *_levels(s.values, s.weights, d_star))
-
-
 def grad_rates(s: Spectrum, d_star: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Per-level gradients of (rate_wf_bits, rate_rc_bits) in the level values,
     weights held fixed, at fixed target distortion.
@@ -143,20 +137,9 @@ def grad_rates(s: Spectrum, d_star: float) -> tuple[tuple[float, ...], tuple[flo
     Raises KinkError when a level sits on the waterfilling level (the oracle
     curve has a kink there and is not differentiable).
     """
-    levels_wf, levels_rc, _, _ = _public_rate_grads(s, d_star)
-    return levels_wf, levels_rc
-
-
-def grad_rates_weights(s: Spectrum, d_star: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Per-level gradients of (rate_wf_bits, rate_rc_bits) in the weights,
-    level values held fixed, at fixed target distortion.
-
-    These are partial derivatives of the rate formulas, which accept any
-    positive weights: a perturbation need not keep the weights summing to 1.
-    Raises KinkError on the waterfilling kink, like grad_rates.
-    """
-    _, _, weights_wf, weights_rc = _public_rate_grads(s, d_star)
-    return weights_wf, weights_rc
+    if not 0.0 < d_star < 1.0:
+        raise ValueError("d_star must lie in (0, 1)")
+    return _rate_grads(s.values, s.weights, *_levels(s.values, s.weights, d_star))[:2]
 
 
 def _gap_core(values, weights, d_star: float) -> float:
@@ -545,6 +528,14 @@ def _point_search(d_star: float, k_max: int) -> tuple[GapRecord, PointDiagnostic
     return record, PointDiagnostics(d_star, restarts, converged, best_k, residual, max_phi)
 
 
+def _check_kmax(k_max) -> int:
+    """k_max as an int in 1..5, else ValueError."""
+    k_max = _integer(k_max, "k_max")
+    if not 1 <= k_max <= 5:
+        raise ValueError("k_max must lie in 1..5")
+    return k_max
+
+
 def maximize_gap(d_star: float, k_max: int) -> GapRecord:
     """Best gap found over spectra with at most k_max distinct levels; the
     search is deterministic.  Below d* = 1e-8 the gap's rounding exceeds
@@ -552,10 +543,7 @@ def maximize_gap(d_star: float, k_max: int) -> GapRecord:
     searched one; such d* are rejected."""
     if not 1e-8 <= d_star < 1.0:
         raise ValueError("d_star must lie in [1e-8, 1)")
-    k_max = _integer(k_max, "k_max")
-    if not 1 <= k_max <= 5:
-        raise ValueError("k_max must lie in 1..5")
-    return _point_search(d_star, k_max)[0]
+    return _point_search(d_star, _check_kmax(k_max))[0]
 
 
 def _sweep_worker(args):
@@ -581,9 +569,7 @@ def sweep(d_grid, k_max: int, threads: int | None = None) -> SweepResult:
         raise ValueError("empty distortion grid")
     for d in grid:
         check_grid_point(d)
-    k_max = _integer(k_max, "k_max")
-    if not 1 <= k_max <= 5:
-        raise ValueError("k_max must lie in 1..5")
+    k_max = _check_kmax(k_max)
     args = [(d, k_max) for d in grid]
     results = ordered_map(_sweep_worker, args, threads)
     records, diags = zip(*results)

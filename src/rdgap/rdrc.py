@@ -1,10 +1,10 @@
 """Universal random-coding rate-distortion curve and codebook scaling.
 
 Distortion at parameter T is sum_j w_j * v_j / (1 + v_j T); rate in bits is
-(1/2) sum_j w_j * log2(1 + v_j T).  Also houses the per-realization
-distortion D(V, T) and the codebook scaling tau, both per coordinate in
-the scheme's own expressions: the simulator's one realization rule
-(_eigenvalues) and one scaling rule, quantizer included (_scaling).
+(1/2) sum_j w_j * log2(1 + v_j T).  Also houses the codebook scaling tau
+of one realization, per coordinate on the n eigenvalues of
+spectra.expand_to_n: the simulator's one scaling rule, quantizer included
+(_scaling).
 The functions on arrays import numpy inside the function, so the scalar
 curves load without it.
 """
@@ -140,15 +140,6 @@ def dd_rc(s: Spectrum, rate: float) -> float:
     return d_rc(s, t_rc_for_rate(s, rate))
 
 
-def _eigenvalues(s: Spectrum, n: int):
-    """The n eigenvalues of expand_to_n, one per coordinate; raises if a
-    level is left without a coordinate."""
-    lam, dropped = expand_to_n(s, n)
-    if dropped:
-        raise ValueError(f"levels {dropped} receive zero dimensions at n={n}; use a larger n")
-    return lam
-
-
 def _scaling_terms(lam, rate: float):
     """T at the rate on the eigenvalues lam, each of mass 1 / len(lam) (0 at
     rate 0), and the scaling rule's alam2 = lam^2 / (1 + lam T)^2 and
@@ -157,23 +148,6 @@ def _scaling_terms(lam, rate: float):
     n = len(lam)
     T = _t_for_rate(lam.tolist(), [1.0 / n] * n, rate) if rate > 0.0 else 0.0
     return T, lam**2 / (1.0 + lam * T) ** 2, float(np.sum(lam / (1.0 + lam * T)))
-
-
-def d_rc_per_w(s: Spectrum, w_tilde_sq, T: float) -> float:
-    """Per-realization distortion D(V, T) = (1/n) sum_i x_i lam_i / (1 + lam_i T)
-    for the n = len(x) squared eigenbasis coordinates x of one realization,
-    lam the n eigenvalues of expand_to_n: the success kernel's target.
-    Reduces to d_rc on those eigenvalues when all entries are 1.
-    """
-    import numpy as np
-    _check_T(T)
-    x = np.asarray([float(u) for u in w_tilde_sq], dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("squared coordinates must be finite")
-    if np.any(x < 0.0):
-        raise ValueError("squared coordinates must be nonnegative")
-    lam = _eigenvalues(s, len(x))
-    return float(x @ (lam / (1.0 + lam * T))) / len(x)
 
 
 def _check_scaling(threshold, delta) -> None:
@@ -193,7 +167,11 @@ def _scaling(T: float, alam2, den: float, w, threshold, delta):
     leaves [0, ||w||_inf] before rounding, which the rule never does."""
     import numpy as np
     norms = np.abs(w).max(axis=-1)
-    tau = np.sqrt(T * ((w * w) @ alam2) / den)
+    # Squared on the scale of ||w||_inf, by an exact power of two, so that
+    # w^2 neither under- nor overflows.
+    e = np.frexp(norms)[1]
+    ws = np.ldexp(w, -e[..., None])
+    tau = np.ldexp(np.sqrt(T * ((ws * ws) @ alam2) / den), e)
     if threshold is not None:
         tau = np.where(norms > threshold, 0.0, tau)
     if not ((tau >= 0.0).all() and (tau <= norms * (1.0 + 1e-12) + 1e-300).all()):
@@ -222,7 +200,9 @@ def tau(s: Spectrum, w_tilde, rate: float, threshold: float | None = None,
         raise ValueError("rate must be positive")
     _check_scaling(threshold, delta)
     w = np.asarray([float(u) for u in w_tilde], dtype=float)
-    T, alam2, den = _scaling_terms(_eigenvalues(s, len(w)), rate)
+    if not np.all(np.isfinite(w)):
+        raise ValueError("coordinates must be finite")
+    T, alam2, den = _scaling_terms(expand_to_n(s, len(w)), rate)
     return float(_scaling(T, alam2, den, w, threshold, delta))
 
 

@@ -18,8 +18,8 @@ generate_state(2, uint64)'s output hash, and re-keys one reused Philox per
 unit.  tests/test_simulate.py checks the keys and first draws against
 numpy's own SeedSequence.
 
-Every mode realizes its spectrum at n by rdrc._eigenvalues, which refuses a
-level that n cannot place; the coded modes scale by rdrc._scaling.
+Every mode realizes its spectrum at n by spectra.expand_to_n, which refuses
+a level that n cannot place; the coded modes scale by rdrc._scaling.
 
 Every mode runs through one unit runner, `_map_units`: each work item is
 `(state, start, count)`, where `state` is the run's read-only dict of
@@ -45,7 +45,7 @@ import numpy as np
 
 from . import rdrc, waterfill
 from ._parallel import ordered_map
-from .spectra import Spectrum, _integer
+from .spectra import Spectrum, _integer, expand_to_n
 
 STREAM_CODEBOOK = 1
 STREAM_ROTATION = 2
@@ -155,7 +155,7 @@ class SimConfig:
             raise ValueError("eta must be nonnegative")
         if self.w_batches < 1:
             raise ValueError("w_batches must be positive")
-        rdrc._eigenvalues(self.spectrum, self.n)  # a level n cannot place: refused before any draw
+        expand_to_n(self.spectrum, self.n)  # a level n cannot place: refused before any draw
 
     @property
     def codebook_size(self) -> int:
@@ -269,7 +269,7 @@ def _scaling_state(config: SimConfig) -> dict:
     """State the scheme and success kernels share: eigenvalues, rotation,
     the noise level T at the configured rate (0 at rate 0) and the terms
     alam2 and den of the scaling rule (rdrc._scaling_terms)."""
-    lam = rdrc._eigenvalues(config.spectrum, config.n)
+    lam = expand_to_n(config.spectrum, config.n)
     u = None if config.rotation == "identity" else haar_orthogonal(config.n, config.seed)
     T, alam2, den = rdrc._scaling_terms(lam, config.rate_bits)
     return {
@@ -429,7 +429,7 @@ def simulate_wf_coupling(
     the covariance-weighted error against Y; its expectation is exactly d_wf."""
     if not t > 0.0:
         raise ValueError("water level t must be positive")
-    lam = rdrc._eigenvalues(s, n)
+    lam = expand_to_n(s, n)
     d = np.minimum(np.divide(t, lam, out=np.full(n, np.inf), where=lam > 0.0), 1.0)
     st = {
         "n": n,
@@ -457,7 +457,7 @@ def simulate_mmse_filter(
     error per dimension has expectation exactly d_rc(s, T)."""
     if not 0.0 < T < math.inf:
         raise ValueError("T must be positive and finite")
-    lam = rdrc._eigenvalues(s, n)
+    lam = expand_to_n(s, n)
     st = {
         "n": n,
         "seed": seed,

@@ -5,8 +5,10 @@ together with the fraction of dimensions at each level.  The mean eigenvalue
 is pinned to 1 (one unit of variance per dimension), which makes every
 downstream curve formula dimension-free: a single Spectrum describes the
 same source at any dimension n.  Close levels merge by one rule,
-_collapse, which merge_close and the gap search share.  Only sample_random
-and expand_to_n use numpy, which they import inside the function.
+_collapse, which merge_close and the gap search share.  n coordinates
+realize a spectrum by one rule, expand_to_n, which refuses a level they
+cannot place.  Only sample_random and expand_to_n use numpy, which they
+import inside the function.
 """
 
 from __future__ import annotations
@@ -171,14 +173,22 @@ def sample_random(k: int, seed: int) -> Spectrum:
     raise RuntimeError("could not sample a non-degenerate spectrum")
 
 
-def expand_to_n(s: Spectrum, n: int) -> tuple[np.ndarray, list[int]]:
-    """Expand to n concrete eigenvalues by largest-remainder apportionment.
-
-    Returns (eigenvalues sorted decreasing, indices of levels that received
-    zero dimensions).  The caller decides how to handle dropped levels; the
-    returned eigenvalues are NOT rescaled here.
+def expand_to_n(s: Spectrum, n: int) -> np.ndarray:
+    """The n eigenvalues, sorted decreasing, with which n coordinates realize
+    s: level j on _apportion(s, n)[j] of them.  Raises ValueError if a level
+    gets none; the values are not rescaled.
     """
     import numpy as np
+    counts = _apportion(s, n)
+    dropped = [j for j, c in enumerate(counts) if c == 0]
+    if dropped:
+        raise ValueError(f"levels {dropped} receive zero dimensions at n={n}; use a larger n")
+    return np.repeat(np.asarray(s.values, dtype=float), counts)
+
+
+def _apportion(s: Spectrum, n: int) -> list[int]:
+    """Coordinates per level out of n, by largest-remainder apportionment;
+    a level may get none."""
     n = _integer(n, "n")
     if n < 1:
         raise ValueError("n must be positive")
@@ -190,9 +200,7 @@ def expand_to_n(s: Spectrum, n: int) -> tuple[np.ndarray, list[int]]:
     order = sorted(range(s.k), key=lambda j: (-(quotas[j] - counts[j]), j))
     for j in order[:short]:
         counts[j] += 1
-    dropped = [j for j in range(s.k) if counts[j] == 0]
-    lams = np.repeat(np.asarray(s.values, dtype=float), counts)
-    return lams, dropped
+    return counts
 
 
 def parse_spectrum(text: str) -> Spectrum:

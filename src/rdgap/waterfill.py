@@ -118,10 +118,3 @@ def dd_wf(s: Spectrum, rate: float) -> float:
     if rate == 0.0:
         return 1.0
     return d_wf(s, _t_for_rate(s.values, s.weights, rate))
-
-
-def per_coord_distortions(s: Spectrum, t: float) -> list[float]:
-    """Per-level distortion shares D_j = min(t / v_j, 1), 1 at zero levels."""
-    _check_t(t)
-    return [min(t / v, 1.0) if v > 0.0 else 1.0 for v in s.values]
-

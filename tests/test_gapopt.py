@@ -260,15 +260,9 @@ def _richardson_fd_weights(s, u, d_star, h):
     return (4.0 * b[0] - a[0]) / 3.0, (4.0 * b[1] - a[1]) / 3.0
 
 
-class TestGradRatesWeights:
-    def test_kink_raises(self):
-        with pytest.raises(KinkError):
-            gapopt.grad_rates_weights(TWO_LEVEL, 0.2)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            gapopt.grad_rates_weights(TWO_LEVEL, 1.0)
-
+class TestRateGradsWeights:
+    # _rate_grads' weight components, on which _kkt, _max_phi and the
+    # Hessian build.
     def test_fd_random_instances(self):
         # 200 non-degenerate random instances: the directional derivative in
         # the weights along a random direction (each weight moved relative to
@@ -285,7 +279,8 @@ class TestGradRatesWeights:
             t = waterfill.t_for_distortion(s, d_star)
             if min(abs(v - t) for v in s.values) < 1e-3 * t:
                 continue
-            g_wf, g_rc = gapopt.grad_rates_weights(s, d_star)
+            g_wf, g_rc = gapopt._rate_grads(
+                s.values, s.weights, *gapopt._levels(s.values, s.weights, d_star))[2:]
             z = rng.standard_normal(k)
             u = np.asarray(s.weights) * z / float(np.max(np.abs(z)))
             dot_wf = float(np.dot(g_wf, u))

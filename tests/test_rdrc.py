@@ -25,9 +25,11 @@ W_THREE = np.array([1.1, -0.4, 0.7])
 
 
 def _realized(k, seed, n):
-    """sample_random(k, seed) as n coordinates realize it: the levels that
-    expand_to_n gives a coordinate, weighted by their counts, at unit mean."""
-    return spectra.from_eigenvalues(spectra.expand_to_n(spectra.sample_random(k, seed), n)[0])
+    """A spectrum that n coordinates realize: the levels of sample_random(k,
+    seed) that expand_to_n's apportionment gives a coordinate, weighted by
+    their counts, at unit mean."""
+    s = spectra.sample_random(k, seed)
+    return spectra.from_eigenvalues(np.repeat(s.values, spectra._apportion(s, n)))
 
 
 def _scheme_state(s, n, rate=1.0):
@@ -63,8 +65,8 @@ class TestDRc:
     @pytest.mark.parametrize("T", [-0.1, math.nan, math.inf], ids=["negative", "nan", "inf"])
     @pytest.mark.parametrize(
         "curve",
-        [rdrc.d_rc, rdrc.r_rc, lambda s, T: rdrc.d_rc_per_w(s, [1.0, 1.0], T)],
-        ids=["d_rc", "r_rc", "d_rc_per_w"],
+        [rdrc.d_rc, rdrc.r_rc],
+        ids=["d_rc", "r_rc"],
     )
     def test_negative_t(self, curve, T):
         # T must lie in [0, inf): a nan T, and an infinite one (0 * inf is nan
@@ -202,49 +204,6 @@ class TestCompositions:
         assert r_rc_val > waterfill.rr_wf(TWO_LEVEL, 0.2)
 
 
-class TestDRcPerW:
-    def test_all_ones_reduces_to_d_rc(self):
-        # On the n realized eigenvalues; at n = 2 they are TWO_LEVEL's levels.
-        for s, n in ((FLAT, 1), (TWO_LEVEL, 2), (spectra.sample_random(5, 8), 200)):
-            lam, _ = spectra.expand_to_n(s, n)
-            assert rdrc.d_rc_per_w(s, [1.0] * n, 2.0) == pytest.approx(
-                rdrc._d_rc(lam.tolist(), [1.0 / n] * n, 2.0), abs=1e-15
-            )
-
-    def test_n_equal_k_is_the_success_kernels_target(self):
-        state = _scheme_state(THREE_LEVEL, 3)
-        lam, T = state["lam"], state["T"]
-        assert rdrc.d_rc_per_w(THREE_LEVEL, W_THREE**2, T) == (
-            float((W_THREE * W_THREE) @ (lam / (1.0 + lam * T))) / 3)
-
-    def test_zero_vector(self):
-        assert rdrc.d_rc_per_w(TWO_LEVEL, [0.0, 0.0], 1.0) == 0.0
-
-    def test_flat_concentrated_coordinate(self):
-        assert rdrc.d_rc_per_w(FLAT, [4.0, 0.0, 0.0, 0.0], 3.0) == 0.25
-
-    def test_negative_entry_rejected(self):
-        with pytest.raises(ValueError):
-            rdrc.d_rc_per_w(FLAT, [-1.0], 1.0)
-
-    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
-    def test_non_finite_entry_rejected(self, x):
-        # A nan passes the x < 0 check and would come back as a nan distortion.
-        with pytest.raises(ValueError, match="finite"):
-            rdrc.d_rc_per_w(SEMI_HALF, [x, 1.0], 1.0)
-
-    def test_monte_carlo_mean_matches_d_rc(self):
-        # E over standard Gaussian coordinates of the per-realization curve
-        # equals the ensemble curve.
-        s = spectra.parse_spectrum("2:0.25,1:0.125,0.75:0.5,0:0.125")
-        n, trials, T = 16, 4000, 1.7
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(77)))
-        vals = np.array([rdrc.d_rc_per_w(s, rng.standard_normal(n) ** 2, T)
-                         for _ in range(trials)])
-        se = vals.std(ddof=1) / math.sqrt(trials)
-        assert abs(vals.mean() - rdrc.d_rc(s, T)) < 4.0 * se
-
-
 class TestTau:
     def test_zero_vector(self):
         assert rdrc.tau(TWO_LEVEL, [0.0, 0.0], 1.0) == 0.0
@@ -268,6 +227,31 @@ class TestTau:
     def test_rate_domain(self):
         with pytest.raises(ValueError):
             rdrc.tau(FLAT, [1.0], 0.0)
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_coordinate_rejected(self, x):
+        # Unchecked, an infinite coordinate makes tau infinite and a nan trips
+        # the range check as a SolverError.
+        with pytest.raises(ValueError, match="finite"):
+            rdrc.tau(FLAT, [x, 1.0], 1.0)
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e200], ids=["tiny", "huge"])
+    def test_coordinates_whose_squares_leave_float_range(self, scale):
+        # Flat at rate 1 has T = 3, so four equal coordinates c give
+        # sqrt(T / (1 + T)) c, though c^2 under- or overflows.
+        got = rdrc.tau(FLAT, [scale] * 4, 1.0)
+        assert got == pytest.approx(math.sqrt(0.75) * scale, rel=1e-15, abs=0.0)
+
+    def test_power_of_two_scaling_keeps_every_bit(self):
+        # Squaring on the scale of ||w||_inf is exact: on rows whose squares
+        # stay in float range, tau is the unscaled expression bit for bit.
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(53)))
+        st = _scheme_state(THREE_LEVEL, 37)
+        T, alam2, den = st["T"], st["alam2"], st["den"]
+        for scale in (1e-3, 1e-1, 1.0, 1e2, 1e5):
+            w = scale * rng.standard_normal((256, 37))
+            plain = np.sqrt(T * ((w * w) @ alam2) / den)
+            assert np.array_equal(rdrc._scaling(T, alam2, den, w, None, None), plain)
 
     @given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=100),
            st.integers(min_value=0, max_value=10**6), st.integers(min_value=1, max_value=40))

@@ -224,7 +224,7 @@ class TestUniversalScheme:
         # of the source itself — reproducible coordinate by coordinate.
         cfg = _cfg(n=6, trials=16, tau_threshold=0.0, seed=21)
         rep = simulator.run_universal_scheme(cfg)
-        lam = rdrc._eigenvalues(cfg.spectrum, cfg.n)
+        lam = spectra.expand_to_n(cfg.spectrum, cfg.n)
         w = np.stack(
             [_numpy_rng(cfg.seed, STREAM_TRIAL, i).standard_normal(cfg.n) for i in range(cfg.trials)]
         )
@@ -416,7 +416,7 @@ class TestWfCoupling:
             r = _numpy_rng(31, STREAM_TRIAL, i)
             z[i] = r.standard_normal(6)
             ynoise[i] = r.standard_normal(6)
-        lam = rdrc._eigenvalues(FLAT, 6)
+        lam = spectra.expand_to_n(FLAT, 6)
         y = math.sqrt(0.75) * ynoise
         err = (y + 0.5 * z) - y
         assert np.array_equal(rep.per_trial, (err * err) @ lam / 6)

@@ -72,8 +72,7 @@ class TestFromEigenvalues:
         # Expanding a spectrum to concrete eigenvalues and re-canonicalizing
         # returns the same Spectrum (64ths weights make apportionment exact).
         s = Spectrum((2.0, 0.75, 0.5), (0.25, 0.5, 0.25))
-        lams, dropped = spectra.expand_to_n(s, 64)
-        assert not dropped
+        lams = spectra.expand_to_n(s, 64)
         assert spectra.from_eigenvalues(lams.tolist()) == s
 
 
@@ -189,30 +188,28 @@ class TestSampleRandom:
 
 class TestExpandToN:
     def test_semi_flat_quarter(self):
-        lams, dropped = spectra.expand_to_n(spectra.semi_flat(0.25), 8)
-        assert dropped == []
+        lams = spectra.expand_to_n(spectra.semi_flat(0.25), 8)
         assert lams.tolist() == [4.0, 4.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
 
     def test_counts_follow_weights(self):
         s = Spectrum((2.0, 0.75, 0.5), (0.25, 0.5, 0.25))
-        lams, dropped = spectra.expand_to_n(s, 16)
-        assert not dropped
+        lams = spectra.expand_to_n(s, 16)
         assert np.count_nonzero(lams == 2.0) == 4
         assert np.count_nonzero(lams == 0.75) == 8
         assert np.count_nonzero(lams == 0.5) == 4
 
     def test_small_weight_level_dropped(self):
         s = Spectrum((1.98019801980198, 0.019801980198019802), (0.5, 0.5))
-        lams, dropped = spectra.expand_to_n(s, 4)
-        assert dropped == []
+        assert len(spectra.expand_to_n(s, 4)) == 4
+        # A level that gets no coordinate is refused, not dropped.
         tiny = spectra.parse_spectrum("1.4:0.99,0.05:0.01")
-        lams, dropped = spectra.expand_to_n(tiny, 8)
-        assert dropped == [1]
-        assert len(lams) == 8
+        assert spectra._apportion(tiny, 8) == [8, 0]
+        with pytest.raises(ValueError, match=r"levels \[1\] receive zero dimensions at n=8"):
+            spectra.expand_to_n(tiny, 8)
 
     def test_sorted_decreasing(self):
         s = spectra.sample_random(5, 3)
-        lams, _ = spectra.expand_to_n(s, 37)
+        lams = spectra.expand_to_n(s, 37)
         assert all(a >= b for a, b in zip(lams, lams[1:]))
 
 

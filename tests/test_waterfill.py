@@ -190,25 +190,6 @@ class TestTForRate:
         assert tied == pytest.approx(merged, rel=1e-14)
 
 
-class TestPerCoordDistortions:
-    def test_flat(self):
-        assert waterfill.per_coord_distortions(FLAT, 0.25) == [0.25]
-
-    def test_zero_level_gets_one(self):
-        assert waterfill.per_coord_distortions(SEMI_HALF, 1.0) == [0.5, 1.0]
-
-    def test_all_ones_above_max(self):
-        assert waterfill.per_coord_distortions(TWO_LEVEL, 2.5) == [1.0, 1.0]
-
-    @given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=200),
-           st.floats(min_value=0.01, max_value=3.0))
-    def test_weighted_reconstruction_identity(self, k, seed, t):
-        s = spectra.sample_random(k, seed)
-        ds = waterfill.per_coord_distortions(s, t)
-        recon = sum(w * v * d for w, v, d in zip(s.weights, s.values, ds))
-        assert abs(recon - waterfill.d_wf(s, t)) < 1e-12
-
-
 class TestWfPoint:
     """A point of the `wf` subcommand's curve: t from t_for_distortion, its rate from r_wf."""
 

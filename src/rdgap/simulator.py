@@ -34,6 +34,13 @@ pickled, under spawn).  Scheme units run in the calling process, since
 their codeword GEMM already runs on BLAS's threads: on a 2-CPU machine, 2
 pool workers x 2 BLAS threads ran about 2x slower than serial.  Machines
 with more CPUs were not measured.
+
+The scheme scores a chunk against the codebook in blocks of
+_CODEWORD_BLOCK codewords, each in row tiles of about _TILE scores, so
+beyond the (rotated) codebook and its gram it holds two reused tile
+buffers of 1 MB each for full blocks (a block that runs whole holds at
+most the chunk's rows by its size); every score, and so every byte,
+equals the whole chunk's.
 """
 
 from __future__ import annotations
@@ -55,10 +62,16 @@ STREAM_WBATCH = 4
 # Work units are fixed so they never depend on the thread count.
 _CHUNK = 256  # trials per work unit
 _SOURCE_BATCHES = 32  # source batches per success work unit
-# Codewords per distance block.  The scheme search reuses two _CHUNK x block
-# float64 buffers, 8 MB each, in the calling process; on 2 CPUs 4096 was as
-# fast as 8192 with half the memory, and 2048 and below were slower.
+# Codewords per distance block; on 2 CPUs 4096 was as fast as 8192, and 2048
+# and below were slower.
 _CODEWORD_BLOCK = 4096
+# Scores per distance tile.  A block of `size` codewords, a multiple of 8,
+# is scored in row tiles of _TILE // size rows, the last absorbing the
+# remainder; a full block's tile is 1 MB per float64 buffer, so the two
+# reused buffers fit a 2 MB L2.  These GEMMs (32 to 255 rows by >= 1024
+# codewords) gave the whole chunk's bits on OpenBLAS 0.3.31 (x86-64); row
+# tiles of blocks of other sizes did not, so those run on the whole chunk.
+_TILE = 2**17
 
 _Z_TWO_SIDED = 1.959963984540054  # 97.5% normal quantile
 _Z_ONE_SIDED = 1.6448536269514722  # 95% normal quantile
@@ -288,6 +301,15 @@ def _scaling_state(config: SimConfig) -> dict:
 # --- universal quantization scheme -----------------------------------------
 
 
+def _row_tiles(count: int, size: int) -> list[tuple[int, int]]:
+    """Row ranges [r0, r1) of one block's tiles: _TILE // size rows each, the
+    last holding rows to 2 rows - 1; fewer than 2 rows, or a size that is no
+    multiple of 8, run whole."""
+    rows = max(1, _TILE // size) if size % 8 == 0 else count
+    starts = range(0, max(1, count // rows) * rows, rows)
+    return list(zip(starts, [*starts[1:], count]))
+
+
 def _scheme_chunk(args: tuple[dict, int, int]) -> np.ndarray:
     st, start, count = args
     n = st["n"]
@@ -300,22 +322,29 @@ def _scheme_chunk(args: tuple[dict, int, int]) -> np.ndarray:
     cb = st["codebook_rot"]
     g = st["codebook_gram"]
     m = cb.shape[0]
-    # score = tau^2 g - 2 tau (wl . c), operation for operation, in two
-    # buffers; the last, partial block uses their leading count x size part.
+    # score = tau^2 g - 2 tau (wl . c), operation for operation, tile by
+    # tile in two buffers; each tile uses their leading rows x size part.
+    # The last tile of a block is its widest, and only the last block can be
+    # narrower than the first.
     two_tau, tau2 = 2.0 * tau[:, None], tau[:, None] ** 2
-    xbuf, ybuf = np.empty((2, count * min(m, _CODEWORD_BLOCK)))
-    block_best, best = np.empty(count), np.full(count, np.inf)
+    full = min(m, _CODEWORD_BLOCK)
+    last = m - (m - 1) // full * full
+    cells = max(size * (count - _row_tiles(count, size)[-1][0]) for size in (full, last))
+    xbuf, ybuf = np.empty((2, cells))
+    tile_best, best = np.empty(count), np.full(count, np.inf)
     for b0 in range(0, m, _CODEWORD_BLOCK):
         blk = slice(b0, min(b0 + _CODEWORD_BLOCK, m))
         size = blk.stop - b0
-        x = xbuf[: count * size].reshape(count, size)
-        y = ybuf[: count * size].reshape(count, size)
-        np.matmul(wl, cb[blk].T, out=x)
-        np.multiply(two_tau, x, out=x)
-        np.multiply(tau2, g[blk], out=y)
-        np.subtract(y, x, out=y)
-        np.min(y, axis=1, out=block_best)
-        np.minimum(best, block_best, out=best)
+        for r0, r1 in _row_tiles(count, size):
+            rows = slice(r0, r1)
+            x = xbuf[: (r1 - r0) * size].reshape(r1 - r0, size)
+            y = ybuf[: (r1 - r0) * size].reshape(r1 - r0, size)
+            np.matmul(wl[rows], cb[blk].T, out=x)
+            np.multiply(two_tau[rows], x, out=x)
+            np.multiply(tau2[rows], g[blk], out=y)
+            np.subtract(y, x, out=y)
+            np.min(y, axis=1, out=tile_best[rows])
+            np.minimum(best[rows], tile_best[rows], out=best[rows])
     return (a0 + best) / n
 
 
@@ -337,9 +366,10 @@ def run_universal_scheme(config: SimConfig, threads: int | None = None) -> SimRe
     """
     if not config.rate_bits > 0.0:
         raise ValueError("scheme mode needs rate_bits > 0")
-    codebook = build_codebook(config)  # its cap check comes before the n x n rotation
+    c_rot = build_codebook(config)  # its cap check comes before the n x n rotation
     st = _scaling_state(config)
-    c_rot = codebook @ st["u"] if st["u"] is not None else codebook
+    if st["u"] is not None:
+        c_rot = c_rot @ st["u"]  # rebinding frees the unrotated book
     st["codebook_rot"] = c_rot
     st["codebook_gram"] = (c_rot * c_rot) @ st["lam"]
     analytic = rdrc.dd_rc(config.spectrum, config.rate_bits)

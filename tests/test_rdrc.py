@@ -340,8 +340,9 @@ class TestQuantizeTau:
         q, t = rdrc.tau(s, w, 0.8, delta=delta), rdrc.tau(s, w, 0.8)
         assert abs(q - t) <= delta * float(np.max(np.abs(w))) / 2.0 * (1.0 + 1e-12)
 
-    def test_matches_the_simulated_scheme(self):
-        # Threshold and step as SimConfig passes them to the scheme's state.
+    def test_equals_the_success_kernel(self):
+        # The success kernel scales one realization at a time, with the
+        # threshold and step SimConfig passes to the run's state: bit for bit.
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(263)))
         for i in range(240):
             n, rate = int(rng.integers(8, 40)), float(rng.uniform(0.1, 2.0))
@@ -352,9 +353,27 @@ class TestQuantizeTau:
             st = simulator._scaling_state(simulator.SimConfig(
                 n=n, rate_bits=rate, spectrum=s, trials=1, seed=0,
                 tau_delta=delta, tau_threshold=threshold))
-            scheme = float(rdrc._scaling(st["T"], st["alam2"], st["den"], w,
+            kernel = float(rdrc._scaling(st["T"], st["alam2"], st["den"], w,
                                          st["threshold"], st["delta"]))
-            assert rdrc.tau(s, w, rate, threshold, delta) == scheme, i
+            assert rdrc.tau(s, w, rate, threshold, delta) == kernel, i
+
+    def test_matches_the_simulated_scheme(self):
+        # The scheme scales a chunk of up to 256 rotated rows in one stacked
+        # product, whose sums may round apart from one row's: within 1e-15
+        # relative, not bit for bit.
+        s = spectra.parse_spectrum("3:0.2,1:0.5,0.1:0.3")
+        for i, n in enumerate(range(10, 38)):
+            delta = (None, 0.01, 0.05)[i % 3]
+            threshold = (None, 3.0)[i % 2]
+            cfg = simulator.SimConfig(
+                n=n, rate_bits=0.5 + i / 20, spectrum=s, trials=256, seed=5,
+                rotation=("identity", "haar")[i % 2], tau_delta=delta, tau_threshold=threshold)
+            st = simulator._scaling_state(cfg)
+            (w,) = simulator._trial_normals(cfg.seed, 0, cfg.trials, n)
+            wt = w @ st["u"] if st["u"] is not None else w
+            scheme = rdrc._scaling(st["T"], st["alam2"], st["den"], wt, st["threshold"], st["delta"])
+            taus = np.array([rdrc.tau(s, row, cfg.rate_bits, threshold, delta) for row in wt])
+            assert np.all(np.abs(taus - scheme) <= 1e-15 * scheme), n
 
 
 class TestEigenSensitivity:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -232,31 +233,84 @@ class TestUniversalScheme:
 
     @pytest.mark.parametrize("rotation", ["identity", "haar"])
     @pytest.mark.parametrize(
-        "n,rate,size", [(13, 1.05, 12854), (14, 1.0, 16384)], ids=["partial", "full"]
+        "n,rate,size",
+        [
+            (13, 1.05, 12854),
+            (14, 1.0, 16384),
+            (12, math.log2(4097.5) / 12, 4097),
+            (12, math.log2(4095.5) / 12, 4095),
+            (40, math.log2(6144.5) / 40, 6144),
+        ],
+        ids=["partial", "full", "one-codeword-last", "odd", "n40"],
     )
     def test_distance_blocks_match_one_line_formula(self, n, rate, size, rotation):
-        # 12,854 = 3 x 4096 + 566 codewords end in a partial block.  Each
-        # block's scores must equal the plain expression bit for bit; 24
-        # trials keep both sides in one chunk of the same rows.
-        cfg = _cfg(n=n, rate_bits=rate, trials=24, seed=43, rotation=rotation, tau_delta=0.05)
-        assert cfg.codebook_size == size
-        rep = simulator.run_universal_scheme(cfg)
-        st = simulator._scaling_state(cfg)
-        u, lam = st["u"], st["lam"]
-        w = np.stack([_numpy_rng(cfg.seed, STREAM_TRIAL, i).standard_normal(n) for i in range(24)])
-        wt = w @ u if u is not None else w
-        tau = rdrc._scaling(st["T"], st["alam2"], st["den"], wt, None, cfg.tau_delta)
-        codebook = simulator.build_codebook(cfg)
-        cb = codebook @ u if u is not None else codebook
-        g = (cb * cb) @ lam
-        wl = wt * lam
-        best = np.full(24, np.inf)
-        block = simulator._CODEWORD_BLOCK
-        for b0 in range(0, size, block):
-            blk = slice(b0, min(b0 + block, size))
-            score = tau[:, None] ** 2 * g[None, blk] - 2.0 * tau[:, None] * (wl @ cb[blk].T)
-            np.minimum(best, score.min(axis=1), out=best)
-        assert np.array_equal(rep.per_trial, ((wt * wt) @ lam + best) / n)
+        # The scheme scores 4096-codeword blocks in row tiles (32 rows; 64 for
+        # the 2,048-codeword last block at n = 40); 24 trials and blocks of
+        # 566, 1, 4095 (no multiple of 8) or too few rows run whole.  Each
+        # trial's score must equal the plain expression on the whole chunk,
+        # block by block, bit for bit; <= 256 trials are one chunk.
+        for trials in (24, 100, 256):
+            cfg = _cfg(n=n, rate_bits=rate, trials=trials, seed=43, rotation=rotation, tau_delta=0.05)
+            assert cfg.codebook_size == size
+            rep = simulator.run_universal_scheme(cfg)
+            st = simulator._scaling_state(cfg)
+            u, lam = st["u"], st["lam"]
+            w = np.stack([_numpy_rng(cfg.seed, STREAM_TRIAL, i).standard_normal(n) for i in range(trials)])
+            wt = w @ u if u is not None else w
+            tau = rdrc._scaling(st["T"], st["alam2"], st["den"], wt, None, cfg.tau_delta)
+            codebook = simulator.build_codebook(cfg)
+            cb = codebook @ u if u is not None else codebook
+            g = (cb * cb) @ lam
+            wl = wt * lam
+            best = np.full(trials, np.inf)
+            block = simulator._CODEWORD_BLOCK
+            for b0 in range(0, size, block):
+                blk = slice(b0, min(b0 + block, size))
+                score = tau[:, None] ** 2 * g[None, blk] - 2.0 * tau[:, None] * (wl @ cb[blk].T)
+                np.minimum(best, score.min(axis=1), out=best)
+            assert np.array_equal(rep.per_trial, ((wt * wt) @ lam + best) / n), trials
+
+    def test_row_tiles_rule(self):
+        # _TILE // size rows per tile, the last tile absorbing the remainder;
+        # fewer than twice that, or a block that is no multiple of 8, runs whole.
+        assert simulator._row_tiles(256, 4096) == [(r, r + 32) for r in range(0, 256, 32)]
+        assert simulator._row_tiles(100, 4096) == [(0, 32), (32, 64), (64, 100)]
+        assert simulator._row_tiles(256, 2048) == [(0, 64), (64, 128), (128, 192), (192, 256)]
+        assert simulator._row_tiles(63, 4096) == [(0, 63)]
+        assert simulator._row_tiles(256, 512) == [(0, 256)]
+        assert simulator._row_tiles(256, 4095) == [(0, 256)]
+
+    @pytest.mark.parametrize("size", [1, 16, 566, 1024, 2048, 3770, 4095, 4096])
+    def test_row_tiles_keep_the_whole_chunk_gemm_bits(self, size):
+        # The tiling's premise on this BLAS: each tile's GEMM rows equal the
+        # whole chunk's bit for bit.  Row tiles of 3,770 or 4,095 codewords
+        # changed the last size % 8 columns, so such blocks run whole.
+        rng = np.random.default_rng(size)
+        for n in (2, 12, 40):
+            cb = rng.standard_normal((size, n))
+            for count in (24, 100, 256):
+                wl = rng.standard_normal((count, n))
+                tiled = np.concatenate([wl[r0:r1] @ cb.T for r0, r1 in simulator._row_tiles(count, size)])
+                assert np.array_equal(tiled, wl @ cb.T), (n, count)
+
+    @pytest.mark.parametrize("rotation", ["identity", "haar"])
+    def test_working_set_is_two_books_and_a_megabyte(self, rotation):
+        # n = 16 at rate 1 is a 65,536-codeword book of 8 MB.  The run holds
+        # one book (haar rebinds the rotated one), its gram and two tile
+        # buffers of 1 MB; the gram's transient c * c copy is the peak.  An
+        # untraced run first loads the modules the scheme imports lazily.
+        cfg = _cfg(n=16, rate_bits=1.0, trials=256, seed=5, rotation=rotation)
+        bound = 2 * simulator.build_codebook(cfg).nbytes + 2**20
+        simulator.run_universal_scheme(_cfg(n=4, trials=1, rotation=rotation))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            simulator.run_universal_scheme(cfg)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
 
     def test_huge_tau_delta_rounds_scaling_to_zero(self):
         # The scaling never exceeds the sup-norm, so a rounding unit of

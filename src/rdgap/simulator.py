@@ -35,12 +35,17 @@ their codeword GEMM already runs on BLAS's threads: on a 2-CPU machine, 2
 pool workers x 2 BLAS threads ran about 2x slower than serial.  Machines
 with more CPUs were not measured.
 
-The scheme scores a chunk against the codebook in blocks of
+The scheme holds one codebook plus one span: `_rotate_and_gram` rotates the
+book in its own buffer (haar) and takes its gram in spans of
+_CODEWORD_BLOCK rows, the last absorbing the remainder, so neither makes a
+second copy of the book.  It scores a chunk against the book in blocks of
 _CODEWORD_BLOCK codewords, each in row tiles of about _TILE scores, so
-beyond the (rotated) codebook and its gram it holds two reused tile
-buffers of 1 MB each for full blocks (a block that runs whole holds at
-most the chunk's rows by its size); every score, and so every byte,
-equals the whole chunk's.
+beyond the book and its gram it holds two reused tile buffers of 1 MB each
+for full blocks (a block that runs whole holds at most the chunk's rows by
+its size).  Every score, and so every byte, equals the whole chunk's; the
+spans' rotation and gram equal the whole book's at one BLAS thread and, on
+OpenBLAS's SkylakeX kernel, keep their bits at two, where the whole book's
+gram did not.
 """
 
 from __future__ import annotations
@@ -63,7 +68,14 @@ STREAM_WBATCH = 4
 _CHUNK = 256  # trials per work unit
 _SOURCE_BATCHES = 32  # source batches per success work unit
 # Codewords per distance block; on 2 CPUs 4096 was as fast as 8192, and 2048
-# and below were slower.
+# and below were slower.  Also the rows per span of the book's rotation and
+# gram, the last span holding 4096 to 8191 rows.  On OpenBLAS 0.3.31
+# (x86-64, SkylakeX kernel) those spans gave the whole book's bits at one
+# BLAS thread and the same bits at one and two; plain 4096-row blocks did
+# not where the last block was tiny (4097 rows), and the whole book's gram
+# moved with the thread count (n = 12 at 65,537 rows).  Its Haswell and
+# Prescott kernels kept the one-thread bits, but spans and whole book alike
+# moved at two threads for books of odd size.
 _CODEWORD_BLOCK = 4096
 # Scores per distance tile.  A block of `size` codewords, a multiple of 8,
 # is scored in row tiles of _TILE // size rows, the last absorbing the
@@ -301,13 +313,32 @@ def _scaling_state(config: SimConfig) -> dict:
 # --- universal quantization scheme -----------------------------------------
 
 
-def _row_tiles(count: int, size: int) -> list[tuple[int, int]]:
-    """Row ranges [r0, r1) of one block's tiles: _TILE // size rows each, the
-    last holding rows to 2 rows - 1; fewer than 2 rows, or a size that is no
-    multiple of 8, run whole."""
-    rows = max(1, _TILE // size) if size % 8 == 0 else count
-    starts = range(0, max(1, count // rows) * rows, rows)
+def _spans(count: int, step: int) -> list[tuple[int, int]]:
+    """Ranges [r0, r1) of `step` rows over [0, count), the last holding
+    step to 2 step - 1 rows; fewer than 2 step rows are one range."""
+    starts = range(0, max(1, count // step) * step, step)
     return list(zip(starts, [*starts[1:], count]))
+
+
+def _row_tiles(count: int, size: int) -> list[tuple[int, int]]:
+    """Row ranges of one block's tiles: spans of _TILE // size rows; a size
+    that is no multiple of 8 runs whole."""
+    return _spans(count, max(1, _TILE // size)) if size % 8 == 0 else [(0, count)]
+
+
+def _rotate_and_gram(book: np.ndarray, u: np.ndarray | None, lam: np.ndarray) -> np.ndarray:
+    """Rotate `book`, which owns its data, in place by u (None: identity)
+    and return its gram (book * book) @ lam, both span by span over
+    _spans(M, _CODEWORD_BLOCK); the book is left read-only."""
+    gram = np.empty(book.shape[0])
+    book.setflags(write=True)
+    for b0, b1 in _spans(book.shape[0], _CODEWORD_BLOCK):
+        if u is not None:
+            book[b0:b1] = book[b0:b1] @ u
+        blk = book[b0:b1]
+        gram[b0:b1] = (blk * blk) @ lam
+    book.setflags(write=False)
+    return gram
 
 
 def _scheme_chunk(args: tuple[dict, int, int]) -> np.ndarray:
@@ -363,15 +394,19 @@ def run_universal_scheme(config: SimConfig, threads: int | None = None) -> SimRe
     ran about 2x slower than serial; more CPUs were not measured.
     `threads` is kept so every mode takes the same arguments; the units,
     and so the bytes, never depended on it.
+
+    The run holds one book plus one span: the haar rotation and the gram
+    (c * c) @ lam run span by span in the book's own buffer
+    (`_rotate_and_gram`), so a book at codebook_cap needs about its own
+    size; on OpenBLAS's SkylakeX kernel the gram's bits do not depend on
+    the BLAS thread count.
     """
     if not config.rate_bits > 0.0:
         raise ValueError("scheme mode needs rate_bits > 0")
-    c_rot = build_codebook(config)  # its cap check comes before the n x n rotation
+    book = build_codebook(config)  # its cap check comes before the n x n rotation
     st = _scaling_state(config)
-    if st["u"] is not None:
-        c_rot = c_rot @ st["u"]  # rebinding frees the unrotated book
-    st["codebook_rot"] = c_rot
-    st["codebook_gram"] = (c_rot * c_rot) @ st["lam"]
+    st["codebook_gram"] = _rotate_and_gram(book, st["u"], st["lam"])
+    st["codebook_rot"] = book
     analytic = rdrc.dd_rc(config.spectrum, config.rate_bits)
     return _run_trials("scheme", _scheme_chunk, st, config.trials, 1, analytic)
 

@@ -1,4 +1,9 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 
 import numpy as np
@@ -293,14 +298,65 @@ class TestUniversalScheme:
                 tiled = np.concatenate([wl[r0:r1] @ cb.T for r0, r1 in simulator._row_tiles(count, size)])
                 assert np.array_equal(tiled, wl @ cb.T), (n, count)
 
+    def test_spans_rule(self):
+        # `step` rows per span, the last absorbing the remainder; fewer than
+        # 2 step rows are one span.
+        assert simulator._spans(12854, 4096) == [(0, 4096), (4096, 8192), (8192, 12854)]
+        assert simulator._spans(8192, 4096) == [(0, 4096), (4096, 8192)]
+        assert simulator._spans(8191, 4096) == [(0, 8191)]
+        assert simulator._spans(4097, 4096) == [(0, 4097)]
+        assert simulator._spans(256, 4096) == [(0, 256)]
+        assert simulator._spans(1, 4096) == [(0, 1)]
+
+    def test_spans_keep_the_whole_book_bits(self):
+        # The spans' premise on this BLAS: the book's rotation and gram,
+        # span by span, equal the whole-array results bit for bit at one
+        # BLAS thread and give the same bytes at one and two.  The whole
+        # array's gram itself moved with the thread count (n = 12 at 65,537
+        # codewords, n = 40 at 12,854).  OPENBLAS_NUM_THREADS acts when a
+        # process loads BLAS, so each count runs in its own interpreter.
+        # Measured on OpenBLAS's SkylakeX kernel; under its Haswell and
+        # Prescott kernels the two-thread bits of odd books moved, spans
+        # and whole book alike.
+        code = textwrap.dedent("""
+            import hashlib
+            import numpy as np
+            from rdgap import simulator
+            digest, equal = hashlib.sha256(), []
+            for n in (2, 12, 17, 33, 40):
+                u = simulator.haar_orthogonal(n, n)
+                for m in (256, 4095, 4096, 4097, 8193, 12854, 65537):
+                    rng = np.random.default_rng(m * 64 + n)
+                    book, lam = rng.standard_normal((m, n)), rng.uniform(0.1, 3.0, n)
+                    rot = book @ u
+                    whole = [(book * book) @ lam, rot, (rot * rot) @ lam]
+                    gram = simulator._rotate_and_gram(book.copy(), None, lam)
+                    rot_gram = simulator._rotate_and_gram(book, u, lam)
+                    for a, b in zip((gram, book, rot_gram), whole):
+                        digest.update(a.tobytes())
+                        equal.append(np.array_equal(a, b))
+            print(all(equal), digest.hexdigest())
+        """)
+        src = str(pathlib.Path(simulator.__file__).parents[1])
+        runs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+            proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+            assert proc.returncode == 0, proc.stderr
+            runs.append(proc.stdout.split())
+        assert runs[0][0] == "True"
+        assert runs[0][1] == runs[1][1]
+
     @pytest.mark.parametrize("rotation", ["identity", "haar"])
-    def test_working_set_is_two_books_and_a_megabyte(self, rotation):
+    def test_working_set_is_one_book_its_gram_and_tiles(self, rotation):
         # n = 16 at rate 1 is a 65,536-codeword book of 8 MB.  The run holds
-        # one book (haar rebinds the rotated one), its gram and two tile
-        # buffers of 1 MB; the gram's transient c * c copy is the peak.  An
-        # untraced run first loads the modules the scheme imports lazily.
+        # that one book (haar rotates it in place, span by span), its gram
+        # of 0.5 MB, two tile buffers of 1 MB and the chunk's rows; the
+        # rotation's and gram's transients are one span each.  An untraced
+        # run first loads the modules the scheme imports lazily.
         cfg = _cfg(n=16, rate_bits=1.0, trials=256, seed=5, rotation=rotation)
-        bound = 2 * simulator.build_codebook(cfg).nbytes + 2**20
+        bound = simulator.build_codebook(cfg).nbytes + 8 * cfg.codebook_size + 5 * 2**19
         simulator.run_universal_scheme(_cfg(n=4, trials=1, rotation=rotation))
         tracemalloc.start()
         try:

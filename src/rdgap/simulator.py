@@ -35,17 +35,19 @@ their codeword GEMM already runs on BLAS's threads: on a 2-CPU machine, 2
 pool workers x 2 BLAS threads ran about 2x slower than serial.  Machines
 with more CPUs were not measured.
 
-The scheme holds one codebook plus one span: `_rotate_and_gram` rotates the
-book in its own buffer (haar) and takes its gram in spans of
-_CODEWORD_BLOCK rows, the last absorbing the remainder, so neither makes a
-second copy of the book.  It scores a chunk against the book in blocks of
-_CODEWORD_BLOCK codewords, each in row tiles of about _TILE scores, so
-beyond the book and its gram it holds two reused tile buffers of 1 MB each
-for full blocks (a block that runs whole holds at most the chunk's rows by
-its size).  Every score, and so every byte, equals the whole chunk's; the
-spans' rotation and gram equal the whole book's at one BLAS thread and, on
-OpenBLAS's SkylakeX kernel, keep their bits at two, where the whole book's
-gram did not.
+No scheme run holds its codebook.  It builds every chunk's trial state
+first, then draws the book from the codebook stream in spans of
+_CODEWORD_BLOCK rows, the last absorbing the remainder, rotates each span
+(haar), takes its gram and scores every chunk against it before the next
+span is drawn (`_codebook_spans`, `_score_span`).  Each span is scored in
+blocks of _CODEWORD_BLOCK codewords, each in row tiles of about _TILE
+scores, so beyond one span and the next it holds two reused tile buffers of
+1 MB each for full blocks (a block that runs whole holds at most the
+chunk's rows by its size) and the trial state, trials * (n + 4) floats.
+Every score, and so every byte, equals the whole chunk's against the whole
+book; the spans' rotation and gram equal the whole book's at one BLAS
+thread and, on OpenBLAS's SkylakeX kernel, keep their bits at two, where
+the whole book's gram did not.
 """
 
 from __future__ import annotations
@@ -68,12 +70,13 @@ STREAM_WBATCH = 4
 _CHUNK = 256  # trials per work unit
 _SOURCE_BATCHES = 32  # source batches per success work unit
 # Codewords per distance block; on 2 CPUs 4096 was as fast as 8192, and 2048
-# and below were slower.  Also the rows per span of the book's rotation and
-# gram, the last span holding 4096 to 8191 rows.  On OpenBLAS 0.3.31
-# (x86-64, SkylakeX kernel) those spans gave the whole book's bits at one
-# BLAS thread and the same bits at one and two; plain 4096-row blocks did
-# not where the last block was tiny (4097 rows), and the whole book's gram
-# moved with the thread count (n = 12 at 65,537 rows).  Its Haswell and
+# and below were slower.  Also the rows per span in which the scheme draws,
+# rotates and scores the book, the last span holding 4096 to 8191 rows, so
+# the book's share of a run's memory is a few spans whatever M is.  On
+# OpenBLAS 0.3.31 (x86-64, SkylakeX kernel) those spans gave the whole
+# book's bits at one BLAS thread and the same bits at one and two; plain
+# 4096-row blocks did not where the last block was tiny (4097 rows), and the
+# whole book's gram moved with the thread count (n = 12 at 65,537 rows).  Its Haswell and
 # Prescott kernels kept the one-thread bits, but spans and whole book alike
 # moved at two threads for books of odd size.
 _CODEWORD_BLOCK = 4096
@@ -222,15 +225,20 @@ def haar_orthogonal(n: int, seed: int) -> np.ndarray:
     return q * d
 
 
-def build_codebook(config: SimConfig) -> np.ndarray:
-    """The (M, n) read-only array of M iid standard normal codewords, drawn
-    from the codebook stream; the cap is compared in the log domain, where
-    2^(n R) cannot overflow."""
+def _codebook_stream(config: SimConfig) -> np.random.Generator:
+    """The codebook stream's generator, once M is checked against the cap
+    in the log domain, where 2^(n R) cannot overflow."""
     bits = config.n * config.rate_bits
     if bits >= math.log2(config.codebook_cap + 1):
         raise ValueError(f"codebook of size 2^{bits:g} exceeds codebook_cap {config.codebook_cap}")
-    rng = next(_unit_rngs(config.seed, STREAM_CODEBOOK, 0, 1))
-    vectors = rng.standard_normal((config.codebook_size, config.n))
+    return next(_unit_rngs(config.seed, STREAM_CODEBOOK, 0, 1))
+
+
+def build_codebook(config: SimConfig) -> np.ndarray:
+    """The (M, n) read-only array of M iid standard normal codewords, drawn
+    from the codebook stream; the scheme draws the same rows span by span
+    (`_codebook_spans`)."""
+    vectors = _codebook_stream(config).standard_normal((config.codebook_size, config.n))
     vectors.setflags(write=False)
     return vectors
 
@@ -279,13 +287,17 @@ def _run_trials(mode, kernel, state, trials, threads, analytic):
     if trials < 1:
         raise ValueError("trials must be positive")
     per_trial = np.concatenate(_map_units(kernel, state, trials, _CHUNK, threads))
+    return _trial_report(mode, per_trial, analytic)
+
+
+def _trial_report(mode: str, per_trial: np.ndarray, analytic: float) -> SimReport:
     mean, se = _mean_se(per_trial)
     return SimReport(
         mode=mode,
         mean=mean,
         se=se,
         analytic=analytic,
-        trials=trials,
+        trials=per_trial.size,
         per_trial=per_trial,
     )
 
@@ -326,57 +338,50 @@ def _row_tiles(count: int, size: int) -> list[tuple[int, int]]:
     return _spans(count, max(1, _TILE // size)) if size % 8 == 0 else [(0, count)]
 
 
-def _rotate_and_gram(book: np.ndarray, u: np.ndarray | None, lam: np.ndarray) -> np.ndarray:
-    """Rotate `book`, which owns its data, in place by u (None: identity)
-    and return its gram (book * book) @ lam, both span by span over
-    _spans(M, _CODEWORD_BLOCK); the book is left read-only."""
-    gram = np.empty(book.shape[0])
-    book.setflags(write=True)
-    for b0, b1 in _spans(book.shape[0], _CODEWORD_BLOCK):
+def _codebook_spans(rng: np.random.Generator, m: int, u: np.ndarray | None, lam: np.ndarray):
+    """Yield the book's rows drawn from `rng` span by span over
+    _spans(m, _CODEWORD_BLOCK), each rotated by u (None: identity), with
+    its gram (c * c) @ lam.  numpy fills normals in sequence, so the spans
+    are build_codebook's rows in order."""
+    for r0, r1 in _spans(m, _CODEWORD_BLOCK):
+        span = rng.standard_normal((r1 - r0, lam.size))
         if u is not None:
-            book[b0:b1] = book[b0:b1] @ u
-        blk = book[b0:b1]
-        gram[b0:b1] = (blk * blk) @ lam
-    book.setflags(write=False)
-    return gram
+            span = span @ u
+        yield span, (span * span) @ lam
 
 
-def _scheme_chunk(args: tuple[dict, int, int]) -> np.ndarray:
+def _scheme_trials(args: tuple[dict, int, int]) -> tuple[np.ndarray, ...]:
+    """A chunk's trial state: a0 = (w~ * w~) @ lam, wl = w~ * lam, the
+    columns 2 tau and tau^2 of the scaling, and the running minimum score,
+    inf until the first span is scored."""
     st, start, count = args
-    n = st["n"]
     lam = st["lam"]
-    (w,) = _trial_normals(st["seed"], start, count, n)
+    (w,) = _trial_normals(st["seed"], start, count, st["n"])
     wt = w @ st["u"] if st["u"] is not None else w
     tau = rdrc._scaling(st["T"], st["alam2"], st["den"], wt, st["threshold"], st["delta"])
-    a0 = (wt * wt) @ lam
-    wl = wt * lam
-    cb = st["codebook_rot"]
-    g = st["codebook_gram"]
-    m = cb.shape[0]
-    # score = tau^2 g - 2 tau (wl . c), operation for operation, tile by
-    # tile in two buffers; each tile uses their leading rows x size part.
-    # The last tile of a block is its widest, and only the last block can be
-    # narrower than the first.
-    two_tau, tau2 = 2.0 * tau[:, None], tau[:, None] ** 2
-    full = min(m, _CODEWORD_BLOCK)
-    last = m - (m - 1) // full * full
-    cells = max(size * (count - _row_tiles(count, size)[-1][0]) for size in (full, last))
-    xbuf, ybuf = np.empty((2, cells))
-    tile_best, best = np.empty(count), np.full(count, np.inf)
-    for b0 in range(0, m, _CODEWORD_BLOCK):
-        blk = slice(b0, min(b0 + _CODEWORD_BLOCK, m))
-        size = blk.stop - b0
-        for r0, r1 in _row_tiles(count, size):
-            rows = slice(r0, r1)
-            x = xbuf[: (r1 - r0) * size].reshape(r1 - r0, size)
-            y = ybuf[: (r1 - r0) * size].reshape(r1 - r0, size)
-            np.matmul(wl[rows], cb[blk].T, out=x)
-            np.multiply(two_tau[rows], x, out=x)
-            np.multiply(tau2[rows], g[blk], out=y)
-            np.subtract(y, x, out=y)
-            np.min(y, axis=1, out=tile_best[rows])
-            np.minimum(best[rows], tile_best[rows], out=best[rows])
-    return (a0 + best) / n
+    return (wt * wt) @ lam, wt * lam, 2.0 * tau[:, None], tau[:, None] ** 2, np.full(count, np.inf)
+
+
+def _score_span(chunks: list, span: np.ndarray, gram: np.ndarray, xbuf: np.ndarray, ybuf: np.ndarray) -> None:
+    """Fold every chunk's running minimum over the span's blocks of
+    _CODEWORD_BLOCK codewords: score = tau^2 g - 2 tau (wl . c), operation
+    for operation, tile by tile in the leading rows x size part of the two
+    buffers."""
+    for _, wl, two_tau, tau2, best in chunks:
+        tile_best = np.empty(best.size)
+        for b0 in range(0, span.shape[0], _CODEWORD_BLOCK):
+            blk = slice(b0, min(b0 + _CODEWORD_BLOCK, span.shape[0]))
+            size = blk.stop - b0
+            for r0, r1 in _row_tiles(best.size, size):
+                rows = slice(r0, r1)
+                x = xbuf[: (r1 - r0) * size].reshape(r1 - r0, size)
+                y = ybuf[: (r1 - r0) * size].reshape(r1 - r0, size)
+                np.matmul(wl[rows], span[blk].T, out=x)
+                np.multiply(two_tau[rows], x, out=x)
+                np.multiply(tau2[rows], gram[blk], out=y)
+                np.subtract(y, x, out=y)
+                np.min(y, axis=1, out=tile_best[rows])
+                np.minimum(best[rows], tile_best[rows], out=best[rows])
 
 
 def run_universal_scheme(config: SimConfig, threads: int | None = None) -> SimReport:
@@ -395,20 +400,36 @@ def run_universal_scheme(config: SimConfig, threads: int | None = None) -> SimRe
     `threads` is kept so every mode takes the same arguments; the units,
     and so the bytes, never depended on it.
 
-    The run holds one book plus one span: the haar rotation and the gram
-    (c * c) @ lam run span by span in the book's own buffer
-    (`_rotate_and_gram`), so a book at codebook_cap needs about its own
-    size; on OpenBLAS's SkylakeX kernel the gram's bits do not depend on
-    the BLAS thread count.
+    No run holds the book: each chunk's trial state is built first, then
+    the book is drawn, rotated (haar) and its gram (c * c) @ lam taken span
+    by span (`_codebook_spans`), and every chunk is scored against a span
+    before the next is drawn.  Working memory is three span-sized arrays
+    (4096 to 8191 rows of n floats: the span being scored, the next one,
+    and the raw draw under haar or c * c for the gram) with two grams, two
+    tile buffers of 1 MB each for full blocks, and the O(trials * (n + 4)
+    * 8 B) trial state (wl, a0, 2 tau, tau^2 and the running minimum).
+    The trial state exceeds the book where trials > M n / (n + 4), e.g.
+    above 3,072 trials at n = 12, R = 1.  A final block whose size is no multiple of 8 is
+    scored on the whole chunk, whose two buffers then hold up to 256 x
+    4095 floats each.  codebook_cap bounds the work, not the memory.
     """
     if not config.rate_bits > 0.0:
         raise ValueError("scheme mode needs rate_bits > 0")
-    book = build_codebook(config)  # its cap check comes before the n x n rotation
+    rng = _codebook_stream(config)  # its cap check comes before the n x n rotation
     st = _scaling_state(config)
-    st["codebook_gram"] = _rotate_and_gram(book, st["u"], st["lam"])
-    st["codebook_rot"] = book
-    analytic = rdrc.dd_rc(config.spectrum, config.rate_bits)
-    return _run_trials("scheme", _scheme_chunk, st, config.trials, 1, analytic)
+    m = config.codebook_size
+    chunks = _map_units(_scheme_trials, st, config.trials, _CHUNK, 1)
+    # Each tile uses the leading part of two buffers sized to the widest
+    # tile: the last tile of a block, on the full block or the last one.
+    full = min(m, _CODEWORD_BLOCK)
+    last = m - (m - 1) // full * full
+    cells = max(size * (count - _row_tiles(count, size)[-1][0])
+                for count in {best.size for *_, best in chunks} for size in (full, last))
+    xbuf, ybuf = np.empty((2, cells))
+    for span, gram in _codebook_spans(rng, m, st["u"], st["lam"]):
+        _score_span(chunks, span, gram, xbuf, ybuf)
+    per_trial = np.concatenate([(a0 + best) / config.n for a0, *_, best in chunks])
+    return _trial_report("scheme", per_trial, rdrc.dd_rc(config.spectrum, config.rate_bits))
 
 
 # --- single-codeword success probability ------------------------------------

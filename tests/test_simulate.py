@@ -202,7 +202,7 @@ class TestUniversalScheme:
         state = {"n": 4, "seed": 0, "lam": np.ones(4), "u": None, "T": T,
                  "alam2": np.ones(4), "den": den, "threshold": None, "delta": None}
         with pytest.raises(SolverError):
-            simulator._scheme_chunk((state, 0, 3))
+            simulator._scheme_trials((state, 0, 3))
 
     def test_mean_exceeds_analytic_at_small_n(self):
         rep = simulator.run_universal_scheme(_cfg(n=8, trials=512, seed=11))
@@ -308,6 +308,15 @@ class TestUniversalScheme:
         assert simulator._spans(256, 4096) == [(0, 256)]
         assert simulator._spans(1, 4096) == [(0, 1)]
 
+    @pytest.mark.parametrize("size", [1, 256, 4095, 4096, 4097, 8193, 12854])
+    def test_spans_are_the_codebook_rows(self, size):
+        # The spans' premise: numpy fills normals in sequence, so spans drawn
+        # in turn from the codebook stream are build_codebook's rows in order.
+        cfg = _cfg(n=3, rate_bits=math.log2(size + 0.5) / 3, seed=17)
+        assert cfg.codebook_size == size
+        spans = simulator._codebook_spans(simulator._codebook_stream(cfg), size, None, np.ones(3))
+        assert np.array_equal(np.concatenate([span for span, _ in spans]), simulator.build_codebook(cfg))
+
     def test_spans_keep_the_whole_book_bits(self):
         # The spans' premise on this BLAS: the book's rotation and gram,
         # span by span, equal the whole-array results bit for bit at one
@@ -329,12 +338,11 @@ class TestUniversalScheme:
                     rng = np.random.default_rng(m * 64 + n)
                     book, lam = rng.standard_normal((m, n)), rng.uniform(0.1, 3.0, n)
                     rot = book @ u
-                    whole = [(book * book) @ lam, rot, (rot * rot) @ lam]
-                    gram = simulator._rotate_and_gram(book.copy(), None, lam)
-                    rot_gram = simulator._rotate_and_gram(book, u, lam)
-                    for a, b in zip((gram, book, rot_gram), whole):
-                        digest.update(a.tobytes())
-                        equal.append(np.array_equal(a, b))
+                    for rotation, whole in ((None, [book, (book * book) @ lam]), (u, [rot, (rot * rot) @ lam])):
+                        spans = simulator._codebook_spans(np.random.default_rng(m * 64 + n), m, rotation, lam)
+                        for a, b in zip(map(np.concatenate, zip(*spans)), whole):
+                            digest.update(a.tobytes())
+                            equal.append(np.array_equal(a, b))
             print(all(equal), digest.hexdigest())
         """)
         src = str(pathlib.Path(simulator.__file__).parents[1])
@@ -349,24 +357,30 @@ class TestUniversalScheme:
         assert runs[0][1] == runs[1][1]
 
     @pytest.mark.parametrize("rotation", ["identity", "haar"])
-    def test_working_set_is_one_book_its_gram_and_tiles(self, rotation):
-        # n = 16 at rate 1 is a 65,536-codeword book of 8 MB.  The run holds
-        # that one book (haar rotates it in place, span by span), its gram
-        # of 0.5 MB, two tile buffers of 1 MB and the chunk's rows; the
-        # rotation's and gram's transients are one span each.  An untraced
-        # run first loads the modules the scheme imports lazily.
-        cfg = _cfg(n=16, rate_bits=1.0, trials=256, seed=5, rotation=rotation)
-        bound = simulator.build_codebook(cfg).nbytes + 8 * cfg.codebook_size + 5 * 2**19
+    def test_working_set_does_not_grow_with_the_book(self, rotation):
+        # n = 16 and 18 at rate 1 are books of 8 and 36 MiB, 65,536 and
+        # 262,144 codewords, which the run never holds.  One bound with no
+        # term in M covers both: two tile buffers of 1 MiB, three arrays of
+        # one 4096-row span at n = 18 (the one being scored, the next one
+        # drawn, and the raw draw under haar or c * c for the gram), two
+        # spans' grams, the trial state of 256 x (18 + 4) floats, and 256 KiB
+        # of slack.  An untraced run first loads the modules the scheme
+        # imports lazily.
+        widest, trials = 18, 256
+        span = 8 * simulator._CODEWORD_BLOCK  # bytes per coordinate of a span
+        bound = 16 * simulator._TILE + 3 * span * widest + 2 * span + 8 * trials * (widest + 4) + 2**18
         simulator.run_universal_scheme(_cfg(n=4, trials=1, rotation=rotation))
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            simulator.run_universal_scheme(cfg)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        assert peak <= bound
+        for n in (16, 18):
+            cfg = _cfg(n=n, rate_bits=1.0, trials=trials, seed=5, rotation=rotation)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                simulator.run_universal_scheme(cfg)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound, (n, peak, bound)
 
     def test_huge_tau_delta_rounds_scaling_to_zero(self):
         # The scaling never exceeds the sup-norm, so a rounding unit of

@@ -37,17 +37,12 @@ with more CPUs were not measured.
 
 No scheme run holds its codebook.  It builds every chunk's trial state
 first, then draws the book from the codebook stream in spans of
-_CODEWORD_BLOCK rows, the last absorbing the remainder, rotates each span
-(haar), takes its gram and scores every chunk against it before the next
-span is drawn (`_codebook_spans`, `_score_span`).  Each span is scored in
-blocks of _CODEWORD_BLOCK codewords, each in row tiles of about _TILE
-scores, so beyond one span and the next it holds two reused tile buffers of
-1 MB each for full blocks (a block that runs whole holds at most the
-chunk's rows by its size) and the trial state, trials * (n + 4) floats.
-Every score, and so every byte, equals the whole chunk's against the whole
-book; the spans' rotation and gram equal the whole book's at one BLAS
-thread and, on OpenBLAS's SkylakeX kernel, keep their bits at two, where
-the whole book's gram did not.
+_CODEWORD_BLOCK rows, the last one shorter, rotates each span (haar),
+appends its gram column and scores every chunk against it before the next
+span is drawn (`_codebook_spans`, `_score_span`).  One GEMM per row tile of
+about _TILE scores ranks the codewords, and only each trial's winner is
+re-scored for the reported value, by elementwise products and np.sum, so
+that value takes no bits from the GEMM.
 """
 
 from __future__ import annotations
@@ -69,23 +64,14 @@ STREAM_WBATCH = 4
 # Work units are fixed so they never depend on the thread count.
 _CHUNK = 256  # trials per work unit
 _SOURCE_BATCHES = 32  # source batches per success work unit
-# Codewords per distance block; on 2 CPUs 4096 was as fast as 8192, and 2048
-# and below were slower.  Also the rows per span in which the scheme draws,
-# rotates and scores the book, the last span holding 4096 to 8191 rows, so
-# the book's share of a run's memory is a few spans whatever M is.  On
-# OpenBLAS 0.3.31 (x86-64, SkylakeX kernel) those spans gave the whole
-# book's bits at one BLAS thread and the same bits at one and two; plain
-# 4096-row blocks did not where the last block was tiny (4097 rows), and the
-# whole book's gram moved with the thread count (n = 12 at 65,537 rows).  Its Haswell and
-# Prescott kernels kept the one-thread bits, but spans and whole book alike
-# moved at two threads for books of odd size.
+# Codewords per span: the scheme draws, rotates and scores the book in spans
+# of this many rows, the last one shorter, so the book's share of a run's
+# memory is one span whatever M is.  On 2 CPUs 4096 was as fast as 8192, and
+# 2048 and below were slower.
 _CODEWORD_BLOCK = 4096
-# Scores per distance tile.  A block of `size` codewords, a multiple of 8,
-# is scored in row tiles of _TILE // size rows, the last absorbing the
-# remainder; a full block's tile is 1 MB per float64 buffer, so the two
-# reused buffers fit a 2 MB L2.  These GEMMs (32 to 255 rows by >= 1024
-# codewords) gave the whole chunk's bits on OpenBLAS 0.3.31 (x86-64); row
-# tiles of blocks of other sizes did not, so those run on the whole chunk.
+# Scores per tile: a chunk is scored against a span in row tiles of
+# _TILE // rows trials, so the one reused float64 tile buffer is 1 MiB and
+# fits a 2 MB L2.
 _TILE = 2**17
 
 _Z_TWO_SIDED = 1.959963984540054  # 97.5% normal quantile
@@ -325,63 +311,58 @@ def _scaling_state(config: SimConfig) -> dict:
 # --- universal quantization scheme -----------------------------------------
 
 
-def _spans(count: int, step: int) -> list[tuple[int, int]]:
-    """Ranges [r0, r1) of `step` rows over [0, count), the last holding
-    step to 2 step - 1 rows; fewer than 2 step rows are one range."""
-    starts = range(0, max(1, count // step) * step, step)
-    return list(zip(starts, [*starts[1:], count]))
-
-
-def _row_tiles(count: int, size: int) -> list[tuple[int, int]]:
-    """Row ranges of one block's tiles: spans of _TILE // size rows; a size
-    that is no multiple of 8 runs whole."""
-    return _spans(count, max(1, _TILE // size)) if size % 8 == 0 else [(0, count)]
-
-
 def _codebook_spans(rng: np.random.Generator, m: int, u: np.ndarray | None, lam: np.ndarray):
-    """Yield the book's rows drawn from `rng` span by span over
-    _spans(m, _CODEWORD_BLOCK), each rotated by u (None: identity), with
-    its gram (c * c) @ lam.  numpy fills normals in sequence, so the spans
-    are build_codebook's rows in order."""
-    for r0, r1 in _spans(m, _CODEWORD_BLOCK):
-        span = rng.standard_normal((r1 - r0, lam.size))
-        if u is not None:
-            span = span @ u
-        yield span, (span * span) @ lam
+    """Yield the book's rows drawn from `rng` in spans of _CODEWORD_BLOCK
+    rows, the last one shorter, each rotated by u (None: identity) and
+    returned as one (rows, n + 1) array [c, (c * c) @ lam].  numpy fills
+    normals in sequence, so the first n columns are build_codebook's rows
+    in order.  Every span reuses one buffer, and so does its raw draw: a
+    span must be used before the next is requested."""
+    n = lam.size
+    raw = np.empty((min(_CODEWORD_BLOCK, m), n))
+    buf = np.empty((raw.shape[0], n + 1))
+    for r0 in range(0, m, _CODEWORD_BLOCK):
+        rows = min(_CODEWORD_BLOCK, m - r0)
+        draw, span = raw[:rows], buf[:rows]
+        rng.standard_normal(out=draw)
+        if u is None:
+            span[:, :n] = draw
+        else:
+            np.matmul(draw, u, out=span[:, :n])
+        span[:, n] = np.square(span[:, :n], out=draw) @ lam
+        yield span
 
 
 def _scheme_trials(args: tuple[dict, int, int]) -> tuple[np.ndarray, ...]:
-    """A chunk's trial state: a0 = (w~ * w~) @ lam, wl = w~ * lam, the
-    columns 2 tau and tau^2 of the scaling, and the running minimum score,
-    inf until the first span is scored."""
+    """A chunk's trial state: w~, the scaling tau as a column, the
+    coefficient rows [-2 w~ * lam, tau], the running best score (inf until
+    the first span is scored) and the winners' codeword rows."""
     st, start, count = args
-    lam = st["lam"]
-    (w,) = _trial_normals(st["seed"], start, count, st["n"])
+    n = st["n"]
+    (w,) = _trial_normals(st["seed"], start, count, n)
     wt = w @ st["u"] if st["u"] is not None else w
     tau = rdrc._scaling(st["T"], st["alam2"], st["den"], wt, st["threshold"], st["delta"])
-    return (wt * wt) @ lam, wt * lam, 2.0 * tau[:, None], tau[:, None] ** 2, np.full(count, np.inf)
+    coef = np.column_stack((-2.0 * wt * st["lam"], tau))
+    return wt, tau[:, None], coef, np.full(count, np.inf), np.empty((count, n))
 
 
-def _score_span(chunks: list, span: np.ndarray, gram: np.ndarray, xbuf: np.ndarray, ybuf: np.ndarray) -> None:
-    """Fold every chunk's running minimum over the span's blocks of
-    _CODEWORD_BLOCK codewords: score = tau^2 g - 2 tau (wl . c), operation
-    for operation, tile by tile in the leading rows x size part of the two
-    buffers."""
-    for _, wl, two_tau, tau2, best in chunks:
-        tile_best = np.empty(best.size)
-        for b0 in range(0, span.shape[0], _CODEWORD_BLOCK):
-            blk = slice(b0, min(b0 + _CODEWORD_BLOCK, span.shape[0]))
-            size = blk.stop - b0
-            for r0, r1 in _row_tiles(best.size, size):
-                rows = slice(r0, r1)
-                x = xbuf[: (r1 - r0) * size].reshape(r1 - r0, size)
-                y = ybuf[: (r1 - r0) * size].reshape(r1 - r0, size)
-                np.matmul(wl[rows], span[blk].T, out=x)
-                np.multiply(two_tau[rows], x, out=x)
-                np.multiply(tau2[rows], gram[blk], out=y)
-                np.subtract(y, x, out=y)
-                np.min(y, axis=1, out=tile_best[rows])
-                np.minimum(best[rows], tile_best[rows], out=best[rows])
+def _score_span(chunks: list, span: np.ndarray, buf: np.ndarray) -> None:
+    """Score every chunk against the span, tau g - 2 (w~ * lam) . c for each
+    codeword c, in row tiles of _TILE // rows trials held in the leading
+    part of `buf`; a trial's winner is replaced only where the tile's best
+    score is strictly lower, so ties keep the lowest index."""
+    rows, n = span.shape[0], span.shape[1] - 1
+    step = _TILE // rows
+    for _, _, coef, best, winner in chunks:
+        for r0 in range(0, best.size, step):
+            tile = slice(r0, min(r0 + step, best.size))
+            scores = buf[: (tile.stop - r0) * rows].reshape(-1, rows)
+            np.matmul(coef[tile], span.T, out=scores)
+            idx = np.argmin(scores, axis=1)
+            low = scores[np.arange(idx.size), idx]
+            better = low < best[tile]
+            best[tile][better] = low[better]
+            winner[tile][better] = span[idx[better], :n]
 
 
 def run_universal_scheme(config: SimConfig, threads: int | None = None) -> SimReport:
@@ -400,36 +381,36 @@ def run_universal_scheme(config: SimConfig, threads: int | None = None) -> SimRe
     `threads` is kept so every mode takes the same arguments; the units,
     and so the bytes, never depended on it.
 
-    No run holds the book: each chunk's trial state is built first, then
-    the book is drawn, rotated (haar) and its gram (c * c) @ lam taken span
-    by span (`_codebook_spans`), and every chunk is scored against a span
-    before the next is drawn.  Working memory is three span-sized arrays
-    (4096 to 8191 rows of n floats: the span being scored, the next one,
-    and the raw draw under haar or c * c for the gram) with two grams, two
-    tile buffers of 1 MB each for full blocks, and the O(trials * (n + 4)
-    * 8 B) trial state (wl, a0, 2 tau, tau^2 and the running minimum).
-    The trial state exceeds the book where trials > M n / (n + 4), e.g.
-    above 3,072 trials at n = 12, R = 1.  A final block whose size is no multiple of 8 is
-    scored on the whole chunk, whose two buffers then hold up to 256 x
-    4095 floats each.  codebook_cap bounds the work, not the memory.
+    The error sum lam (w~ - tau c)^2 is sum lam w~^2 + tau (tau g - 2 (w~ *
+    lam) . c) with g = (c * c) @ lam, so for tau > 0 the winner minimizes
+    tau g - 2 (w~ * lam) . c: one GEMM of the rows [-2 w~ * lam, tau]
+    against a span's columns [c, g].  Only the winner's error is reported,
+    re-scored by elementwise products and np.sum; a tau = 0 row needs no
+    case of its own, as it re-scores to sum lam w~^2 whatever wins.  The
+    GEMM still picks the winner, so a near tie can pick another under
+    another BLAS kernel or thread count.
+
+    No run holds the book: every chunk's trial state is built first, then
+    each span of the book is drawn, rotated (haar), given its gram column
+    (`_codebook_spans`) and scored against every chunk.  Working memory is
+    one span of up to 4096 x (n + 1) floats and its raw draw, one tile
+    buffer of _TILE floats (1 MiB) and the trial state, trials * (3 n + 3)
+    floats, which outweighs the rest above about 5,000 trials at n = 16.
+    codebook_cap bounds the work, not the memory.
     """
     if not config.rate_bits > 0.0:
         raise ValueError("scheme mode needs rate_bits > 0")
     rng = _codebook_stream(config)  # its cap check comes before the n x n rotation
     st = _scaling_state(config)
-    m = config.codebook_size
     chunks = _map_units(_scheme_trials, st, config.trials, _CHUNK, 1)
-    # Each tile uses the leading part of two buffers sized to the widest
-    # tile: the last tile of a block, on the full block or the last one.
-    full = min(m, _CODEWORD_BLOCK)
-    last = m - (m - 1) // full * full
-    cells = max(size * (count - _row_tiles(count, size)[-1][0])
-                for count in {best.size for *_, best in chunks} for size in (full, last))
-    xbuf, ybuf = np.empty((2, cells))
-    for span, gram in _codebook_spans(rng, m, st["u"], st["lam"]):
-        _score_span(chunks, span, gram, xbuf, ybuf)
-    per_trial = np.concatenate([(a0 + best) / config.n for a0, *_, best in chunks])
-    return _trial_report("scheme", per_trial, rdrc.dd_rc(config.spectrum, config.rate_bits))
+    buf = np.empty(_TILE)
+    for span in _codebook_spans(rng, config.codebook_size, st["u"], st["lam"]):
+        _score_span(chunks, span, buf)
+    per_trial = []
+    for wt, tau, _, _, winner in chunks:
+        d = wt - tau * winner
+        per_trial.append(np.sum(d * d * st["lam"], axis=1) / config.n)
+    return _trial_report("scheme", np.concatenate(per_trial), rdrc.dd_rc(config.spectrum, config.rate_bits))
 
 
 # --- single-codeword success probability ------------------------------------

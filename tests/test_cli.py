@@ -462,8 +462,8 @@ class TestSimulateCommand:
 
     @pytest.mark.parametrize("args,row", [
         (["--mode", "scheme", "--n", "8", "--trials", "32", "--spectrum", TWO_LEVEL_LITERAL],
-         'scheme,8,1.0,,,"1.8:0.5,0.2:0.5",32,0,identity,,,,,0.23154822874728942,'
-         "0.020265920101201672,0.15811388300839202,,,,,false,"),
+         'scheme,8,1.0,,,"1.8:0.5,0.2:0.5",32,0,identity,,,,,0.23154822874728936,'
+         "0.020265920101201675,0.15811388300839202,,,,,false,"),
         # trials echoes the option (64), not the report's 64 x 16 codeword draws
         (["--mode", "success", "--n", "10", "--rate", "0.5", "--trials", "64", "--eta", "0.05",
           "--w-batches", "16"],

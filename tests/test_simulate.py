@@ -226,15 +226,15 @@ class TestUniversalScheme:
 
     def test_threshold_zero_disables_quantizer(self):
         # tau_threshold = 0 zeroes the scaling for every realization, so the
-        # reconstruction is 0 and the measured value is the weighted energy
-        # of the source itself — reproducible coordinate by coordinate.
+        # reconstruction is 0 whichever codeword wins, and the re-scored
+        # value is the weighted energy of the source itself.
         cfg = _cfg(n=6, trials=16, tau_threshold=0.0, seed=21)
         rep = simulator.run_universal_scheme(cfg)
         lam = spectra.expand_to_n(cfg.spectrum, cfg.n)
         w = np.stack(
             [_numpy_rng(cfg.seed, STREAM_TRIAL, i).standard_normal(cfg.n) for i in range(cfg.trials)]
         )
-        assert np.array_equal(rep.per_trial, ((w * w) @ lam + 0.0) / cfg.n)
+        assert np.array_equal(rep.per_trial, np.sum(w * w * lam, axis=1) / cfg.n)
 
     @pytest.mark.parametrize("rotation", ["identity", "haar"])
     @pytest.mark.parametrize(
@@ -248,12 +248,12 @@ class TestUniversalScheme:
         ],
         ids=["partial", "full", "one-codeword-last", "odd", "n40"],
     )
-    def test_distance_blocks_match_one_line_formula(self, n, rate, size, rotation):
-        # The scheme scores 4096-codeword blocks in row tiles (32 rows; 64 for
-        # the 2,048-codeword last block at n = 40); 24 trials and blocks of
-        # 566, 1, 4095 (no multiple of 8) or too few rows run whole.  Each
-        # trial's score must equal the plain expression on the whole chunk,
-        # block by block, bit for bit; <= 256 trials are one chunk.
+    def test_value_is_the_rescored_argmin_of_the_whole_book(self, n, rate, size, rotation):
+        # Each trial reports the error of the codeword that minimizes
+        # tau^2 g - 2 tau (wl . c) over the whole book (lowest index on
+        # ties), re-scored as sum lam (w~ - tau c)^2 / n, bit for bit,
+        # whatever spans and tiles the run scored in; <= 256 trials are one
+        # chunk.
         for trials in (24, 100, 256):
             cfg = _cfg(n=n, rate_bits=rate, trials=trials, seed=43, rotation=rotation, tau_delta=0.05)
             assert cfg.codebook_size == size
@@ -262,88 +262,48 @@ class TestUniversalScheme:
             u, lam = st["u"], st["lam"]
             w = np.stack([_numpy_rng(cfg.seed, STREAM_TRIAL, i).standard_normal(n) for i in range(trials)])
             wt = w @ u if u is not None else w
-            tau = rdrc._scaling(st["T"], st["alam2"], st["den"], wt, None, cfg.tau_delta)
-            codebook = simulator.build_codebook(cfg)
-            cb = codebook @ u if u is not None else codebook
-            g = (cb * cb) @ lam
-            wl = wt * lam
-            best = np.full(trials, np.inf)
-            block = simulator._CODEWORD_BLOCK
-            for b0 in range(0, size, block):
-                blk = slice(b0, min(b0 + block, size))
-                score = tau[:, None] ** 2 * g[None, blk] - 2.0 * tau[:, None] * (wl @ cb[blk].T)
-                np.minimum(best, score.min(axis=1), out=best)
-            assert np.array_equal(rep.per_trial, ((wt * wt) @ lam + best) / n), trials
-
-    def test_row_tiles_rule(self):
-        # _TILE // size rows per tile, the last tile absorbing the remainder;
-        # fewer than twice that, or a block that is no multiple of 8, runs whole.
-        assert simulator._row_tiles(256, 4096) == [(r, r + 32) for r in range(0, 256, 32)]
-        assert simulator._row_tiles(100, 4096) == [(0, 32), (32, 64), (64, 100)]
-        assert simulator._row_tiles(256, 2048) == [(0, 64), (64, 128), (128, 192), (192, 256)]
-        assert simulator._row_tiles(63, 4096) == [(0, 63)]
-        assert simulator._row_tiles(256, 512) == [(0, 256)]
-        assert simulator._row_tiles(256, 4095) == [(0, 256)]
-
-    @pytest.mark.parametrize("size", [1, 16, 566, 1024, 2048, 3770, 4095, 4096])
-    def test_row_tiles_keep_the_whole_chunk_gemm_bits(self, size):
-        # The tiling's premise on this BLAS: each tile's GEMM rows equal the
-        # whole chunk's bit for bit.  Row tiles of 3,770 or 4,095 codewords
-        # changed the last size % 8 columns, so such blocks run whole.
-        rng = np.random.default_rng(size)
-        for n in (2, 12, 40):
-            cb = rng.standard_normal((size, n))
-            for count in (24, 100, 256):
-                wl = rng.standard_normal((count, n))
-                tiled = np.concatenate([wl[r0:r1] @ cb.T for r0, r1 in simulator._row_tiles(count, size)])
-                assert np.array_equal(tiled, wl @ cb.T), (n, count)
-
-    def test_spans_rule(self):
-        # `step` rows per span, the last absorbing the remainder; fewer than
-        # 2 step rows are one span.
-        assert simulator._spans(12854, 4096) == [(0, 4096), (4096, 8192), (8192, 12854)]
-        assert simulator._spans(8192, 4096) == [(0, 4096), (4096, 8192)]
-        assert simulator._spans(8191, 4096) == [(0, 8191)]
-        assert simulator._spans(4097, 4096) == [(0, 4097)]
-        assert simulator._spans(256, 4096) == [(0, 256)]
-        assert simulator._spans(1, 4096) == [(0, 1)]
+            tau = rdrc._scaling(st["T"], st["alam2"], st["den"], wt, None, cfg.tau_delta)[:, None]
+            # Rotated span by span: under OpenBLAS's Haswell kernel the whole
+            # book's product moved some rows at two BLAS threads.
+            cb, block = simulator.build_codebook(cfg), simulator._CODEWORD_BLOCK
+            if u is not None:
+                cb = np.concatenate([cb[r:r + block] @ u for r in range(0, size, block)])
+            score = tau**2 * ((cb * cb) @ lam) - 2.0 * tau * ((wt * lam) @ cb.T)
+            d = wt - tau * cb[np.argmin(score, axis=1)]
+            assert np.array_equal(rep.per_trial, np.sum(d * d * lam, axis=1) / n), trials
 
     @pytest.mark.parametrize("size", [1, 256, 4095, 4096, 4097, 8193, 12854])
     def test_spans_are_the_codebook_rows(self, size):
-        # The spans' premise: numpy fills normals in sequence, so spans drawn
-        # in turn from the codebook stream are build_codebook's rows in order.
+        # numpy fills normals in sequence, so the first n columns of spans
+        # drawn in turn from the codebook stream are build_codebook's rows in
+        # order; each span is copied before the next overwrites its buffer.
         cfg = _cfg(n=3, rate_bits=math.log2(size + 0.5) / 3, seed=17)
         assert cfg.codebook_size == size
         spans = simulator._codebook_spans(simulator._codebook_stream(cfg), size, None, np.ones(3))
-        assert np.array_equal(np.concatenate([span for span, _ in spans]), simulator.build_codebook(cfg))
+        assert np.array_equal(np.concatenate([span[:, :3].copy() for span in spans]), simulator.build_codebook(cfg))
 
-    def test_spans_keep_the_whole_book_bits(self):
-        # The spans' premise on this BLAS: the book's rotation and gram,
-        # span by span, equal the whole-array results bit for bit at one
-        # BLAS thread and give the same bytes at one and two.  The whole
-        # array's gram itself moved with the thread count (n = 12 at 65,537
-        # codewords, n = 40 at 12,854).  OPENBLAS_NUM_THREADS acts when a
-        # process loads BLAS, so each count runs in its own interpreter.
-        # Measured on OpenBLAS's SkylakeX kernel; under its Haswell and
-        # Prescott kernels the two-thread bits of odd books moved, spans
-        # and whole book alike.
+    def test_per_trial_does_not_depend_on_blas_threads(self):
+        # The GEMM decides only the winners, whose re-scored errors are the
+        # values, so the bytes are the same at one and two BLAS threads.  The
+        # four configs are among tools/scheme_digests.py's whose bytes moved
+        # with the thread count when a GEMM's scores were the values (books
+        # of 255, 4,095 and 12,287 codewords).  OPENBLAS_NUM_THREADS acts
+        # when a process loads BLAS, so each count runs in its own
+        # interpreter.
         code = textwrap.dedent("""
-            import hashlib
-            import numpy as np
-            from rdgap import simulator
-            digest, equal = hashlib.sha256(), []
-            for n in (2, 12, 17, 33, 40):
-                u = simulator.haar_orthogonal(n, n)
-                for m in (256, 4095, 4096, 4097, 8193, 12854, 65537):
-                    rng = np.random.default_rng(m * 64 + n)
-                    book, lam = rng.standard_normal((m, n)), rng.uniform(0.1, 3.0, n)
-                    rot = book @ u
-                    for rotation, whole in ((None, [book, (book * book) @ lam]), (u, [rot, (rot * rot) @ lam])):
-                        spans = simulator._codebook_spans(np.random.default_rng(m * 64 + n), m, rotation, lam)
-                        for a, b in zip(map(np.concatenate, zip(*spans)), whole):
-                            digest.update(a.tobytes())
-                            equal.append(np.array_equal(a, b))
-            print(all(equal), digest.hexdigest())
+            import hashlib, math
+            from rdgap import simulator, spectra
+            two = spectra.parse_spectrum("1.8:0.5,0.2:0.5")
+            for n, m, trials, spectrum, rotation, seed in (
+                    (12, 255, 257, spectra.flat(), "identity", 125),
+                    (16, 12287, 100, spectra.flat(), "identity", 187),
+                    (64, 4095, 100, spectra.flat(), "identity", 348),
+                    (33, 255, 257, two, "haar", 269)):
+                cfg = simulator.SimConfig(n=n, rate_bits=math.log2(m + 0.5) / n, spectrum=spectrum,
+                                          trials=trials, seed=seed, rotation=rotation)
+                assert cfg.codebook_size == m
+                per_trial = simulator.run_universal_scheme(cfg).per_trial
+                print(hashlib.sha256(per_trial.tobytes()).hexdigest())
         """)
         src = str(pathlib.Path(simulator.__file__).parents[1])
         runs = []
@@ -353,25 +313,24 @@ class TestUniversalScheme:
             proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
             assert proc.returncode == 0, proc.stderr
             runs.append(proc.stdout.split())
-        assert runs[0][0] == "True"
-        assert runs[0][1] == runs[1][1]
+        assert len(runs[0]) == 4
+        assert runs[0] == runs[1]
 
     @pytest.mark.parametrize("rotation", ["identity", "haar"])
     def test_working_set_does_not_grow_with_the_book(self, rotation):
         # n = 16 and 18 at rate 1 are books of 8 and 36 MiB, 65,536 and
-        # 262,144 codewords, which the run never holds.  One bound with no
-        # term in M covers both: two tile buffers of 1 MiB, three arrays of
-        # one 4096-row span at n = 18 (the one being scored, the next one
-        # drawn, and the raw draw under haar or c * c for the gram), two
-        # spans' grams, the trial state of 256 x (18 + 4) floats, and 256 KiB
-        # of slack.  An untraced run first loads the modules the scheme
-        # imports lazily.
+        # 262,144 codewords, which the run never holds; n = 12 at rate 0.99
+        # is one span of 3,769 codewords.  One bound with no term in M
+        # covers all three: one tile buffer of 1 MiB, one 4096-row span of
+        # n + 1 columns at n = 18 with its raw draw of n, the trial state of
+        # 256 x (3 n + 3) floats, and 256 KiB of slack.  An untraced run
+        # first loads the modules the scheme imports lazily.
         widest, trials = 18, 256
-        span = 8 * simulator._CODEWORD_BLOCK  # bytes per coordinate of a span
-        bound = 16 * simulator._TILE + 3 * span * widest + 2 * span + 8 * trials * (widest + 4) + 2**18
+        span = 8 * simulator._CODEWORD_BLOCK  # bytes per column of a span
+        bound = 8 * simulator._TILE + span * (2 * widest + 1) + 8 * trials * (3 * widest + 3) + 2**18
         simulator.run_universal_scheme(_cfg(n=4, trials=1, rotation=rotation))
-        for n in (16, 18):
-            cfg = _cfg(n=n, rate_bits=1.0, trials=trials, seed=5, rotation=rotation)
+        for n, rate in ((16, 1.0), (18, 1.0), (12, 0.99)):
+            cfg = _cfg(n=n, rate_bits=rate, trials=trials, seed=5, rotation=rotation)
             tracemalloc.start()
             try:
                 base = tracemalloc.get_traced_memory()[0]

@@ -12,12 +12,12 @@ commits, or at two BLAS thread counts (OPENBLAS_NUM_THREADS=1), and diff the
 outputs: any differing line names a config whose bytes moved.
 
 The grid crosses 15 dimensions n (2 to 64) with 24 book sizes M (1 to
-65,536, including 4095, 4096, 4097, 8193 and 12854, sizes that are no
-multiple of 8, and blocks left with one codeword), each on three spectra
+65,536, including 4095, 4096, 4097, 8193 and 12854: sizes that are no
+multiple of 8, and last spans of one codeword), each on three spectra
 (flat, two levels, and three levels that small n cannot place) at identity
 and haar rotation, with and without a tau quantizer step: 4,320 configs.
 The trial count (1 to 600) cycles across the (n, M) pairs.  It takes about
-70 s on 2 CPUs.
+35 s on 2 CPUs.
 """
 
 import hashlib

@@ -248,7 +248,7 @@ class TestUniversalScheme:
         ],
         ids=["partial", "full", "one-codeword-last", "odd", "n40"],
     )
-    def test_value_is_the_rescored_argmin_of_the_whole_book(self, n, rate, size, rotation):
+    def test_distance_blocks_match_one_line_formula(self, n, rate, size, rotation):
         # Each trial reports the error of the codeword that minimizes
         # tau^2 g - 2 tau (wl . c) over the whole book (lowest index on
         # ties), re-scored as sum lam (w~ - tau c)^2 / n, bit for bit,

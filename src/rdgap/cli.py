@@ -265,7 +265,7 @@ def cmd_gap_sweep(dstar_grid: str, kmax: int, seed: int, svg: str | None,
 _SIM_HEADER = (
     "mode,n,rate_bits,t,T,spectrum,trials,seed,rotation,tau_delta,tau_threshold,"
     "eta,w_batches,mean,se,analytic,p_hat,wilson_low,wilson_high,exponent,"
-    "exponent_is_lower_bound,warnings"
+    "exponent_is_lower_bound"
 )
 
 
@@ -344,8 +344,7 @@ def cmd_simulate(mode: str, n: int, rate: float, spectrum: str, trials: int, see
         "eta": eta if mode == "success" else None,
         "w_batches": w_batches if mode == "success" else None,
     }
-    # A run that starts has nothing to warn of; the column stays for the schema.
-    fields = {**vars(report), **echo, "warnings": ""}
+    fields = {**vars(report), **echo}
     record = [_sim_field(fields[k]) for k in _SIM_HEADER.split(",")]
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerow(record)

@@ -13,7 +13,7 @@ below compare.  The gap is flat at its maximum, so each ascent stops at the
 1e-7 that float64 resolves, and the best point is finished by Newton on
 the KKT conditions over sum w = 1, sum w v = 1 in (log v, w) with the exact
 gap Hessian, merging levels that coalesce or lose their weight
-(spectra._collapse, merge_close's rule, at _COALESCE_REL and _WEIGHT_FLOOR);
+(spectra._collapse, at _COALESCE_REL and _WEIGHT_FLOOR);
 that solve, the stationarity residual and phi share one multiplier fit
 (_kkt).  Then vertex-direction steps (Wynn, Ann. Math. Statist. 41, 1970;
 Lindsay, Ann. Statist. 11, 1983): while the exact maximum of phi, the gap's
@@ -345,26 +345,17 @@ def _pack(values, weights) -> np.ndarray:
     return np.asarray(x + y, dtype=float)
 
 
-def _colsum(X: np.ndarray) -> np.ndarray:
-    """Row sums of X added column by column, left to right, as the builtin
-    sum adds a list, however numpy would reduce a row."""
-    acc = X[:, 0].copy()
-    for j in range(1, X.shape[1]):
-        acc += X[:, j]
-    return acc
-
-
 def _chart_gap_grad(Z: np.ndarray, k: int, d_star: float) -> tuple[np.ndarray, np.ndarray]:
     """Gaps [N] and their gradients [N, 2k - 1] in the _unpack chart at the
     rows of Z ([N, 2k - 1]).  Each row's t and T come from the scalar
-    solvers that _gap_core calls, and each rate is summed in _gap_core's
-    order (_colsum), so a gap differs from _gap_core's only where numpy's
-    log2 rounds differently from math's (at most about 1e-15).  The oracle
-    rate is C^1 across the water level, so no kink check is made.  With g_v
-    the gap's level gradient (_rate_grads) and s = sum g_v v, the chain rule
-    through v = exp(x) / mean and w = softmax(y, 0) gives dG/dx_j = v_j
-    (g_v,j - s w_j), 0 where x_j is clipped, and, with h = g_w - s v,
-    dG/dy_l = w_l (h_l - w.h).
+    solvers that _gap_core calls, so a gap differs from _gap_core's only by
+    rounding: numpy's log2 against math's, and numpy's row sum against the
+    builtin sum, which is compensated since Python 3.12 (at most about
+    1e-15 in all).  The oracle rate is C^1 across the water level, so no
+    kink check is made.  With g_v the gap's level gradient (_rate_grads)
+    and s = sum g_v v, the chain rule through v = exp(x) / mean and
+    w = softmax(y, 0) gives dG/dx_j = v_j (g_v,j - s w_j), 0 where x_j is
+    clipped, and, with h = g_w - s v, dG/dy_l = w_l (h_l - w.h).
     """
     V, W = _unpack(Z, k)
     rows = list(zip(V.tolist(), W.tolist()))
@@ -374,7 +365,7 @@ def _chart_gap_grad(Z: np.ndarray, k: int, d_star: float) -> tuple[np.ndarray, n
     u = 1.0 + VT
     top = np.maximum(V, t)
     log_top = np.log2(top / t)  # 0 below the water level
-    gap = 0.5 * _colsum(W * np.log2(u)) - 0.5 * _colsum(W * log_top)
+    gap = 0.5 * (W * np.log2(u)).sum(axis=1) - 0.5 * (W * log_top).sum(axis=1)
     q = V / u
     A = (W * q).sum(axis=1, keepdims=True) / (W * q * q).sum(axis=1, keepdims=True)
     g_v = W / (2.0 * _LN2) * (T / u + A / u**2 - 1.0 / top)

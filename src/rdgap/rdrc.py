@@ -1,10 +1,9 @@
 """Universal random-coding rate-distortion curve and codebook scaling.
 
 Distortion at parameter T is sum_j w_j * v_j / (1 + v_j T); rate in bits is
-(1/2) sum_j w_j * log2(1 + v_j T).  Also houses the codebook scaling tau
-of one realization, per coordinate on the n eigenvalues of
-spectra.expand_to_n: the simulator's one scaling rule, quantizer included
-(_scaling).
+(1/2) sum_j w_j * log2(1 + v_j T).  Also houses the simulator's one
+codebook scaling rule, quantizer included (_scaling): tau of a realization,
+per coordinate on the n eigenvalues of spectra.expand_to_n.
 The functions on arrays import numpy inside the function, so the scalar
 curves load without it.
 """
@@ -14,7 +13,7 @@ from __future__ import annotations
 import math
 
 from .errors import SolverError
-from .spectra import Spectrum, _integer, expand_to_n
+from .spectra import Spectrum, _integer
 
 REL_TOL = 1e-12
 MAX_ITER = 200
@@ -151,8 +150,9 @@ def _scaling_terms(lam, rate: float):
 
 
 def _check_scaling(threshold, delta) -> None:
-    """Domain of the scaling rule's threshold and quantizer step: the
-    quantizer rounds tau / (delta ||w||_inf), at most (1 + 1e-12) / delta."""
+    """Domain of the scaling rule's threshold and quantizer step, checked by
+    SimConfig: the quantizer rounds tau / (delta ||w||_inf), at most
+    (1 + 1e-12) / delta."""
     if delta is not None and not (0.0 < delta < math.inf and (1.0 + 1e-12) / delta < math.inf):
         raise ValueError("tau_delta must be positive and finite, with finite 1/tau_delta")
     if threshold is not None and not threshold >= 0.0:
@@ -163,15 +163,17 @@ def _scaling(T: float, alam2, den: float, w, threshold, delta):
     """The scheme's scaling rule for realizations w (one per row, or one
     vector) in the eigenbasis: tau = sqrt(T (w^2 . alam2) / den), 0 where
     ||w||_inf exceeds the threshold, then rounded to the nearest multiple of
-    delta ||w||_inf (half up) when delta is given.  Raises SolverError if tau
-    leaves [0, ||w||_inf] before rounding, which the rule never does."""
+    delta ||w||_inf (half up) when delta is given.  The sum over a row is
+    np.sum's, not BLAS's, so a row gets the same bits alone or stacked on
+    any BLAS kernel.  Raises SolverError if tau leaves [0, ||w||_inf] before
+    rounding, which the rule never does."""
     import numpy as np
     norms = np.abs(w).max(axis=-1)
     # Squared on the scale of ||w||_inf, by an exact power of two, so that
     # w^2 neither under- nor overflows.
     e = np.frexp(norms)[1]
     ws = np.ldexp(w, -e[..., None])
-    tau = np.ldexp(np.sqrt(T * ((ws * ws) @ alam2) / den), e)
+    tau = np.ldexp(np.sqrt(T * np.sum(ws * ws * alam2, axis=-1) / den), e)
     if threshold is not None:
         tau = np.where(norms > threshold, 0.0, tau)
     if not ((tau >= 0.0).all() and (tau <= norms * (1.0 + 1e-12) + 1e-300).all()):
@@ -182,29 +184,6 @@ def _scaling(T: float, alam2, den: float, w, threshold, delta):
             steps = np.floor(tau / unit + 0.5)  # 0 where unit overflows
             tau = np.where((unit > 0.0) & (steps > 0.0), unit * steps, 0.0)
     return tau
-
-
-def tau(s: Spectrum, w_tilde, rate: float, threshold: float | None = None,
-        delta: float | None = None) -> float:
-    """Codebook scaling tau for the n = len(w~) eigenbasis coordinates of one
-    source realization: the success kernel's, bit for bit, and within 1e-15
-    relative of the scheme's, which scales a stack of rows in one product.
-
-    tau = sqrt(T * sum_i w~_i^2 lam_i^2/(1+lam_i T)^2 / sum_i lam_i/(1+lam_i T))
-    with lam the n eigenvalues of expand_to_n and T solved from the rate on
-    them (_scaling_terms).  With a threshold, tau is 0 whenever ||w~||_inf
-    exceeds it; with a step delta it is rounded to the nearest multiple of
-    delta * ||w~||_inf.  0 <= tau <= ||w~||_inf (1 + delta / 2), delta = 0 without.
-    """
-    import numpy as np
-    if not rate > 0.0:
-        raise ValueError("rate must be positive")
-    _check_scaling(threshold, delta)
-    w = np.asarray([float(u) for u in w_tilde], dtype=float)
-    if not np.all(np.isfinite(w)):
-        raise ValueError("coordinates must be finite")
-    T, alam2, den = _scaling_terms(expand_to_n(s, len(w)), rate)
-    return float(_scaling(T, alam2, den, w, threshold, delta))
 
 
 def dd_rc_eigen_sensitivity(s: Spectrum, rate: float, level_index: int) -> float:

@@ -4,8 +4,9 @@ A Spectrum stores the distinct eigenvalue levels of a covariance matrix
 together with the fraction of dimensions at each level.  The mean eigenvalue
 is pinned to 1 (one unit of variance per dimension), which makes every
 downstream curve formula dimension-free: a single Spectrum describes the
-same source at any dimension n.  Close levels merge by one rule,
-_collapse, which merge_close and the gap search share.  n coordinates
+same source at any dimension n.  The gap search merges close levels by
+_collapse.  A parsed literal that already satisfies Spectrum's checks is
+kept as written, so as_literal round-trips.  n coordinates
 realize a spectrum by one rule, expand_to_n, which refuses a level they
 cannot place.  Only sample_random and expand_to_n use numpy, which they
 import inside the function.
@@ -110,21 +111,6 @@ def semi_flat(active_fraction: float) -> Spectrum:
     return Spectrum((1.0 / f, 0.0), (f, 1.0 - f))
 
 
-def merge_close(s: Spectrum, tol: float) -> Spectrum:
-    """Merge levels within relative tol of each other into their
-    weight-averaged value, by the rule the gap search uses (_collapse).
-
-    From the top level down, a level joins the group above it when it lies
-    within tol times that group's weight-averaged value.  The result is
-    re-normalized to unit mean.  tol = 0 returns s unchanged.
-    """
-    if tol < 0.0:
-        raise ValueError("tol must be nonnegative")
-    if tol == 0.0 or s.k == 1:
-        return s
-    return Spectrum(*_collapse(s.values, s.weights, 0.0, tol))
-
-
 def _collapse(values, weights, floor: float, rel: float):
     """Drop levels of weight at most floor and merge levels within rel of
     each other; returns decreasing, unit-mean lists.  With floor = rel = 0
@@ -208,7 +194,8 @@ def parse_spectrum(text: str) -> Spectrum:
 
     Accepted forms: ``flat``, ``semiflat:<fraction>``, ``v1:w1,v2:w2,...``,
     or ``@file.csv`` with columns value,weight.  Weights are normalized to
-    sum 1 and values rescaled to unit mean, so unnormalized masses are fine.
+    sum 1 and values rescaled to unit mean, so unnormalized masses are fine;
+    pairs that already pass Spectrum's checks keep their floats.
     """
     text = text.strip()
     if not text:
@@ -262,7 +249,11 @@ def _from_pairs(pairs: list[tuple[float, float]]) -> Spectrum:
     for v, w in pairs:
         merged[v] = merged.get(v, 0.0) + w
     values = sorted(merged, reverse=True)
-    return Spectrum(*_normalized(values, [merged[v] for v in values]))
+    weights = [merged[v] for v in values]
+    try:
+        return Spectrum(values, weights)  # already normalized: keep its floats
+    except ValueError:
+        return Spectrum(*_normalized(values, weights))
 
 
 def _normalized(values, weights):

@@ -22,7 +22,7 @@ TWO_LEVEL_LITERAL = "1.8:0.5,0.2:0.5"
 HEADER_SIMULATE = (
     "mode,n,rate_bits,t,T,spectrum,trials,seed,rotation,tau_delta,tau_threshold,"
     "eta,w_batches,mean,se,analytic,p_hat,wilson_low,wilson_high,exponent,"
-    "exponent_is_lower_bound,warnings"
+    "exponent_is_lower_bound"
 )
 
 
@@ -463,24 +463,24 @@ class TestSimulateCommand:
     @pytest.mark.parametrize("args,row", [
         (["--mode", "scheme", "--n", "8", "--trials", "32", "--spectrum", TWO_LEVEL_LITERAL],
          'scheme,8,1.0,,,"1.8:0.5,0.2:0.5",32,0,identity,,,,,0.23154822874728936,'
-         "0.020265920101201675,0.15811388300839202,,,,,false,"),
+         "0.020265920101201675,0.15811388300839202,,,,,false"),
         # trials echoes the option (64), not the report's 64 x 16 codeword draws
         (["--mode", "success", "--n", "10", "--rate", "0.5", "--trials", "64", "--eta", "0.05",
           "--w-batches", "16"],
          "success,10,0.5,,,1.0:1.0,64,0,identity,,,0.05,16,0.0126953125,0.0034986243865512676,"
-         "0.5,0.0126953125,0.007434044913652255,0.021599089101911852,0.6299560281858908,false,"),
+         "0.5,0.0126953125,0.007434044913652255,0.021599089101911852,0.6299560281858908,false"),
         # p_hat = 1: the exponent -log2(1)/n reads 0.0, not -0.0
         (["--mode", "success", "--rate", "0", "--n", "4", "--trials", "8", "--w-batches", "2"],
          "success,4,0.0,,,1.0:1.0,8,0,identity,,,0.0,2,1.0,0.0,0.0,1.0,0.8063923194655637,1.0,"
-         "0.0,false,"),
+         "0.0,false"),
         (["--mode", "coupling", "--t", "0.25", "--n", "16", "--trials", "64"],
          "coupling,16,,0.25,,1.0:1.0,64,0,,,,,,0.25844392984032855,0.010985343987089303,0.25,"
-         ",,,,false,"),
+         ",,,,false"),
         # n = 20 gives the two levels 1 and 19 coordinates
         (["--mode", "filter", "--T", "1", "--n", "20", "--trials", "16",
           "--spectrum", "10.5:0.05,0.5:0.95"],
          'filter,20,,,1.0,"10.5:0.05,0.5:0.95",16,0,,,,,,0.3475661637925903,0.020105708560315818,'
-         "0.36231884057971014,,,,,false,"),
+         "0.36231884057971014,,,,,false"),
     ], ids=["scheme", "success", "success-rate-zero", "coupling", "filter"])
     def test_row_bytes(self, args, row):
         proc = run_cli("simulate", *args)

@@ -1,6 +1,9 @@
-"""The package's public names, resolved on first access."""
+"""The package's public names, resolved on first access, each with a caller."""
 
+import ast
 import importlib
+import inspect
+from pathlib import Path
 
 import pytest
 
@@ -12,15 +15,25 @@ PUBLIC = {
     "gapopt": ["GapRecord", "PointDiagnostics", "SweepResult", "gap_at", "grad_rates",
                "maximize_gap", "stationarity_residual", "sweep", "sweep_csv_rows"],
     "rdrc": ["d_rc", "dd_rc", "dd_rc_eigen_sensitivity", "r_rc", "rr_rc",
-             "t_rc_for_distortion", "t_rc_for_rate", "tau"],
+             "t_rc_for_distortion", "t_rc_for_rate"],
     "simulator": ["SimConfig", "SimReport", "build_codebook", "estimate_codeword_success",
                   "haar_orthogonal", "run_universal_scheme", "simulate_mmse_filter",
                   "simulate_wf_coupling"],
-    "spectra": ["Spectrum", "expand_to_n", "flat", "from_eigenvalues", "merge_close",
-                "parse_spectrum", "sample_random", "semi_flat"],
+    "spectra": ["Spectrum", "expand_to_n", "flat", "from_eigenvalues", "parse_spectrum",
+                "sample_random", "semi_flat"],
     "waterfill": ["d_wf", "dd_wf", "r_wf", "rr_wf", "t_for_distortion"],
 }
 CASES = [(module, name) for module, names in PUBLIC.items() for name in (module, *names)]
+
+ROOT = Path(__file__).resolve().parent.parent
+# Where a public function earns its place: the package itself, the tools, the
+# benchmark (not its tests) and the acceptance tests.
+CALLER_FILES = [
+    *sorted((ROOT / "src" / "rdgap").glob("*.py")),
+    *sorted((ROOT / "tools").glob("*.py")),
+    *(p for p in sorted((ROOT / "perfbench").glob("*.py")) if not p.name.startswith("test_")),
+    ROOT / "tests" / "test_acceptance.py",
+]
 
 
 @pytest.mark.parametrize("module,name", CASES, ids=[name for _, name in CASES])
@@ -50,3 +63,17 @@ def test_unknown_name_raises_attribute_error():
         rdgap.no_such_name
     with pytest.raises(ImportError):
         exec("from rdgap import no_such_name", {})
+
+
+def test_every_public_function_has_a_call_site():
+    # A function is called where some Call's callee is its name or an
+    # attribute of that name; a public function nothing calls is dead weight.
+    called = set()
+    for path in CALLER_FILES:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                called.add(func.attr if isinstance(func, ast.Attribute)
+                           else getattr(func, "id", None))
+    functions = {name for name in rdgap.__all__ if inspect.isfunction(getattr(rdgap, name))}
+    assert sorted(functions - called) == []

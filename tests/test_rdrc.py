@@ -19,7 +19,7 @@ T_RC_TWO_LEVEL_D02 = 3.067109605220082
 RR_RC_TWO_LEVEL_AT_02 = 0.8487930335740901
 RR_WF_TWO_LEVEL_AT_02 = 0.792481250360578
 # Three coordinates of a three-level spectrum: at n = k a vector is still
-# read per coordinate, so at rate 1 tau is the scheme's 0.749981481252849.
+# read per coordinate, so at rate 1 the scheme's tau is 0.749981481252849.
 THREE_LEVEL = spectra.parse_spectrum("3:0.5,1:0.3,0.2:0.2")
 W_THREE = np.array([1.1, -0.4, 0.7])
 
@@ -35,6 +35,13 @@ def _realized(k, seed, n):
 def _scheme_state(s, n, rate=1.0):
     return simulator._scaling_state(
         simulator.SimConfig(n=n, rate_bits=rate, spectrum=s, trials=1, seed=0))
+
+
+def _tau(s, w, rate, threshold=None, delta=None):
+    """The scheme's scaling of one realization w, on the n = len(w)
+    eigenvalues of expand_to_n (_scaling_terms)."""
+    T, alam2, den = rdrc._scaling_terms(spectra.expand_to_n(s, len(w)), rate)
+    return float(rdrc._scaling(T, alam2, den, np.asarray(w, dtype=float), threshold, delta))
 
 
 def _bisect_t_for_distortion(values, weights, d_star):
@@ -205,41 +212,33 @@ class TestCompositions:
 
 
 class TestTau:
+    """The scheme's scaling rule, rdrc._scaling, of one realization w on the
+    n = len(w) eigenvalues of expand_to_n (_tau)."""
+
     def test_zero_vector(self):
-        assert rdrc.tau(TWO_LEVEL, [0.0, 0.0], 1.0) == 0.0
+        assert _tau(TWO_LEVEL, [0.0, 0.0], 1.0) == 0.0
 
     def test_flat_all_ones_closed_form(self):
         for rate in (0.25, 1.0, 2.0):
             T = rdrc.t_rc_for_rate(FLAT, rate)
-            got = rdrc.tau(FLAT, [1.0] * 8, rate)
+            got = _tau(FLAT, [1.0] * 8, rate)
             assert got == pytest.approx(math.sqrt(T / (1.0 + T)), rel=1e-14)
 
     def test_threshold_forces_zero(self):
         w = [2.0, 0.5]
-        assert rdrc.tau(TWO_LEVEL, w, 1.0, threshold=1.5) == 0.0
-        assert rdrc.tau(TWO_LEVEL, w, 1.0, threshold=2.5) > 0.0
+        assert _tau(TWO_LEVEL, w, 1.0, threshold=1.5) == 0.0
+        assert _tau(TWO_LEVEL, w, 1.0, threshold=2.5) > 0.0
 
     @pytest.mark.parametrize("threshold", [-0.1, math.nan])
     def test_threshold_domain(self, threshold):
         with pytest.raises(ValueError, match="threshold must be nonnegative"):
-            rdrc.tau(TWO_LEVEL, [2.0, 0.5], 1.0, threshold=threshold)
-
-    def test_rate_domain(self):
-        with pytest.raises(ValueError):
-            rdrc.tau(FLAT, [1.0], 0.0)
-
-    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
-    def test_non_finite_coordinate_rejected(self, x):
-        # Unchecked, an infinite coordinate makes tau infinite and a nan trips
-        # the range check as a SolverError.
-        with pytest.raises(ValueError, match="finite"):
-            rdrc.tau(FLAT, [x, 1.0], 1.0)
+            rdrc._check_scaling(threshold, None)
 
     @pytest.mark.parametrize("scale", [1e-200, 1e200], ids=["tiny", "huge"])
     def test_coordinates_whose_squares_leave_float_range(self, scale):
         # Flat at rate 1 has T = 3, so four equal coordinates c give
         # sqrt(T / (1 + T)) c, though c^2 under- or overflows.
-        got = rdrc.tau(FLAT, [scale] * 4, 1.0)
+        got = _tau(FLAT, [scale] * 4, 1.0)
         assert got == pytest.approx(math.sqrt(0.75) * scale, rel=1e-15, abs=0.0)
 
     def test_power_of_two_scaling_keeps_every_bit(self):
@@ -250,7 +249,7 @@ class TestTau:
         T, alam2, den = st["T"], st["alam2"], st["den"]
         for scale in (1e-3, 1e-1, 1.0, 1e2, 1e5):
             w = scale * rng.standard_normal((256, 37))
-            plain = np.sqrt(T * ((w * w) @ alam2) / den)
+            plain = np.sqrt(T * np.sum(w * w * alam2, axis=-1) / den)
             assert np.array_equal(rdrc._scaling(T, alam2, den, w, None, None), plain)
 
     @given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=100),
@@ -259,7 +258,7 @@ class TestTau:
         s = _realized(k, seed, n)
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(wseed)))
         w = rng.standard_normal(n)
-        val = rdrc.tau(s, np.abs(w), 0.8)
+        val = _tau(s, np.abs(w), 0.8)
         assert 0.0 <= val <= float(np.max(np.abs(w))) * (1.0 + 1e-12) + 1e-300
 
     def test_lipschitz_in_w(self):
@@ -271,64 +270,47 @@ class TestTau:
             rate = float(rng.uniform(0.05, 3.0))
             w1 = np.abs(rng.standard_normal(n))
             w2 = np.abs(rng.standard_normal(n))
-            diff = abs(rdrc.tau(s, w1, rate) - rdrc.tau(s, w2, rate))
+            diff = abs(_tau(s, w1, rate) - _tau(s, w2, rate))
             assert diff <= float(np.max(np.abs(w1 - w2))) + 1e-12
 
     def test_per_coordinate_matches_the_simulated_scheme(self):
         # Per coordinate, T comes from the n realized eigenvalues, as in the
         # simulator, not from the spectrum's levels (which give 0.6472862742259768).
         s = spectra.parse_spectrum("3:0.3,1:0.7")
-        w = np.array([0.3, -1.2, 0.5, 0.9])
-        st = _scheme_state(s, 4)
-        scheme = float(rdrc._scaling(st["T"], st["alam2"], st["den"], w, None, None))
-        assert scheme == pytest.approx(0.6539933716043672, rel=1e-14)
-        assert rdrc.tau(s, w, 1.0) == scheme
-        # Bit for bit on random realizations too, from the same expressions.
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(31)))
-        for i in range(40):
-            n, rate = int(rng.integers(8, 40)), float(rng.uniform(0.1, 2.0))
-            s = _realized(int(rng.integers(2, 6)), i, n)
-            w = rng.standard_normal(n)
-            st = _scheme_state(s, n, rate)
-            scheme = float(rdrc._scaling(st["T"], st["alam2"], st["den"], w, None, None))
-            assert rdrc.tau(s, w, rate) == scheme
+        assert _tau(s, [0.3, -1.2, 0.5, 0.9], 1.0) == pytest.approx(0.6539933716043672, rel=1e-14)
 
     def test_n_equal_k_is_the_schemes_scaling(self):
-        state = _scheme_state(THREE_LEVEL, 3)
-        scheme = float(
-            rdrc._scaling(state["T"], state["alam2"], state["den"], W_THREE, None, None))
-        assert scheme == 0.749981481252849
-        assert rdrc.tau(THREE_LEVEL, W_THREE, 1.0) == scheme
+        assert _tau(THREE_LEVEL, W_THREE, 1.0) == 0.749981481252849
 
 
 class TestQuantizeTau:
-    """tau's delta rounds the scaling to the nearest multiple of
+    """The scaling rule's delta rounds tau to the nearest multiple of
     delta * ||w~||_inf, the scheme's quantizer."""
 
     def test_zero(self):
-        assert rdrc.tau(TWO_LEVEL, [0.0, 0.0], 1.0, delta=0.25) == 0.0
+        assert _tau(TWO_LEVEL, [0.0, 0.0], 1.0, delta=0.25) == 0.0
 
     def test_on_grid(self):
         # Halving or quartering the step leaves a value on the grid as it is.
-        t = rdrc.tau(FLAT, [1.0] * 4, 1.0)
-        assert rdrc.tau(FLAT, [1.0] * 4, 1.0, delta=t / 2.0) == t
-        assert rdrc.tau(FLAT, [1.0] * 4, 1.0, delta=t / 4.0) == t
+        t = _tau(FLAT, [1.0] * 4, 1.0)
+        assert _tau(FLAT, [1.0] * 4, 1.0, delta=t / 2.0) == t
+        assert _tau(FLAT, [1.0] * 4, 1.0, delta=t / 4.0) == t
 
     def test_rounds_to_nearest(self):
         # On the flat spectrum at rate 1, tau = ||w~||_inf sqrt(3) / 2 ~ 0.866 ||w~||_inf.
-        assert rdrc.tau(FLAT, [1.0] * 4, 1.0, delta=0.5) == 1.0
-        assert rdrc.tau(FLAT, [1.0] * 4, 1.0, delta=0.25) == 0.75
-        assert rdrc.tau(FLAT, [2.0, 2.0, -2.0, 2.0], 1.0, delta=0.25) == 1.5
+        assert _tau(FLAT, [1.0] * 4, 1.0, delta=0.5) == 1.0
+        assert _tau(FLAT, [1.0] * 4, 1.0, delta=0.25) == 0.75
+        assert _tau(FLAT, [2.0, 2.0, -2.0, 2.0], 1.0, delta=0.25) == 1.5
 
     def test_overflowing_step_rounds_to_zero(self):
         # delta * ||w~||_inf overflows: 0 is the nearest multiple, not nan.
-        assert rdrc.tau(FLAT, [1e150] * 4, 1.0, delta=1e200) == 0.0
+        assert _tau(FLAT, [1e150] * 4, 1.0, delta=1e200) == 0.0
 
     @pytest.mark.parametrize("delta", [0.0, -0.1, math.nan, math.inf, 1e-320],
                              ids=["zero", "negative", "nan", "inf", "reciprocal-overflows"])
     def test_domain(self, delta):
         with pytest.raises(ValueError, match="tau_delta must be positive and finite"):
-            rdrc.tau(FLAT, [0.3, 1.0], 1.0, delta=delta)
+            rdrc._check_scaling(None, delta)
 
     @given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=100),
            st.integers(min_value=0, max_value=10**6), st.integers(min_value=1, max_value=40),
@@ -337,43 +319,24 @@ class TestQuantizeTau:
         s = _realized(k, seed, n)
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(wseed)))
         w = rng.standard_normal(n)
-        q, t = rdrc.tau(s, w, 0.8, delta=delta), rdrc.tau(s, w, 0.8)
+        q, t = _tau(s, w, 0.8, delta=delta), _tau(s, w, 0.8)
         assert abs(q - t) <= delta * float(np.max(np.abs(w))) / 2.0 * (1.0 + 1e-12)
-
-    def test_equals_the_success_kernel(self):
-        # The success kernel scales one realization at a time, with the
-        # threshold and step SimConfig passes to the run's state: bit for bit.
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(263)))
-        for i in range(240):
-            n, rate = int(rng.integers(8, 40)), float(rng.uniform(0.1, 2.0))
-            s = _realized(int(rng.integers(1, 5)), i, n)
-            delta = (None, 0.01, 0.05, 0.2, 0.5)[i % 5]
-            threshold = (None, 2.0, 3.0)[i % 3]
-            w = rng.standard_normal(n)
-            st = simulator._scaling_state(simulator.SimConfig(
-                n=n, rate_bits=rate, spectrum=s, trials=1, seed=0,
-                tau_delta=delta, tau_threshold=threshold))
-            kernel = float(rdrc._scaling(st["T"], st["alam2"], st["den"], w,
-                                         st["threshold"], st["delta"]))
-            assert rdrc.tau(s, w, rate, threshold, delta) == kernel, i
 
     def test_matches_the_simulated_scheme(self):
         # The scheme scales a chunk of up to 256 rotated rows in one stacked
-        # product, whose sums may round apart from one row's: within 1e-15
-        # relative, not bit for bit.
+        # call, the success kernel one row at a time: the same bits, with the
+        # threshold and step the run's state passes.
         s = spectra.parse_spectrum("3:0.2,1:0.5,0.1:0.3")
         for i, n in enumerate(range(10, 38)):
-            delta = (None, 0.01, 0.05)[i % 3]
-            threshold = (None, 3.0)[i % 2]
             cfg = simulator.SimConfig(
                 n=n, rate_bits=0.5 + i / 20, spectrum=s, trials=256, seed=5,
-                rotation=("identity", "haar")[i % 2], tau_delta=delta, tau_threshold=threshold)
+                rotation=("identity", "haar")[i % 2], tau_delta=(None, 0.01, 0.05)[i % 3],
+                tau_threshold=(None, 3.0)[i % 2])
             st = simulator._scaling_state(cfg)
-            (w,) = simulator._trial_normals(cfg.seed, 0, cfg.trials, n)
-            wt = w @ st["u"] if st["u"] is not None else w
-            scheme = rdrc._scaling(st["T"], st["alam2"], st["den"], wt, st["threshold"], st["delta"])
-            taus = np.array([rdrc.tau(s, row, cfg.rate_bits, threshold, delta) for row in wt])
-            assert np.all(np.abs(taus - scheme) <= 1e-15 * scheme), n
+            wt, tau = simulator._scheme_trials((st, 0, cfg.trials))[:2]
+            rows = [rdrc._scaling(st["T"], st["alam2"], st["den"], row, st["threshold"],
+                                  st["delta"]) for row in wt]
+            assert np.array_equal(tau[:, 0], rows), n
 
 
 class TestEigenSensitivity:

@@ -98,6 +98,7 @@ class TestSimConfig:
             {"tau_delta": 0.0},
             {"tau_delta": -1.0},
             {"tau_delta": math.inf},  # the quantizer's inf * floor(0.5) is nan
+            {"tau_delta": math.nan},
             {"tau_delta": 1e-320},  # 1 / tau_delta overflows
             {"tau_threshold": -0.1},
             {"tau_threshold": math.nan},

@@ -131,14 +131,14 @@ def main() -> None:
     print(f"rr_rc([1.8,.2], d*=0.2)       = {float(rate_rc)!r}")
     print(f"gap([1.8,.2], d*=0.2)         = {float(rate_rc - rate_wf)!r}")
 
-    # merge_close derived example at tol 0.01: 2 and 1.999 (weights .3/.3)
-    # differ by 0.05 % of the upper level, within the relative tol the gap
-    # search also uses, and merge into their weight average; then normalize
-    # to unit mean.  Exact decimal arithmetic.
+    # _collapse derived example at tol 0.01: 2 and 1.999 (weights .3/.3)
+    # differ by 0.05 % of the upper level, within the relative tol, and
+    # merge into their weight average; then normalize to unit mean.  Exact
+    # decimal arithmetic.
     merged = (Decimal("0.3") * 2 + Decimal("0.3") * Decimal("1.999")) / Decimal("0.6")
     mean = Decimal("0.6") * merged + Decimal("0.4") * Decimal("0.5")
-    print(f"merge_close v1                = {float(merged / mean)!r}")
-    print(f"merge_close v2                = {float(Decimal('0.5') / mean)!r}")
+    print(f"_collapse v1                  = {float(merged / mean)!r}")
+    print(f"_collapse v2                  = {float(Decimal('0.5') / mean)!r}")
     # The same example entered through a pre-normalized (unit-mean) spectrum:
     # inputs divided by 1.3997 first; merging commutes with the rescale.
     pre = [Decimal(2) / Decimal("1.3997"), Decimal("1.999") / Decimal("1.3997"),

@@ -322,6 +322,24 @@ class TestQuantizeTau:
         q, t = _tau(s, w, 0.8, delta=delta), _tau(s, w, 0.8)
         assert abs(q - t) <= delta * float(np.max(np.abs(w))) / 2.0 * (1.0 + 1e-12)
 
+    def test_equals_the_success_kernel(self):
+        # The success kernel scales one realization at a time, with the
+        # threshold and step SimConfig passes to the run's state: bit for bit
+        # the rule on the terms of expand_to_n (_tau).
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(263)))
+        for i in range(240):
+            n, rate = int(rng.integers(8, 40)), float(rng.uniform(0.1, 2.0))
+            s = _realized(int(rng.integers(1, 5)), i, n)
+            delta = (None, 0.01, 0.05, 0.2, 0.5)[i % 5]
+            threshold = (None, 2.0, 3.0)[i % 3]
+            w = rng.standard_normal(n)
+            st = simulator._scaling_state(simulator.SimConfig(
+                n=n, rate_bits=rate, spectrum=s, trials=1, seed=0,
+                tau_delta=delta, tau_threshold=threshold))
+            kernel = float(rdrc._scaling(st["T"], st["alam2"], st["den"], w,
+                                         st["threshold"], st["delta"]))
+            assert _tau(s, w, rate, threshold, delta) == kernel, i
+
     def test_matches_the_simulated_scheme(self):
         # The scheme scales a chunk of up to 256 rotated rows in one stacked
         # call, the success kernel one row at a time: the same bits, with the

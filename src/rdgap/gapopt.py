@@ -110,24 +110,24 @@ def _rate_grads(values, weights, t: float, T: float):
     water level and den = sum w v^2 / (1 + vT)^2.
     Returns (levels_wf, levels_rc, weights_wf, weights_rc).
     """
-    num = sum(w * v / (1.0 + v * T) for v, w in zip(values, weights))
-    den = sum(w * v * v / (1.0 + v * T) ** 2 for v, w in zip(values, weights))
+    num, den = rdrc._moments(values, weights, T)
     A = num / den
     levels_wf = tuple(w / (2.0 * _LN2 * max(v, t)) for v, w in zip(values, weights))
     levels_rc = tuple(
         w / (2.0 * _LN2) * (T / (1.0 + v * T) + A / (1.0 + v * T) ** 2)
         for v, w in zip(values, weights)
     )
-    # d rate / d w_j: the level's own log term plus the shift of t (or T) that
-    # keeps the distortion at d_star while w_j moves.
-    weights_wf = tuple(
-        (math.log(v / t) + 1.0) / (2.0 * _LN2) if v > t else v / (2.0 * _LN2 * t)
-        for v in values
-    )
-    weights_rc = tuple(
-        (math.log1p(v * T) + A * v / (1.0 + v * T)) / (2.0 * _LN2) for v in values
-    )
+    weights_wf, weights_rc = zip(*(_weight_terms(v, t, T, A) for v in values))
     return levels_wf, levels_rc, weights_wf, weights_rc
+
+
+def _weight_terms(v: float, t: float, T: float, A: float) -> tuple[float, float]:
+    """(d rate_wf / d w, d rate_rc / d w) in bits at a level v, A = num / den
+    (rdrc._moments): its own log term plus the shift of t (or T) that keeps
+    the distortion at d_star while w moves."""
+    wf = (math.log(v / t) + 1.0) / (2.0 * _LN2) if v > t else v / (2.0 * _LN2 * t)
+    rc = (math.log1p(v * T) + A * v / (1.0 + v * T)) / (2.0 * _LN2)
+    return wf, rc
 
 
 def grad_rates(s: Spectrum, d_star: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -160,12 +160,6 @@ def _levels(values, weights, d_star: float) -> tuple[float, float]:
     return t, rdrc._t_for_distortion_newton(values, weights, d_star)
 
 
-def _gap_grad(values, weights, t: float, T: float) -> np.ndarray:
-    """Gap gradient in (levels, weights) on raw arrays, given t and T."""
-    levels_wf, levels_rc, weights_wf, weights_rc = _rate_grads(values, weights, t, T)
-    return np.r_[np.subtract(levels_rc, levels_wf), np.subtract(weights_rc, weights_wf)]
-
-
 def stationarity_residual(s: Spectrum, d_star: float) -> float:
     """Distance of s from a stationary point of the gap over spectra with
     s.k levels: the max-norm of the gap gradient in (log levels, weights)
@@ -196,10 +190,11 @@ def _gap_hessian(values, weights, d_star: float, t: float, T: float) -> np.ndarr
     active = v > t
     b = np.r_[np.where(active, 0.0, w), np.minimum(v, t)]
     u = 1.0 + v * T
-    q = np.r_[w / u**2, v / u]
-    q_T = np.r_[-2.0 * w * v / u**3, -((v / u) ** 2)]
-    den = float(w @ (v / u) ** 2)
-    den_T = -2.0 * float(w @ (v / u) ** 3)
+    vu = v / u
+    q = np.r_[w / u**2, vu]
+    q_T = np.r_[-2.0 * w * v / u**3, -(vu**2)]
+    den = rdrc._moments(values, weights, T)[1]
+    den_T = -2.0 * float(np.sum(w * vu * vu * vu))
     H = (
         np.outer(q, q) * (1.0 / den - d_star * den_T / den**3)
         + d_star * (np.outer(q, q_T) + np.outer(q_T, q)) / den**2
@@ -226,8 +221,9 @@ def _kkt(values, weights, d_star: float):
     k = len(values)
     v, w = np.asarray(values, dtype=float), np.asarray(weights, dtype=float)
     t, T = _levels(values, weights, d_star)
+    levels_wf, levels_rc, weights_wf, weights_rc = _rate_grads(values, weights, t, T)
     D = np.r_[v, np.ones(k)]
-    g = D * _gap_grad(values, weights, t, T)
+    g = D * np.r_[np.subtract(levels_rc, levels_wf), np.subtract(weights_rc, weights_wf)]
     J = np.array([np.r_[np.zeros(k), np.ones(k)], np.r_[w * v, v]])
     mult = np.linalg.lstsq(J.T, g, rcond=None)[0]
     H = D[:, None] * _gap_hessian(values, weights, d_star, t, T) * D
@@ -239,17 +235,18 @@ def _kkt(values, weights, d_star: float):
 
 
 def _max_phi(values, weights, d_star: float) -> tuple[float, float, float]:
-    """(max, argmax) over levels v >= 0 of phi(v), _rate_grads' gap derivative
-    in the weight of a new level v less the constraints' multipliers m0 + m1 v
-    (_kkt).  The gap is concave in the spectrum at fixed T, so max phi <= 0
-    certifies a point over any level count.  With u = 1 + vT and A as in
-    _rate_grads, 2 ln2 phi' = T/u + A/u^2 - 2 ln2 m1 - 1/max(v, t) is a
-    quadratic over u^2 below t and a cubic over v u^2 above it; phi is C^1, so
-    the max is at a root, at 0 or t, or is the limit at v = inf, returned with
-    argmax inf: -inf (m1 > 0), +inf (m1 < 0) or, at m1 = 0, as for one level
-    (whose fitted m1 is rounding: the gap ignores its scale),
-    (ln(tT) + A/T - 1) / (2 ln2) - m0.  The same _kkt evaluation's
-    stationarity residual comes third.  Raises KinkError on the kink.
+    """(max, argmax) over levels v >= 0 of phi(v), the gap's derivative in
+    the weight of a new level v (_weight_terms) less the constraints'
+    multipliers m0 + m1 v (_kkt).  The gap is concave in the spectrum at
+    fixed T, so max phi <= 0 certifies a point over any level count.  With
+    u = 1 + vT and A = num / den (rdrc._moments), 2 ln2 phi' = T/u + A/u^2
+    - 2 ln2 m1 - 1/max(v, t) is a quadratic over u^2 below t and a cubic
+    over v u^2 above it; phi is C^1, so the max is at a root, at 0 or t, or
+    is the limit at v = inf, returned with argmax inf: -inf (m1 > 0), +inf
+    (m1 < 0) or, at m1 = 0, as for one level (whose fitted m1 is rounding:
+    the gap ignores its scale), (ln(tT) + A/T - 1) / (2 ln2) - m0.  The same
+    _kkt evaluation's stationarity residual comes third.  Raises KinkError
+    on the kink.
     """
     r, mult, _, _, t, T = _kkt(values, weights, d_star)
     residual = float(np.max(np.abs(r)))
@@ -257,13 +254,13 @@ def _max_phi(values, weights, d_star: float) -> tuple[float, float, float]:
     m1 = m1 if len(values) > 1 else 0.0
     if m1 < 0.0:
         return math.inf, math.inf, residual
-    den = sum(w * v * v / (1.0 + v * T) ** 2 for v, w in zip(values, weights))
-    A, L = rdrc._d_rc(values, weights, T) / den, 2.0 * _LN2 * m1
+    num, den = rdrc._moments(values, weights, T)
+    A, L = num / den, 2.0 * _LN2 * m1
     B = 1.0 / t + L
 
     def phi(v):
-        wf = math.log(v / t) + 1.0 if v > t else v / t
-        return (math.log1p(v * T) + A * v / (1.0 + v * T) - wf) / (2.0 * _LN2) - m0 - m1 * v
+        wf, rc = _weight_terms(v, t, T, A)
+        return rc - wf - m0 - m1 * v
 
     # phi anywhere is a lower bound, so every root is a candidate, in range or not.
     roots = np.r_[np.roots([-B * T * T, T * T - 2.0 * B * T, T + A - B]),

@@ -4,8 +4,8 @@ Distortion at parameter T is sum_j w_j * v_j / (1 + v_j T); rate in bits is
 (1/2) sum_j w_j * log2(1 + v_j T).  Also houses the simulator's one
 codebook scaling rule, quantizer included (_scaling): tau of a realization,
 per coordinate on the n eigenvalues of spectra.expand_to_n.
-The functions on arrays import numpy inside the function, so the scalar
-curves load without it.
+Only _scaling_terms and _scaling import numpy, inside the function; the
+curves and dd_rc_eigen_sensitivity load without it and use no BLAS.
 """
 
 from __future__ import annotations
@@ -22,6 +22,13 @@ T_BRACKET_CAP = 2.0**200  # T grows like 2^(2nR); beyond this the rate is absurd
 
 def _d_rc(values, weights, T: float) -> float:
     return sum(w * v / (1.0 + v * T) for v, w in zip(values, weights))
+
+
+def _moments(values, weights, T: float) -> tuple[float, float]:
+    """num = sum w v / u (the distortion at T) and den = sum w v^2 / u^2
+    (minus its slope in T), u = 1 + vT, by builtin sums."""
+    den = sum(w * v * v / (1.0 + v * T) ** 2 for v, w in zip(values, weights))
+    return _d_rc(values, weights, T), den
 
 
 def _r_rc(values, weights, T: float) -> float:
@@ -164,16 +171,13 @@ def _scaling(T: float, alam2, den: float, w, threshold, delta):
     vector) in the eigenbasis: tau = sqrt(T (w^2 . alam2) / den), 0 where
     ||w||_inf exceeds the threshold, then rounded to the nearest multiple of
     delta ||w||_inf (half up) when delta is given.  The sum over a row is
-    np.sum's, not BLAS's, so a row gets the same bits alone or stacked on
-    any BLAS kernel.  Raises SolverError if tau leaves [0, ||w||_inf] before
-    rounding, which the rule never does."""
+    np.add.reduce's, not BLAS's, so a row gets the same bits alone or
+    stacked on any BLAS kernel.  The simulator's w are rotated standard
+    normal draws, whose squares stay in float range.  Raises SolverError if
+    tau leaves [0, ||w||_inf] before rounding, which the rule never does."""
     import numpy as np
     norms = np.abs(w).max(axis=-1)
-    # Squared on the scale of ||w||_inf, by an exact power of two, so that
-    # w^2 neither under- nor overflows.
-    e = np.frexp(norms)[1]
-    ws = np.ldexp(w, -e[..., None])
-    tau = np.ldexp(np.sqrt(T * np.sum(ws * ws * alam2, axis=-1) / den), e)
+    tau = np.sqrt(T * np.add.reduce(w * w * alam2, axis=-1) / den)
     if threshold is not None:
         tau = np.where(norms > threshold, 0.0, tau)
     if not ((tau >= 0.0).all() and (tau <= norms * (1.0 + 1e-12) + 1e-300).all()):
@@ -189,19 +193,17 @@ def _scaling(T: float, alam2, den: float, w, threshold, delta):
 def dd_rc_eigen_sensitivity(s: Spectrum, rate: float, level_index: int) -> float:
     """Derivative of the per-dimension distortion at fixed rate in the level
     value v_j, divided by its weight: 1/u_j^2 + T den / (u_j num), with T
-    solved from the rate, u = 1 + v T, num = sum w v / u and
-    den = sum w v^2 / u^2.  The second term is the distortion's slope -den
-    in T times the shift -w_j T / (u_j num) of T that keeps the rate.  The
-    value vector need not have unit mean; the figure lies in [0, 2].
+    solved from the rate, u = 1 + v T and (num, den) = _moments.  The second
+    term is the distortion's slope -den in T times the shift
+    -w_j T / (u_j num) of T that keeps the rate.  The value vector need not
+    have unit mean; the figure lies in [0, 2].
     """
-    import numpy as np
     if not rate > 0.0:
         raise ValueError("rate must be positive")
     j = _integer(level_index, "level_index")
     if not 0 <= j < s.k:
         raise ValueError("level_index out of range")
     T = _t_for_rate(s.values, s.weights, rate)
-    v, w = np.asarray(s.values), np.asarray(s.weights)
-    u = 1.0 + v * T
-    num, den = float(w @ (v / u)), float(w @ (v / u) ** 2)
-    return float(1.0 / u[j] ** 2 + T * den / (u[j] * num))
+    num, den = _moments(s.values, s.weights, T)
+    u = 1.0 + s.values[j] * T
+    return 1.0 / u**2 + T * den / (u * num)

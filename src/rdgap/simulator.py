@@ -19,7 +19,8 @@ unit.  tests/test_simulate.py checks the keys and first draws against
 numpy's own SeedSequence.
 
 Every mode realizes its spectrum at n by spectra.expand_to_n, which refuses
-a level that n cannot place; the coded modes scale by rdrc._scaling.
+a level that n cannot place, and reports as `analytic` the curve's value on
+those n eigenvalues (_realized); the coded modes scale by rdrc._scaling.
 
 Every mode runs through one unit runner, `_map_units`: each work item is
 `(state, start, count)`, where `state` is the run's read-only dict of
@@ -54,7 +55,7 @@ import numpy as np
 
 from . import rdrc, waterfill
 from ._parallel import ordered_map
-from .spectra import Spectrum, _integer, expand_to_n
+from .spectra import Spectrum, _apportion, _integer, expand_to_n
 
 STREAM_CODEBOOK = 1
 STREAM_ROTATION = 2
@@ -181,10 +182,10 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class SimReport:
-    """Measured statistics with uncertainty; reproducible from the config
-    and always of its spectrum (one that n cannot realize is refused).
-    The trial modes also carry per_trial, which == leaves out (an array has
-    no single truth value)."""
+    """Measured statistics with uncertainty; reproducible from the config.
+    analytic is the curve on the levels the run simulates (_realized).  The
+    trial modes also carry per_trial, which == leaves out (an array has no
+    single truth value)."""
 
     mode: str
     mean: float
@@ -238,12 +239,6 @@ def _trial_normals(seed: int, start: int, count: int, cols: int, draws: int = 1)
     return out
 
 
-def _mean_se(per_trial: np.ndarray) -> tuple[float, float]:
-    mean = float(np.mean(per_trial))
-    se = float(np.std(per_trial, ddof=1) / math.sqrt(per_trial.size)) if per_trial.size > 1 else 0.0
-    return mean, se
-
-
 def _wilson(successes: int, total: int) -> tuple[float, float]:
     if successes == 0:
         z = _Z_ONE_SIDED
@@ -277,15 +272,15 @@ def _run_trials(mode, kernel, state, trials, threads, analytic):
 
 
 def _trial_report(mode: str, per_trial: np.ndarray, analytic: float) -> SimReport:
-    mean, se = _mean_se(per_trial)
-    return SimReport(
-        mode=mode,
-        mean=mean,
-        se=se,
-        analytic=analytic,
-        trials=per_trial.size,
-        per_trial=per_trial,
-    )
+    se = float(np.std(per_trial, ddof=1) / math.sqrt(per_trial.size)) if per_trial.size > 1 else 0.0
+    return SimReport(mode=mode, mean=float(np.mean(per_trial)), se=se, analytic=analytic,
+                     trials=per_trial.size, per_trial=per_trial)
+
+
+def _realized(s: Spectrum, n: int) -> tuple[tuple[float, ...], list[float]]:
+    """The levels of s, each weighted by the share of the n coordinates that
+    expand_to_n gives it: the spectrum a run at n simulates."""
+    return s.values, [c / n for c in _apportion(s, n)]
 
 
 def _scaling_state(config: SimConfig) -> dict:
@@ -371,8 +366,8 @@ def run_universal_scheme(config: SimConfig, threads: int | None = None) -> SimRe
     Per trial: draw W ~ N(0, I_n), compute the scaling tau in the eigenbasis
     (optionally thresholded then quantized), pick the codeword minimizing the
     covariance-weighted error (lowest index on ties), and record the
-    per-dimension distortion.  The analytic reference is dd_rc at the
-    configured rate.
+    per-dimension distortion.  The analytic reference is the random-coding
+    distortion at the configured rate on the realized levels (_realized).
 
     The _CHUNK-trial units run in the calling process whatever `threads`
     says, and no pool is started: each unit's codeword GEMM already runs on
@@ -410,7 +405,9 @@ def run_universal_scheme(config: SimConfig, threads: int | None = None) -> SimRe
     for wt, tau, _, _, winner in chunks:
         d = wt - tau * winner
         per_trial.append(np.sum(d * d * st["lam"], axis=1) / config.n)
-    return _trial_report("scheme", np.concatenate(per_trial), rdrc.dd_rc(config.spectrum, config.rate_bits))
+    v, w = _realized(config.spectrum, config.n)
+    analytic = rdrc._d_rc(v, w, rdrc._t_for_rate(v, w, config.rate_bits))
+    return _trial_report("scheme", np.concatenate(per_trial), analytic)
 
 
 # --- single-codeword success probability ------------------------------------
@@ -493,7 +490,7 @@ def simulate_wf_coupling(
     s: Spectrum, t: float, n: int, trials: int, seed: int, threads: int | None = None
 ) -> SimReport:
     """Simulate the test-channel coupling W_i = Y_i + sqrt(D_i) Z_i and measure
-    the covariance-weighted error against Y; its expectation is exactly d_wf."""
+    the covariance-weighted error against Y; its expectation is d_wf of _realized."""
     if not t > 0.0:
         raise ValueError("water level t must be positive")
     lam = expand_to_n(s, n)
@@ -505,7 +502,8 @@ def simulate_wf_coupling(
         "sig_y": np.sqrt(1.0 - d),
         "weighted": lam,
     }
-    return _run_trials("coupling", _coupling_chunk, st, trials, threads, waterfill.d_wf(s, t))
+    analytic = waterfill._d_wf(*_realized(s, n), t)
+    return _run_trials("coupling", _coupling_chunk, st, trials, threads, analytic)
 
 
 def _filter_chunk(args: tuple[dict, int, int]) -> np.ndarray:
@@ -521,7 +519,7 @@ def simulate_mmse_filter(
     s: Spectrum, T: float, n: int, trials: int, seed: int, threads: int | None = None
 ) -> SimReport:
     """Add white noise at level 1/T and MMSE-estimate back; the mean squared
-    error per dimension has expectation exactly d_rc(s, T)."""
+    error per dimension has expectation exactly d_rc(T) of _realized."""
     if not 0.0 < T < math.inf:
         raise ValueError("T must be positive and finite")
     lam = expand_to_n(s, n)
@@ -532,4 +530,5 @@ def simulate_mmse_filter(
         "noise_scale": 1.0 / math.sqrt(T),
         "f": lam * T / (1.0 + lam * T),
     }
-    return _run_trials("filter", _filter_chunk, st, trials, threads, rdrc.d_rc(s, T))
+    analytic = rdrc._d_rc(*_realized(s, n), T)
+    return _run_trials("filter", _filter_chunk, st, trials, threads, analytic)

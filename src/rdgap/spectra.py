@@ -8,13 +8,14 @@ same source at any dimension n.  The gap search merges close levels by
 _collapse.  A parsed literal that already satisfies Spectrum's checks is
 kept as written, so as_literal round-trips.  n coordinates
 realize a spectrum by one rule, expand_to_n, which refuses a level they
-cannot place.  Only sample_random and expand_to_n use numpy, which they
-import inside the function.
+cannot place.  Only sample_random (for its Philox draws) and expand_to_n
+use numpy, which they import inside the function.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 import operator
 from dataclasses import dataclass
 from pathlib import Path
@@ -131,9 +132,10 @@ def _collapse(values, weights, floor: float, rel: float):
 def sample_random(k: int, seed: int) -> Spectrum:
     """A deterministic random Spectrum with at most k distinct levels.
 
-    Levels are log-uniform over e^[-3, 3] before normalization; weights are
-    Dirichlet(1).  Rejects near-degenerate draws so the result always passes
-    the full invariant set.
+    Levels are log-uniform over e^[-3, 3] (math.exp) and weights are
+    Dirichlet(1), brought to unit mean by _normalized.  Rejects
+    near-degenerate draws so the result always passes the full invariant
+    set.
     """
     import numpy as np
     k, seed = _integer(k, "k"), _integer(seed, "seed")
@@ -145,17 +147,15 @@ def sample_random(k: int, seed: int) -> Spectrum:
         np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(_STREAM_SPECTRA,)))
     )
     for _ in range(64):
-        values = np.exp(rng.uniform(-3.0, 3.0, size=k))
-        weights = rng.dirichlet(np.ones(k))
-        if float(weights.min()) < 1e-6:
+        values = [math.exp(x) for x in rng.uniform(-3.0, 3.0, size=k).tolist()]
+        weights = rng.dirichlet(np.ones(k)).tolist()
+        if min(weights) < 1e-6:
             continue
-        order = np.argsort(-values)
-        values, weights = values[order], weights[order]
-        values = values / float(values @ weights)
-        weights = weights / float(weights.sum())
-        if float(np.min(values[:-1] - values[1:])) <= 1e-9 * float(values[0]):
+        pairs = sorted(zip(values, weights), reverse=True)
+        values, weights = _normalized([p[0] for p in pairs], [p[1] for p in pairs])
+        if min(a - b for a, b in zip(values, values[1:])) <= 1e-9 * values[0]:
             continue
-        return Spectrum(tuple(float(v) for v in values), tuple(float(w) for w in weights))
+        return Spectrum(values, weights)
     raise RuntimeError("could not sample a non-degenerate spectrum")
 
 

@@ -381,13 +381,20 @@ class TestChartGradient:
             assert (grad[j] == 0.0) == (j in clipped), j
 
 
+def _gap_grad(values, weights, t, T):
+    """Gap gradient in (levels, weights) from _rate_grads, given t and T."""
+    levels_wf, levels_rc, weights_wf, weights_rc = gapopt._rate_grads(values, weights, t, T)
+    return np.r_[np.subtract(levels_rc, levels_wf), np.subtract(weights_rc, weights_wf)]
+
+
 class TestGapHessian:
     def test_fd_random_instances(self):
         # The exact gap Hessian in (levels, weights) matches Richardson-
-        # extrapolated central differences of the analytic gradient _gap_grad
-        # at rel 1e-5 of its max-norm, for k = 2..5 and several d_star off
-        # the kink.  Each coordinate moves relative to itself, so none turns
-        # negative; weights may leave sum w = 1, which _gap_grad accepts.
+        # extrapolated central differences of the analytic gradient
+        # (_rate_grads, _gap_grad) at rel 1e-5 of its max-norm, for k = 2..5
+        # and several d_star off the kink.  Each coordinate moves relative to
+        # itself, so none turns negative; weights may leave sum w = 1, which
+        # _rate_grads accepts.
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(95)))
         checked = 0
         seed = 0
@@ -412,7 +419,7 @@ class TestGapHessian:
                 e = np.zeros_like(x)
                 e[i] = h * x[i]
                 gp, gm = (
-                    gapopt._gap_grad(list(y[:k]), list(y[k:]), *gapopt._levels(y[:k], y[k:], d_star))
+                    _gap_grad(list(y[:k]), list(y[k:]), *gapopt._levels(y[:k], y[k:], d_star))
                     for y in (x + e, x - e)
                 )
                 return (gp - gm) / (2.0 * e[i])
@@ -438,7 +445,7 @@ class TestGapHessian:
 
             def lagrangian_grad(z):
                 v, w = np.exp(z[:k]), z[k:]
-                g = np.r_[v, np.ones(k)] * gapopt._gap_grad(
+                g = np.r_[v, np.ones(k)] * _gap_grad(
                     v.tolist(), w.tolist(), *gapopt._levels(v.tolist(), w.tolist(), d_star))
                 return g - m[0] * np.r_[np.zeros(k), np.ones(k)] - m[1] * np.r_[w * v, v]
 

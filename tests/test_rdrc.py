@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -30,11 +32,6 @@ def _realized(k, seed, n):
     their counts, at unit mean."""
     s = spectra.sample_random(k, seed)
     return spectra.from_eigenvalues(np.repeat(s.values, spectra._apportion(s, n)))
-
-
-def _scheme_state(s, n, rate=1.0):
-    return simulator._scaling_state(
-        simulator.SimConfig(n=n, rate_bits=rate, spectrum=s, trials=1, seed=0))
 
 
 def _tau(s, w, rate, threshold=None, delta=None):
@@ -234,24 +231,6 @@ class TestTau:
         with pytest.raises(ValueError, match="threshold must be nonnegative"):
             rdrc._check_scaling(threshold, None)
 
-    @pytest.mark.parametrize("scale", [1e-200, 1e200], ids=["tiny", "huge"])
-    def test_coordinates_whose_squares_leave_float_range(self, scale):
-        # Flat at rate 1 has T = 3, so four equal coordinates c give
-        # sqrt(T / (1 + T)) c, though c^2 under- or overflows.
-        got = _tau(FLAT, [scale] * 4, 1.0)
-        assert got == pytest.approx(math.sqrt(0.75) * scale, rel=1e-15, abs=0.0)
-
-    def test_power_of_two_scaling_keeps_every_bit(self):
-        # Squaring on the scale of ||w||_inf is exact: on rows whose squares
-        # stay in float range, tau is the unscaled expression bit for bit.
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(53)))
-        st = _scheme_state(THREE_LEVEL, 37)
-        T, alam2, den = st["T"], st["alam2"], st["den"]
-        for scale in (1e-3, 1e-1, 1.0, 1e2, 1e5):
-            w = scale * rng.standard_normal((256, 37))
-            plain = np.sqrt(T * np.sum(w * w * alam2, axis=-1) / den)
-            assert np.array_equal(rdrc._scaling(T, alam2, den, w, None, None), plain)
-
     @given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=100),
            st.integers(min_value=0, max_value=10**6), st.integers(min_value=1, max_value=40))
     def test_bounded_by_sup_norm(self, k, seed, wseed, n):
@@ -387,6 +366,27 @@ class TestEigenSensitivity:
             T = rdrc.t_rc_for_rate(SEMI_HALF, rate)
             got = rdrc.dd_rc_eigen_sensitivity(SEMI_HALF, rate, 1)
             assert got == pytest.approx(1.0 + 2.0 * T / (1.0 + 2.0 * T), rel=1e-14)
+
+    def test_is_the_moments_formula(self):
+        # 1/u^2 + T den / (u num) on rdrc._moments' builtin sums, bit for bit:
+        # no BLAS product supplies num or den.
+        for seed in range(200):
+            s = spectra.sample_random(2 + seed % 7, seed)
+            for rate in (0.2, 1.0, 3.0):
+                T = rdrc._t_for_rate(s.values, s.weights, rate)
+                num, den = rdrc._moments(s.values, s.weights, T)
+                for j, v in enumerate(s.values):
+                    u = 1.0 + v * T
+                    want = 1.0 / u**2 + T * den / (u * num)
+                    assert rdrc.dd_rc_eigen_sensitivity(s, rate, j) == want, (seed, rate, j)
+
+    def test_loads_no_numpy(self):
+        code = ("import sys; from rdgap import rdrc, spectra; "
+                "s = spectra.parse_spectrum('1.8:0.5,0.2:0.5'); "
+                "rdrc.dd_rc_eigen_sensitivity(s, 1.0, 0); print('numpy' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
 
     def test_matches_richardson_difference(self):
         # Acceptance 5's 600 (spectrum, rate, level) instances, against a

@@ -547,6 +547,29 @@ class TestMmseFilter:
         assert np.array_equal(a.per_trial, b.per_trial)
 
 
+class TestAnalyticOfTheRealizedLevels:
+    """n = 30 places 10.5:0.05,0.5:0.95 on counts (2, 28), not (1.5, 28.5), so
+    each mode's analytic is its curve on the levels at weights 2/30, 28/30."""
+
+    S = spectra.parse_spectrum("10.5:0.05,0.5:0.95")
+    W = [2 / 30, 28 / 30]
+
+    def test_filter_mean_meets_it(self):
+        rep = simulator.simulate_mmse_filter(self.S, 1.0, n=30, trials=20_000, seed=0)
+        assert rep.analytic == rdrc._d_rc(self.S.values, self.W, 1.0)
+        # d_rc(S, 1) = 0.36232 lies 14 SE below this mean, 0.37280.
+        assert abs(rep.mean - rep.analytic) < 4.0 * rep.se
+
+    def test_coupling(self):
+        rep = simulator.simulate_wf_coupling(self.S, 0.7, n=30, trials=8, seed=0)
+        assert rep.analytic == waterfill._d_wf(self.S.values, self.W, 0.7)
+
+    def test_scheme(self):
+        rep = simulator.run_universal_scheme(_cfg(n=30, rate_bits=0.3, spectrum=self.S, trials=8))
+        T = rdrc._t_for_rate(self.S.values, self.W, 0.3)
+        assert rep.analytic == rdrc._d_rc(self.S.values, self.W, T)
+
+
 class TestCouplingAndWaterfillAgree:
     def test_analytic_fields_use_public_curves(self):
         for s, t in ((FLAT, 0.3), (TWO_LEVEL, 0.7)):

@@ -85,7 +85,6 @@ class PointDiagnostics:
 
 @dataclass(frozen=True)
 class SweepResult:
-    d_grid: tuple[float, ...]
     records: tuple[GapRecord, ...]
     best: GapRecord
     diagnostics: tuple[PointDiagnostics, ...]
@@ -562,7 +561,7 @@ def sweep(d_grid, k_max: int, threads: int | None = None) -> SweepResult:
     results = ordered_map(_sweep_worker, args, threads)
     records, diags = zip(*results)
     best = max(records, key=lambda r: r.gap_bits)
-    return SweepResult(grid, records, best, diags)
+    return SweepResult(records, best, diags)
 
 
 SWEEP_CSV_HEADER = "d_star,rate_rc_bits,rate_wf_bits,gap_bits,levels,weights"

@@ -1,11 +1,9 @@
-"""Universal random-coding rate-distortion curve and codebook scaling.
+"""Universal random-coding rate-distortion curve.
 
 Distortion at parameter T is sum_j w_j * v_j / (1 + v_j T); rate in bits is
-(1/2) sum_j w_j * log2(1 + v_j T).  Also houses the simulator's one
-codebook scaling rule, quantizer included (_scaling): tau of a realization,
-per coordinate on the n eigenvalues of spectra.expand_to_n.
-Only _scaling_terms and _scaling import numpy, inside the function; the
-curves and dd_rc_eigen_sensitivity load without it and use no BLAS.
+(1/2) sum_j w_j * log2(1 + v_j T).  Scalar builtin arithmetic only: the
+module imports no numpy and takes no bits from BLAS.  The simulator solves
+each coded run's point by _t_for_rate and _d_rc (simulator._scaling_state).
 """
 
 from __future__ import annotations
@@ -144,50 +142,6 @@ def dd_rc(s: Spectrum, rate: float) -> float:
     if rate == 0.0:
         return d_rc(s, 0.0)
     return d_rc(s, t_rc_for_rate(s, rate))
-
-
-def _scaling_terms(lam, rate: float):
-    """T at the rate on the eigenvalues lam, each of mass 1 / len(lam) (0 at
-    rate 0), and the scaling rule's alam2 = lam^2 / (1 + lam T)^2 and
-    den = sum lam / (1 + lam T)."""
-    import numpy as np
-    n = len(lam)
-    T = _t_for_rate(lam.tolist(), [1.0 / n] * n, rate) if rate > 0.0 else 0.0
-    return T, lam**2 / (1.0 + lam * T) ** 2, float(np.sum(lam / (1.0 + lam * T)))
-
-
-def _check_scaling(threshold, delta) -> None:
-    """Domain of the scaling rule's threshold and quantizer step, checked by
-    SimConfig: the quantizer rounds tau / (delta ||w||_inf), at most
-    (1 + 1e-12) / delta."""
-    if delta is not None and not (0.0 < delta < math.inf and (1.0 + 1e-12) / delta < math.inf):
-        raise ValueError("tau_delta must be positive and finite, with finite 1/tau_delta")
-    if threshold is not None and not threshold >= 0.0:
-        raise ValueError("tau_threshold must be nonnegative when given")
-
-
-def _scaling(T: float, alam2, den: float, w, threshold, delta):
-    """The scheme's scaling rule for realizations w (one per row, or one
-    vector) in the eigenbasis: tau = sqrt(T (w^2 . alam2) / den), 0 where
-    ||w||_inf exceeds the threshold, then rounded to the nearest multiple of
-    delta ||w||_inf (half up) when delta is given.  The sum over a row is
-    np.add.reduce's, not BLAS's, so a row gets the same bits alone or
-    stacked on any BLAS kernel.  The simulator's w are rotated standard
-    normal draws, whose squares stay in float range.  Raises SolverError if
-    tau leaves [0, ||w||_inf] before rounding, which the rule never does."""
-    import numpy as np
-    norms = np.abs(w).max(axis=-1)
-    tau = np.sqrt(T * np.add.reduce(w * w * alam2, axis=-1) / den)
-    if threshold is not None:
-        tau = np.where(norms > threshold, 0.0, tau)
-    if not ((tau >= 0.0).all() and (tau <= norms * (1.0 + 1e-12) + 1e-300).all()):
-        raise SolverError("scaling tau outside [0, ||w||_inf]")
-    if delta is not None:
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            unit = delta * norms
-            steps = np.floor(tau / unit + 0.5)  # 0 where unit overflows
-            tau = np.where((unit > 0.0) & (steps > 0.0), unit * steps, 0.0)
-    return tau
 
 
 def dd_rc_eigen_sensitivity(s: Spectrum, rate: float, level_index: int) -> float:

@@ -20,7 +20,9 @@ numpy's own SeedSequence.
 
 Every mode realizes its spectrum at n by spectra.expand_to_n, which refuses
 a level that n cannot place, and reports as `analytic` the curve's value on
-those n eigenvalues (_realized); the coded modes scale by rdrc._scaling.
+those n eigenvalues (_realized).  A coded run solves its point (T, d_rc(T))
+at the rate once, on those levels (_scaling_state); the scaling rule
+(_scaling), the success target and the scheme's `analytic` all read it.
 
 Every mode runs through one unit runner, `_map_units`: each work item is
 `(state, start, count)`, where `state` is the run's read-only dict of
@@ -55,6 +57,7 @@ import numpy as np
 
 from . import rdrc, waterfill
 from ._parallel import ordered_map
+from .errors import SolverError
 from .spectra import Spectrum, _apportion, _integer, expand_to_n
 
 STREAM_CODEBOOK = 1
@@ -155,15 +158,15 @@ class SimConfig:
             object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.n < 1:
             raise ValueError("n must be positive")
-        if not self.rate_bits >= 0.0:
-            raise ValueError("rate_bits must be nonnegative")
+        if not 0.0 <= self.rate_bits < math.inf:
+            raise ValueError("rate_bits must be nonnegative and finite")
         if self.trials < 1:
             raise ValueError("trials must be positive")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must be a 64-bit unsigned integer")
         if self.rotation not in ("identity", "haar"):
             raise ValueError("rotation must be 'identity' or 'haar'")
-        rdrc._check_scaling(self.tau_threshold, self.tau_delta)
+        _check_scaling(self.tau_threshold, self.tau_delta)
         if self.codebook_cap < 1:
             raise ValueError("codebook_cap must be positive")
         if not self.eta >= 0.0:
@@ -183,7 +186,8 @@ class SimConfig:
 @dataclass(frozen=True)
 class SimReport:
     """Measured statistics with uncertainty; reproducible from the config.
-    analytic is the curve on the levels the run simulates (_realized).  The
+    analytic is the curve on the levels the run simulates (_realized); for
+    the scheme, the d of the point its scaling reads (_scaling_state).  The
     trial modes also carry per_trial, which == leaves out (an array has no
     single truth value)."""
 
@@ -284,23 +288,64 @@ def _realized(s: Spectrum, n: int) -> tuple[tuple[float, ...], list[float]]:
 
 
 def _scaling_state(config: SimConfig) -> dict:
-    """State the scheme and success kernels share: eigenvalues, rotation,
-    the noise level T at the configured rate (0 at rate 0) and the terms
-    alam2 and den of the scaling rule (rdrc._scaling_terms)."""
-    lam = expand_to_n(config.spectrum, config.n)
-    u = None if config.rotation == "identity" else haar_orthogonal(config.n, config.seed)
-    T, alam2, den = rdrc._scaling_terms(lam, config.rate_bits)
+    """State the scheme and success kernels share, with the run's one point
+    on the random-coding curve: T solved for the rate on the realized levels
+    (0 at rate 0) and d = d_rc(T) on them, the scheme's analytic.  On the n
+    eigenvalues, dlam = lam / (1 + lam T) gives the success target and the
+    scaling rule's terms alam2 = dlam^2 and den = n d (_scaling)."""
+    n, lam = config.n, expand_to_n(config.spectrum, config.n)
+    u = None if config.rotation == "identity" else haar_orthogonal(n, config.seed)
+    v, w = _realized(config.spectrum, n)
+    T = rdrc._t_for_rate(v, w, config.rate_bits) if config.rate_bits > 0.0 else 0.0
+    d = rdrc._d_rc(v, w, T)
+    dlam = lam / (1.0 + lam * T)
     return {
-        "n": config.n,
+        "n": n,
         "seed": config.seed,
         "lam": lam,
         "u": u,
         "T": T,
-        "alam2": alam2,
-        "den": den,
+        "d": d,
+        "dlam": dlam,
+        "alam2": dlam * dlam,
+        "den": n * d,
         "threshold": config.tau_threshold,
         "delta": config.tau_delta,
     }
+
+
+def _check_scaling(threshold, delta) -> None:
+    """Domain of the scaling rule's threshold and quantizer step, checked by
+    SimConfig: the quantizer rounds tau / (delta ||w||_inf), at most
+    (1 + 1e-12) / delta."""
+    if delta is not None and not (0.0 < delta < math.inf and (1.0 + 1e-12) / delta < math.inf):
+        raise ValueError("tau_delta must be positive and finite, with finite 1/tau_delta")
+    if threshold is not None and not threshold >= 0.0:
+        raise ValueError("tau_threshold must be nonnegative when given")
+
+
+def _scaling(st: dict, w: np.ndarray) -> np.ndarray:
+    """The scheme's scaling rule for realizations w (one per row, or one
+    vector) in the eigenbasis, on the terms T, alam2 and den of st:
+    tau = sqrt(T (w^2 . alam2) / den), 0 where ||w||_inf exceeds st's
+    threshold, then rounded to the nearest multiple of delta ||w||_inf
+    (half up) when st's delta is given.  The sum over a row is
+    np.add.reduce's, not BLAS's, so a row gets the same bits alone or
+    stacked on any BLAS kernel.  The simulator's w are rotated standard
+    normal draws, whose squares stay in float range.  Raises SolverError if
+    tau leaves [0, ||w||_inf] before rounding, which the rule never does."""
+    norms = np.abs(w).max(axis=-1)
+    tau = np.sqrt(st["T"] * np.add.reduce(w * w * st["alam2"], axis=-1) / st["den"])
+    if st["threshold"] is not None:
+        tau = np.where(norms > st["threshold"], 0.0, tau)
+    if not ((tau >= 0.0).all() and (tau <= norms * (1.0 + 1e-12) + 1e-300).all()):
+        raise SolverError("scaling tau outside [0, ||w||_inf]")
+    if st["delta"] is not None:
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            unit = st["delta"] * norms
+            steps = np.floor(tau / unit + 0.5)  # 0 where unit overflows
+            tau = np.where((unit > 0.0) & (steps > 0.0), unit * steps, 0.0)
+    return tau
 
 
 # --- universal quantization scheme -----------------------------------------
@@ -336,7 +381,7 @@ def _scheme_trials(args: tuple[dict, int, int]) -> tuple[np.ndarray, ...]:
     n = st["n"]
     (w,) = _trial_normals(st["seed"], start, count, n)
     wt = w @ st["u"] if st["u"] is not None else w
-    tau = rdrc._scaling(st["T"], st["alam2"], st["den"], wt, st["threshold"], st["delta"])
+    tau = _scaling(st, wt)
     coef = np.column_stack((-2.0 * wt * st["lam"], tau))
     return wt, tau[:, None], coef, np.full(count, np.inf), np.empty((count, n))
 
@@ -366,8 +411,9 @@ def run_universal_scheme(config: SimConfig, threads: int | None = None) -> SimRe
     Per trial: draw W ~ N(0, I_n), compute the scaling tau in the eigenbasis
     (optionally thresholded then quantized), pick the codeword minimizing the
     covariance-weighted error (lowest index on ties), and record the
-    per-dimension distortion.  The analytic reference is the random-coding
-    distortion at the configured rate on the realized levels (_realized).
+    per-dimension distortion.  The analytic reference is d of the run's one
+    point (_scaling_state): the random-coding distortion on the realized
+    levels at the T that also scales tau.
 
     The _CHUNK-trial units run in the calling process whatever `threads`
     says, and no pool is started: each unit's codeword GEMM already runs on
@@ -405,9 +451,7 @@ def run_universal_scheme(config: SimConfig, threads: int | None = None) -> SimRe
     for wt, tau, _, _, winner in chunks:
         d = wt - tau * winner
         per_trial.append(np.sum(d * d * st["lam"], axis=1) / config.n)
-    v, w = _realized(config.spectrum, config.n)
-    analytic = rdrc._d_rc(v, w, rdrc._t_for_rate(v, w, config.rate_bits))
-    return _trial_report("scheme", np.concatenate(per_trial), analytic)
+    return _trial_report("scheme", np.concatenate(per_trial), st["d"])
 
 
 # --- single-codeword success probability ------------------------------------
@@ -425,7 +469,7 @@ def _success_batch(args: tuple[dict, int, int]) -> int:
         w = rng.standard_normal(st["n"])
         wt = w @ st["u"] if st["u"] is not None else w
         target = float((wt * wt) @ st["dlam"]) / st["n"] + st["eta"]
-        tau = float(rdrc._scaling(st["T"], st["alam2"], st["den"], wt, st["threshold"], st["delta"]))
+        tau = float(_scaling(st, wt))
         c = rng.standard_normal((st["trials"], st["n"]))
         ct = c @ st["u"] if st["u"] is not None else c
         diff = wt[None, :] - tau * ct
@@ -447,7 +491,7 @@ def estimate_codeword_success(config: SimConfig, threads: int | None = None) -> 
     if config.n * config.rate_bits > 26.0:
         raise ValueError("n * rate_bits must be <= 26 for direct sampling")
     st = _scaling_state(config)
-    st.update(trials=config.trials, eta=config.eta, dlam=st["lam"] / (1.0 + st["lam"] * st["T"]))
+    st.update(trials=config.trials, eta=config.eta)
     counts = _map_units(_success_batch, st, config.w_batches, _SOURCE_BATCHES, threads)
     total = config.trials * config.w_batches
     successes = int(sum(counts))

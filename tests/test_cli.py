@@ -566,9 +566,10 @@ class TestSimulateCommand:
     @pytest.mark.parametrize("args,message", [
         (["--mode", "success", "--rate", "nan", "--w-batches", "2"],
          "rate_bits must be nonnegative"),
+        (["--mode", "scheme", "--rate", "inf"], "rate_bits must be nonnegative and finite"),
         (["--mode", "scheme", "--tau-threshold", "nan"],
          "tau_threshold must be nonnegative when given"),
-    ], ids=["rate", "tau-threshold"])
+    ], ids=["rate", "rate-inf", "tau-threshold"])
     def test_nan_option_exits_two(self, args, message):
         proc = run_cli("simulate", *args, "--n", "4", "--trials", "8")
         assert proc.returncode == 2

@@ -787,7 +787,6 @@ class TestMaximizeGap:
 class TestSweep:
     def test_single_point(self):
         res = gapopt.sweep([0.25], 1)
-        assert res.d_grid == (0.25,)
         assert len(res.records) == 1
         assert len(res.diagnostics) == 1
         assert res.best is res.records[0]

@@ -35,10 +35,19 @@ def _realized(k, seed, n):
 
 
 def _tau(s, w, rate, threshold=None, delta=None):
-    """The scheme's scaling of one realization w, on the n = len(w)
-    eigenvalues of expand_to_n (_scaling_terms)."""
-    T, alam2, den = rdrc._scaling_terms(spectra.expand_to_n(s, len(w)), rate)
-    return float(rdrc._scaling(T, alam2, den, np.asarray(w, dtype=float), threshold, delta))
+    """The scheme's scaling of one realization w at n = len(w), written out
+    apart from simulator._scaling_state: T and d = d_rc(T) for the rate on
+    the levels weighted by their expand_to_n counts over n, then
+    tau^2 = T sum w^2 dlam^2 / (n d) with dlam = lam / (1 + lam T) on the
+    n eigenvalues."""
+    n = len(w)
+    weights = [c / n for c in spectra._apportion(s, n)]
+    T = rdrc._t_for_rate(s.values, weights, rate)
+    lam = spectra.expand_to_n(s, n)
+    dlam = lam / (1.0 + lam * T)
+    terms = {"T": T, "alam2": dlam * dlam, "den": n * rdrc._d_rc(s.values, weights, T),
+             "threshold": threshold, "delta": delta}
+    return float(simulator._scaling(terms, np.asarray(w, dtype=float)))
 
 
 def _bisect_t_for_distortion(values, weights, d_star):
@@ -209,8 +218,8 @@ class TestCompositions:
 
 
 class TestTau:
-    """The scheme's scaling rule, rdrc._scaling, of one realization w on the
-    n = len(w) eigenvalues of expand_to_n (_tau)."""
+    """The scheme's scaling rule, simulator._scaling, of one realization w
+    at n = len(w) (_tau)."""
 
     def test_zero_vector(self):
         assert _tau(TWO_LEVEL, [0.0, 0.0], 1.0) == 0.0
@@ -229,7 +238,7 @@ class TestTau:
     @pytest.mark.parametrize("threshold", [-0.1, math.nan])
     def test_threshold_domain(self, threshold):
         with pytest.raises(ValueError, match="threshold must be nonnegative"):
-            rdrc._check_scaling(threshold, None)
+            simulator._check_scaling(threshold, None)
 
     @given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=100),
            st.integers(min_value=0, max_value=10**6), st.integers(min_value=1, max_value=40))
@@ -253,8 +262,9 @@ class TestTau:
             assert diff <= float(np.max(np.abs(w1 - w2))) + 1e-12
 
     def test_per_coordinate_matches_the_simulated_scheme(self):
-        # Per coordinate, T comes from the n realized eigenvalues, as in the
-        # simulator, not from the spectrum's levels (which give 0.6472862742259768).
+        # T comes from the levels at their realized weights, here 1/4 and
+        # 3/4, as in the simulator, not at the spectrum's 0.3 and 0.7 (which
+        # give 0.6472862742259768).
         s = spectra.parse_spectrum("3:0.3,1:0.7")
         assert _tau(s, [0.3, -1.2, 0.5, 0.9], 1.0) == pytest.approx(0.6539933716043672, rel=1e-14)
 
@@ -289,7 +299,7 @@ class TestQuantizeTau:
                              ids=["zero", "negative", "nan", "inf", "reciprocal-overflows"])
     def test_domain(self, delta):
         with pytest.raises(ValueError, match="tau_delta must be positive and finite"):
-            rdrc._check_scaling(None, delta)
+            simulator._check_scaling(None, delta)
 
     @given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=100),
            st.integers(min_value=0, max_value=10**6), st.integers(min_value=1, max_value=40),
@@ -304,7 +314,7 @@ class TestQuantizeTau:
     def test_equals_the_success_kernel(self):
         # The success kernel scales one realization at a time, with the
         # threshold and step SimConfig passes to the run's state: bit for bit
-        # the rule on the terms of expand_to_n (_tau).
+        # the rule on terms solved apart from the state (_tau).
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(263)))
         for i in range(240):
             n, rate = int(rng.integers(8, 40)), float(rng.uniform(0.1, 2.0))
@@ -315,8 +325,7 @@ class TestQuantizeTau:
             st = simulator._scaling_state(simulator.SimConfig(
                 n=n, rate_bits=rate, spectrum=s, trials=1, seed=0,
                 tau_delta=delta, tau_threshold=threshold))
-            kernel = float(rdrc._scaling(st["T"], st["alam2"], st["den"], w,
-                                         st["threshold"], st["delta"]))
+            kernel = float(simulator._scaling(st, w))
             assert _tau(s, w, rate, threshold, delta) == kernel, i
 
     def test_matches_the_simulated_scheme(self):
@@ -331,8 +340,7 @@ class TestQuantizeTau:
                 tau_threshold=(None, 3.0)[i % 2])
             st = simulator._scaling_state(cfg)
             wt, tau = simulator._scheme_trials((st, 0, cfg.trials))[:2]
-            rows = [rdrc._scaling(st["T"], st["alam2"], st["den"], row, st["threshold"],
-                                  st["delta"]) for row in wt]
+            rows = [simulator._scaling(st, row) for row in wt]
             assert np.array_equal(tau[:, 0], rows), n
 
 

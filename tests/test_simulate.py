@@ -91,6 +91,7 @@ class TestSimConfig:
             {"n": 0},
             {"rate_bits": -0.5},
             {"rate_bits": math.nan},
+            {"rate_bits": math.inf},  # codebook_size would overflow
             {"trials": 0},
             {"seed": -1},
             {"seed": 2**64},
@@ -263,7 +264,7 @@ class TestUniversalScheme:
             u, lam = st["u"], st["lam"]
             w = np.stack([_numpy_rng(cfg.seed, STREAM_TRIAL, i).standard_normal(n) for i in range(trials)])
             wt = w @ u if u is not None else w
-            tau = rdrc._scaling(st["T"], st["alam2"], st["den"], wt, None, cfg.tau_delta)[:, None]
+            tau = simulator._scaling(st, wt)[:, None]
             # Rotated span by span: under OpenBLAS's Haswell kernel the whole
             # book's product moved some rows at two BLAS threads.
             cb, block = simulator.build_codebook(cfg), simulator._CODEWORD_BLOCK
@@ -570,8 +571,49 @@ class TestAnalyticOfTheRealizedLevels:
         assert rep.analytic == rdrc._d_rc(self.S.values, self.W, T)
 
 
-class TestCouplingAndWaterfillAgree:
-    def test_analytic_fields_use_public_curves(self):
-        for s, t in ((FLAT, 0.3), (TWO_LEVEL, 0.7)):
-            rep = simulator.simulate_wf_coupling(s, t, n=16, trials=8, seed=1)
-            assert rep.analytic == waterfill.d_wf(s, t)
+    def test_whole_quotas_give_the_public_curves(self):
+        # At n = 16 both spectra put n w coordinates on each level exactly,
+        # so the realized levels are the spectrum's own.
+        for s in (FLAT, TWO_LEVEL):
+            assert simulator._realized(s, 16) == (s.values, list(s.weights))
+            rep = simulator.simulate_wf_coupling(s, 0.7, n=16, trials=8, seed=1)
+            assert rep.analytic == waterfill.d_wf(s, 0.7)
+            rep = simulator.simulate_mmse_filter(s, 1.0, n=16, trials=8, seed=1)
+            assert rep.analytic == rdrc.d_rc(s, 1.0)
+            rep = simulator.run_universal_scheme(_cfg(n=16, rate_bits=0.3, spectrum=s, trials=8))
+            assert rep.analytic == rdrc.dd_rc(s, 0.3)
+
+
+class TestOnePointPerCodedRun:
+    """A coded run solves its point (T, d_rc(T)) once, on the realized levels
+    (_scaling_state): the scaling rule's T and den, the success target's
+    dlam and the scheme's analytic all read it."""
+
+    def test_state_and_analytic_read_the_realized_point(self):
+        checked = 0
+        for k in range(1, 6):
+            for seed in range(40):
+                s = spectra.sample_random(k, seed)
+                for n in (8, 16, 30):
+                    for rate in (0.3, 1.0):
+                        try:
+                            cfg = _cfg(n=n, rate_bits=rate, spectrum=s, trials=1)
+                        except ValueError:
+                            continue  # a level n cannot place
+                        v, w = simulator._realized(s, n)
+                        T = rdrc._t_for_rate(v, w, rate)
+                        d = rdrc._d_rc(v, w, T)
+                        st = simulator._scaling_state(cfg)
+                        assert st["T"] == T, cfg
+                        assert st["den"] == n * d, cfg
+                        assert np.array_equal(st["dlam"], st["lam"] / (1.0 + st["lam"] * T))
+                        assert st["d"] == d, cfg
+                        if n * rate <= 12:  # books of up to 4,096 codewords keep it quick
+                            assert simulator.run_universal_scheme(cfg).analytic == d, cfg
+                        checked += 1
+        assert checked == 924
+
+    def test_flat_rate_half_is_exact(self):
+        # 0.5 log2(1 + T) = 0.5 at T = 1 on the one flat level; the n
+        # eigenvalues of mass 1/n each summed the rate to 1e-13 off it.
+        assert simulator._scaling_state(_cfg(n=10, rate_bits=0.5))["T"] == 1.0

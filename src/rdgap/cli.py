@@ -78,12 +78,16 @@ def _load_config(ctx: click.Context, _param, path: str | None) -> None:
         ctx.default_map[name] = value
 
 
+_MAX_GRID_POINTS = 10**6
+
+
 def _parse_grid(text: str, check=lambda point: None) -> list[float]:
     """The points start, start + step, ... <= stop of a 'start:stop:step'
     grid.  check(point) raises ValueError for a point outside the
     subcommand's range (by default any point is in range); the grid is
-    increasing, so it sees only the first and the last point, before any
-    other is built."""
+    increasing, so it sees only the first and the last point.  Both checks
+    and the count, at most _MAX_GRID_POINTS points, are made on the Decimal
+    bounds, before any point is built."""
     parts = text.split(":")
     if len(parts) != 3:
         raise click.UsageError(f"grid must be 'start:stop:step', got {text!r}")
@@ -98,14 +102,16 @@ def _parse_grid(text: str, check=lambda point: None) -> list[float]:
     if stop < start:
         raise click.UsageError("grid stop must be >= start")
     try:
-        last = start + (stop - start) // step * step
+        n = (stop - start) // step  # the points after the first
     except InvalidOperation:  # more points than Decimal's 28 digits can count
         raise click.UsageError(f"grid step too small for its range, got {text!r}")
     try:
         check(float(start))
-        check(float(last))
+        check(float(start + n * step))
     except ValueError as exc:
         raise click.UsageError(str(exc))
+    if n >= _MAX_GRID_POINTS:
+        raise click.UsageError(f"grid has more than {_MAX_GRID_POINTS} points, got {text!r}")
     out = []
     v = start
     while v <= stop:
@@ -122,6 +128,14 @@ def _check_distortion(d: float) -> None:
 def _check_rate(r: float) -> None:
     if r <= 0.0:
         raise ValueError("rate grid values must be positive")
+
+
+def _check_svg_path(svg: str | None, out: str | None) -> None:
+    """Refuse an SVG path that is the CSV's or its manifest's: _emit writes
+    those last, over the plot."""
+    if svg and out and Path(svg).resolve() in (
+            Path(out).resolve(), Path(f"{out}.manifest.json").resolve()):
+        raise click.UsageError(f"the SVG {svg!r} would be overwritten by --out {out!r}")
 
 
 def _parse_spectrum_opt(text: str) -> spectra.Spectrum:
@@ -182,6 +196,7 @@ _OUT_OPT = click.option("--out", type=click.Path(), default=None,
 def cmd_wf(spectrum: str, distortion_grid: str, compare: bool, svg: str | None,
            out: str | None) -> None:
     """Oracle waterfilling curve: CSV rows d_star,t,rate_bits."""
+    _check_svg_path(svg, out)
     s = _parse_spectrum_opt(spectrum)
     grid = _parse_grid(distortion_grid, _check_distortion)
     ts = [waterfill.t_for_distortion(s, d) for d in grid]
@@ -210,6 +225,7 @@ def cmd_wf(spectrum: str, distortion_grid: str, compare: bool, svg: str | None,
 def cmd_rdrc(spectrum: str, rate_grid: str, compare: bool, svg: str | None,
              out: str | None) -> None:
     """Universal random-coding curve: CSV rows rate_bits,T,d_rc."""
+    _check_svg_path(svg, out)
     s = _parse_spectrum_opt(spectrum)
     grid = _parse_grid(rate_grid, _check_rate)
     ts = [rdrc.t_rc_for_rate(s, r) for r in grid]
@@ -228,7 +244,7 @@ def cmd_rdrc(spectrum: str, rate_grid: str, compare: bool, svg: str | None,
 
 @main.command("gap-sweep")
 @click.option("--dstar-grid", default="0.005:0.995:0.005", show_default=True,
-              help="Distortion grid start:stop:step within [0.005, 0.995].")
+              help="Distortion grid start:stop:step within [1e-8, 0.999].")
 @click.option("--kmax", default=5, show_default=True, type=int,
               help="Largest number of spectrum levels searched per grid point.")
 @click.option("--seed", default=0, show_default=True, type=int,
@@ -240,15 +256,16 @@ def cmd_rdrc(spectrum: str, rate_grid: str, compare: bool, svg: str | None,
 def cmd_gap_sweep(dstar_grid: str, kmax: int, seed: int, svg: str | None,
                   out: str | None) -> None:
     """Maximize the rate gap over spectra on a distortion grid."""
+    if svg is None and out:
+        svg = str(Path(out).with_suffix(".svg"))
+    _check_svg_path(svg, out)
     from . import gapopt
-    grid = _parse_grid(dstar_grid, gapopt.check_grid_point)
+    grid = _parse_grid(dstar_grid, gapopt._check_dstar)
     try:
         result = gapopt.sweep(grid, kmax)
     except ValueError as exc:
         raise click.UsageError(str(exc))
     rows = gapopt.sweep_csv_rows(result)
-    if svg is None and out:
-        svg = str(Path(out).with_suffix(".svg"))
     svg_text = None
     if svg:
         svg_text = line_plot(

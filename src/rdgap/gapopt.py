@@ -523,24 +523,24 @@ def _check_kmax(k_max) -> int:
     return k_max
 
 
+def _check_dstar(d_star: float) -> None:
+    """Raise ValueError unless d_star lies in [1e-8, 0.999] (maximize_gap)."""
+    if not 1e-8 <= d_star <= 0.999:
+        raise ValueError(f"d_star must lie in [1e-8, 0.999], got {d_star!r}")
+
+
 def maximize_gap(d_star: float, k_max: int) -> GapRecord:
     """Best gap found over spectra with at most k_max distinct levels; the
-    search is deterministic.  Below d* = 1e-8 the gap's rounding exceeds
-    _GAP_SLACK, so the search could not tell its solved point from the
-    searched one; such d* are rejected."""
-    if not 1e-8 <= d_star < 1.0:
-        raise ValueError("d_star must lie in [1e-8, 1)")
+    search is deterministic.  d* must lie in [1e-8, 0.999]: below 1e-8 the
+    gap's rounding exceeds _GAP_SLACK, so the search could not tell its
+    solved point from the searched one, and above 0.999 it stops reaching
+    STATIONARY_TOL (on a 1e-6 scan, every point from 0.999913 up)."""
+    _check_dstar(d_star)
     return _point_search(d_star, _check_kmax(k_max))[0]
 
 
 def _sweep_worker(args):
     return _point_search(*args)
-
-
-def check_grid_point(d: float) -> None:
-    """Raise ValueError unless d lies in the sweep's range [0.005, 0.995]."""
-    if not 0.005 - 1e-12 <= d <= 0.995 + 1e-12:
-        raise ValueError(f"grid point {d} outside [0.005, 0.995]")
 
 
 def sweep(d_grid, k_max: int, threads: int | None = None) -> SweepResult:
@@ -555,7 +555,7 @@ def sweep(d_grid, k_max: int, threads: int | None = None) -> SweepResult:
     if not grid:
         raise ValueError("empty distortion grid")
     for d in grid:
-        check_grid_point(d)
+        _check_dstar(d)
     k_max = _check_kmax(k_max)
     args = [(d, k_max) for d in grid]
     results = ordered_map(_sweep_worker, args, threads)

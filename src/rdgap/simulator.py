@@ -169,8 +169,8 @@ class SimConfig:
         _check_scaling(self.tau_threshold, self.tau_delta)
         if self.codebook_cap < 1:
             raise ValueError("codebook_cap must be positive")
-        if not self.eta >= 0.0:
-            raise ValueError("eta must be nonnegative")
+        if not 0.0 <= self.eta < math.inf:
+            raise ValueError("eta must be nonnegative and finite")
         if self.w_batches < 1:
             raise ValueError("w_batches must be positive")
         expand_to_n(self.spectrum, self.n)  # a level n cannot place: refused before any draw

@@ -23,7 +23,7 @@ from pathlib import Path
 WEIGHT_SUM_TOL = 1e-12
 UNIT_MEAN_TOL = 1e-12
 
-# Substream id used by sample_random; see README "Randomness" for the full map.
+# Substream id used by sample_random; see README "Reproducibility" for the full map.
 _STREAM_SPECTRA = 0
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from rdgap import __version__
+from rdgap import __version__, gapopt
 from rdgap._manifest import (
     canonical_json,
     manifest_digest,
@@ -158,12 +158,15 @@ class TestWf:
     @pytest.mark.parametrize("command,grid,bounds,message", [
         ("wf", "--distortion-grid", "0.5:100000:0.0001", "distortion grid values must lie in (0, 1)"),
         ("rdrc", "--rate-grid", "-1:100000:0.0001", "rate grid values must be positive"),
-        ("gap-sweep", "--dstar-grid", "0.5:100000:0.0001", "outside [0.005, 0.995]"),
+        ("gap-sweep", "--dstar-grid", "0.5:100000:0.0001", "d_star must lie in [1e-8, 0.999]"),
         ("wf", "--distortion-grid", "0.1:0.9:1e-40", "grid step too small for its range"),
+        ("wf", "--distortion-grid", "0.05:0.95:1e-9", "grid has more than 1000000 points"),
+        ("gap-sweep", "--dstar-grid", "1e-8:0.999:1e-9", "grid has more than 1000000 points"),
     ])
     def test_grid_rejected_before_it_is_built(self, command, grid, bounds, message):
         # About 1e9 points, or a step that Decimal's 28 digits lose: building
-        # the grid first would take many minutes or never end.
+        # the grid first would take many minutes or never end.  In-range
+        # grids are refused by their point count.
         proc = run_cli(command, grid, bounds, timeout=10)
         assert proc.returncode == 2
         assert message in proc.stderr
@@ -264,6 +267,22 @@ class TestManifest:
         assert run_cli("wf", "--svg", str(svg), "--out", str(out)).returncode == 0
         _, _, manifest = read_emitted(out)
         assert manifest["outputs"]["svg"] == sha256_hex(svg.read_bytes())
+
+    @pytest.mark.parametrize("args,name", [
+        (["wf", "--svg", "{out}"], "run.csv"),
+        (["rdrc", "--svg", "{out}"], "run.csv"),
+        (["gap-sweep", "--kmax", "1", "--svg", "{out}"], "run.csv"),
+        (["gap-sweep", "--kmax", "1"], "run.svg"),  # the SVG defaults to <out> with .svg
+        (["wf", "--svg", "{out}.manifest.json"], "run.csv"),
+    ], ids=["wf", "rdrc", "gap-sweep", "gap-sweep-default-svg", "wf-manifest"])
+    def test_svg_path_that_out_writes_exits_two(self, tmp_path, args, name):
+        # The CSV or its manifest would overwrite the plot whose digest the
+        # manifest records.
+        out = tmp_path / name
+        proc = run_cli(*(a.format(out=out) for a in args), "--out", str(out))
+        assert proc.returncode == 2
+        assert "would be overwritten by --out" in proc.stderr
+        assert list(tmp_path.iterdir()) == []
 
     def test_stdout_mode_omits_comment(self):
         proc = run_cli("wf", "--distortion-grid", "0.5:0.5:1")
@@ -423,8 +442,25 @@ class TestGapSweepCommand:
         )
 
     def test_grid_outside_bounds_rejected(self):
-        assert run_cli("gap-sweep", "--dstar-grid", "0.001:0.5:0.1").returncode == 2
+        assert run_cli("gap-sweep", "--dstar-grid", "9.9e-9:0.5:0.1").returncode == 2
         assert run_cli("gap-sweep", "--kmax", "0").returncode == 2
+
+    @pytest.mark.parametrize("d_star", ["9.9e-9", "0.9995", "1.0"])
+    def test_outside_the_search_domain_exits_two(self, d_star):
+        proc = run_cli("gap-sweep", "--dstar-grid", f"{d_star}:{d_star}:1", "--kmax", "2")
+        assert proc.returncode == 2
+        assert "d_star must lie in [1e-8, 0.999]" in proc.stderr
+
+    @pytest.mark.parametrize("d_star", [1e-8, 1e-4, 0.999])
+    def test_search_domain_ends_are_accepted(self, d_star):
+        # The row of each end of the domain is the sweep's, which converged there.
+        for kmax in (2, 5):
+            proc = run_cli("gap-sweep", "--dstar-grid", f"{d_star!r}:{d_star!r}:1",
+                           "--kmax", str(kmax))
+            assert proc.returncode == 0
+            res = gapopt.sweep([d_star], kmax, threads=1)
+            assert res.diagnostics[0].converged == 1
+            assert proc.stdout.splitlines()[1:-1] == gapopt.sweep_csv_rows(res)
 
 
 class TestSimulateCommand:
@@ -569,7 +605,9 @@ class TestSimulateCommand:
         (["--mode", "scheme", "--rate", "inf"], "rate_bits must be nonnegative and finite"),
         (["--mode", "scheme", "--tau-threshold", "nan"],
          "tau_threshold must be nonnegative when given"),
-    ], ids=["rate", "rate-inf", "tau-threshold"])
+        (["--mode", "success", "--eta", "inf", "--w-batches", "2"],
+         "eta must be nonnegative and finite"),
+    ], ids=["rate", "rate-inf", "tau-threshold", "eta-inf"])
     def test_nan_option_exits_two(self, args, message):
         proc = run_cli("simulate", *args, "--n", "4", "--trials", "8")
         assert proc.returncode == 2

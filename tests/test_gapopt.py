@@ -815,9 +815,31 @@ class TestSweep:
         with pytest.raises(ValueError):
             gapopt.sweep([], 2)
         with pytest.raises(ValueError):
-            gapopt.sweep([0.001], 2)
+            gapopt.sweep([9.9e-9], 2)
         with pytest.raises(ValueError):
-            gapopt.sweep([0.999], 2)
+            gapopt.sweep([0.9995], 2)
+
+
+class TestSearchDomain:
+    """maximize_gap and sweep share one d* domain, [1e-8, 0.999]; the search
+    converges at both of its ends."""
+
+    ENDS = [1e-8, 1e-4, 0.999]
+
+    @pytest.mark.parametrize("search", [
+        pytest.param(lambda d: gapopt.maximize_gap(d, 2), id="maximize_gap"),
+        pytest.param(lambda d: gapopt.sweep([0.3, d], 2, threads=1), id="sweep"),
+    ])
+    @pytest.mark.parametrize("d_star", [9.9e-9, 0.9995, 1.0])
+    def test_outside_is_refused(self, search, d_star):
+        with pytest.raises(ValueError, match=r"d_star must lie in \[1e-8, 0\.999\]"):
+            search(d_star)
+
+    @pytest.mark.parametrize("k_max", [2, 5])
+    def test_ends_converge(self, k_max):
+        res = gapopt.sweep(self.ENDS, k_max, threads=1)
+        assert [d.converged for d in res.diagnostics] == [1, 1, 1]
+        assert res.records == tuple(gapopt.maximize_gap(d, k_max) for d in self.ENDS)
 
 
 class TestSweepCsvRows:

@@ -106,6 +106,7 @@ class TestSimConfig:
             {"codebook_cap": 0},
             {"eta": -0.01},
             {"eta": math.nan},
+            {"eta": math.inf},  # a success run would report p_hat 1.0 and exponent 0.0
             {"w_batches": 0},
         ],
     )

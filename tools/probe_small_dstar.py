@@ -1,11 +1,13 @@
-"""Report the worst-case gap below the acceptance grid's smallest distortion.
+"""Report the worst-case gap over the whole search domain, [1e-8, 0.999].
 
 The acceptance sweep's largest gap sits on its grid edge, d* = 0.005, so the
 sweep alone cannot show whether the gap keeps growing toward d* -> 0.  This
-runs the search of gapopt.maximize_gap(d*, 5) at 35
-d* from 1e-8 to 0.005 (mantissas 1, 1.5, 2, 3, 5, 7 per decade), one CSV row
-per point: the gap in bits, both rates, the distance below the d* -> 0 limit
-of the worst two-level gap (LIMIT_GAP_BITS, from tools/oracle_derived.py),
+runs the search of gapopt.maximize_gap(d*, 5), as gapopt.sweep([d*], 5), at
+35 d* from 1e-8 to 0.005 (mantissas 1, 1.5, 2, 3, 5, 7 per decade) and at
+0.99, 0.995, 0.998 and 0.999, up to the domain's top end, above which the
+search stops converging.  It prints one CSV row per point: the gap in
+bits, both rates, the distance below the d* -> 0 limit of the worst
+two-level gap (LIMIT_GAP_BITS, from tools/oracle_derived.py),
 the stationarity residual of the worst spectrum (gapopt.stationarity_residual:
 the gap gradient in (log v, w) projected onto the constraints sum w = 1,
 sum w v = 1, unit-free at any d*), converged (1 when the residual is at most
@@ -32,7 +34,8 @@ sys.path.insert(0, str(ROOT / "src"))
 from rdgap import gapopt  # noqa: E402
 
 LIMIT_GAP_BITS = 0.10832560729428575
-GRID = [float(f"{m}e{e}") for e in range(-8, -2) for m in (1, 1.5, 2, 3, 5, 7)][:-1]
+GRID = [float(f"{m}e{e}") for e in range(-8, -2) for m in (1, 1.5, 2, 3, 5, 7)][:-1] + [
+    0.99, 0.995, 0.998, 0.999]
 
 
 def main() -> int:
@@ -41,8 +44,9 @@ def main() -> int:
     best, unconverged = None, 0
     for d_star in GRID:
         start = time.perf_counter()
-        rec, diag = gapopt._point_search(d_star, 5)
+        result = gapopt.sweep([d_star], 5, threads=1)
         seconds = time.perf_counter() - start
+        (rec,), (diag,) = result.records, result.diagnostics
         s = rec.spectrum
         print(
             f"{d_star:.6g},{rec.gap_bits:.9f},{rec.rate_rc_bits!r},{rec.rate_wf_bits!r},"

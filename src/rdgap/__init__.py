@@ -18,8 +18,7 @@ _SOURCE = {
                   " stationarity_residual sweep sweep_csv_rows",
         "rdrc": "d_rc dd_rc dd_rc_eigen_sensitivity r_rc rr_rc t_rc_for_distortion t_rc_for_rate",
         "simulator": "SimConfig SimReport build_codebook estimate_codeword_success"
-                     " haar_orthogonal run_universal_scheme simulate_mmse_filter"
-                     " simulate_wf_coupling",
+                     " run_universal_scheme simulate_mmse_filter simulate_wf_coupling",
         "spectra": "Spectrum expand_to_n flat from_eigenvalues parse_spectrum sample_random"
                    " semi_flat",
         "waterfill": "d_wf dd_wf r_wf rr_wf t_for_distortion",

@@ -280,7 +280,7 @@ def cmd_gap_sweep(dstar_grid: str, kmax: int, seed: int, svg: str | None,
 
 
 _SIM_HEADER = (
-    "mode,n,rate_bits,t,T,spectrum,trials,seed,rotation,tau_delta,tau_threshold,"
+    "mode,n,rate_bits,t,T,spectrum,trials,seed,tau_delta,tau_threshold,"
     "eta,w_batches,mean,se,analytic,p_hat,wilson_low,wilson_high,exponent,"
     "exponent_is_lower_bound"
 )
@@ -314,8 +314,6 @@ def _sim_field(value) -> str:
               help="Quantize the scaling to multiples of delta times the source sup-norm.")
 @click.option("--tau-threshold", default=None, type=float,
               help="Force the scaling to 0 when the source sup-norm exceeds this.")
-@click.option("--rotation", type=click.Choice(["identity", "haar"]), default="identity",
-              show_default=True, help="Eigenbasis rotation (scheme/success modes).")
 @click.option("--eta", default=0.0, show_default=True, type=float,
               help="Distortion slack for success mode.")
 @click.option("--w-batches", default=64, show_default=True, type=int,
@@ -326,7 +324,7 @@ def _sim_field(value) -> str:
 @_CONFIG_OPT
 def cmd_simulate(mode: str, n: int, rate: float, spectrum: str, trials: int, seed: int,
                  t: float | None, T: float | None, tau_delta: float | None,
-                 tau_threshold: float | None, rotation: str, eta: float, w_batches: int,
+                 tau_threshold: float | None, eta: float, w_batches: int,
                  codebook_cap: int, out: str | None) -> None:
     """Monte-Carlo runs: scheme, success probability, or exact-expectation checks."""
     from . import simulator
@@ -336,8 +334,8 @@ def cmd_simulate(mode: str, n: int, rate: float, spectrum: str, trials: int, see
         if coded:
             cfg = simulator.SimConfig(
                 n=n, rate_bits=rate, spectrum=s, trials=trials, seed=seed,
-                rotation=rotation, tau_delta=tau_delta, tau_threshold=tau_threshold,
-                codebook_cap=codebook_cap, eta=eta, w_batches=w_batches,
+                tau_delta=tau_delta, tau_threshold=tau_threshold, codebook_cap=codebook_cap,
+                eta=eta, w_batches=w_batches,
             )
             report = (simulator.run_universal_scheme(cfg) if mode == "scheme"
                       else simulator.estimate_codeword_success(cfg))
@@ -355,7 +353,6 @@ def cmd_simulate(mode: str, n: int, rate: float, spectrum: str, trials: int, see
         "mode": mode, "n": n, "rate_bits": rate if coded else None,
         "t": t if mode == "coupling" else None, "T": T if mode == "filter" else None,
         "spectrum": s.as_literal(), "trials": trials, "seed": seed,
-        "rotation": rotation if coded else None,
         "tau_delta": tau_delta if coded else None,
         "tau_threshold": tau_threshold if coded else None,
         "eta": eta if mode == "success" else None,

@@ -137,7 +137,7 @@ def rr_rc(s: Spectrum, d_star: float) -> float:
 
 def dd_rc(s: Spectrum, rate: float) -> float:
     """Random-coding distortion at a given rate; the mean eigenvalue at rate 0."""
-    if rate < 0.0:
+    if not rate >= 0.0:
         raise ValueError("rate must be nonnegative")
     if rate == 0.0:
         return d_rc(s, 0.0)

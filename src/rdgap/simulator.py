@@ -6,9 +6,10 @@ unit i of stream s draws exactly what
 Generator(Philox(SeedSequence(entropy=seed, spawn_key=(s, i)))) draws, for
 seeds in [0, 2^64) and units below 2^32.  Units are trials for the
 scheme/coupling/filter runs and source batches for success-probability runs;
-codebook and rotation are unit 0 of their own streams.  Parallel execution
-distributes whole units and reduces in unit order, so results never depend
-on the worker count.
+the codebook is unit 0 of its own stream.  Stream 2 is retired and reserved:
+it held the haar rotation, which left the joint law of a standard normal
+source and book unchanged.  Parallel execution distributes whole units and
+reduces in unit order, so results never depend on the worker count.
 
 A Philox substream is only its 128-bit key (Salmon et al., "Parallel random
 numbers: as easy as 1, 2, 3", SC 2011), so `_unit_rngs` derives the keys of
@@ -40,12 +41,12 @@ with more CPUs were not measured.
 
 No scheme run holds its codebook.  It builds every chunk's trial state
 first, then draws the book from the codebook stream in spans of
-_CODEWORD_BLOCK rows, the last one shorter, rotates each span (haar),
-appends its gram column and scores every chunk against it before the next
-span is drawn (`_codebook_spans`, `_score_span`).  One GEMM per row tile of
-about _TILE scores ranks the codewords, and only each trial's winner is
-re-scored for the reported value, by elementwise products and np.sum, so
-that value takes no bits from the GEMM.
+_CODEWORD_BLOCK rows, the last one shorter, appends each span's gram column
+and scores every chunk against it before the next span is drawn
+(`_codebook_spans`, `_score_span`).  One GEMM per row tile of about _TILE
+scores ranks the codewords, and only each trial's winner is re-scored for
+the reported value, by elementwise products and np.sum, so that value takes
+no bits from the GEMM.
 """
 
 from __future__ import annotations
@@ -61,17 +62,16 @@ from .errors import SolverError
 from .spectra import Spectrum, _apportion, _integer, expand_to_n
 
 STREAM_CODEBOOK = 1
-STREAM_ROTATION = 2
 STREAM_TRIAL = 3
 STREAM_WBATCH = 4
 
 # Work units are fixed so they never depend on the thread count.
 _CHUNK = 256  # trials per work unit
 _SOURCE_BATCHES = 32  # source batches per success work unit
-# Codewords per span: the scheme draws, rotates and scores the book in spans
-# of this many rows, the last one shorter, so the book's share of a run's
-# memory is one span whatever M is.  On 2 CPUs 4096 was as fast as 8192, and
-# 2048 and below were slower.
+# Codewords per span: the scheme draws and scores the book in spans of this
+# many rows, the last one shorter, so the book's share of a run's memory is
+# one span whatever M is.  On 2 CPUs 4096 was as fast as 8192, and 2048 and
+# below were slower.
 _CODEWORD_BLOCK = 4096
 # Scores per tile: a chunk is scored against a span in row tiles of
 # _TILE // rows trials, so the one reused float64 tile buffer is 1 MiB and
@@ -146,7 +146,6 @@ class SimConfig:
     spectrum: Spectrum
     trials: int
     seed: int
-    rotation: str = "identity"
     tau_delta: float | None = None
     tau_threshold: float | None = None
     codebook_cap: int = 2**22
@@ -164,8 +163,6 @@ class SimConfig:
             raise ValueError("trials must be positive")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must be a 64-bit unsigned integer")
-        if self.rotation not in ("identity", "haar"):
-            raise ValueError("rotation must be 'identity' or 'haar'")
         _check_scaling(self.tau_threshold, self.tau_delta)
         if self.codebook_cap < 1:
             raise ValueError("codebook_cap must be positive")
@@ -202,18 +199,6 @@ class SimReport:
     exponent: float | None = None
     exponent_is_lower_bound: bool = False
     per_trial: np.ndarray | None = field(default=None, compare=False)
-
-
-def haar_orthogonal(n: int, seed: int) -> np.ndarray:
-    """Haar-distributed orthogonal matrix (QR with positive diagonal of R)."""
-    n = _integer(n, "n")
-    if n < 1:
-        raise ValueError("n must be positive")
-    g = next(_unit_rngs(seed, STREAM_ROTATION, 0, 1)).standard_normal((n, n))
-    q, r = np.linalg.qr(g)
-    d = np.sign(np.diag(r))
-    d[d == 0.0] = 1.0
-    return q * d
 
 
 def _codebook_stream(config: SimConfig) -> np.random.Generator:
@@ -294,7 +279,6 @@ def _scaling_state(config: SimConfig) -> dict:
     eigenvalues, dlam = lam / (1 + lam T) gives the success target and the
     scaling rule's terms alam2 = dlam^2 and den = n d (_scaling)."""
     n, lam = config.n, expand_to_n(config.spectrum, config.n)
-    u = None if config.rotation == "identity" else haar_orthogonal(n, config.seed)
     v, w = _realized(config.spectrum, n)
     T = rdrc._t_for_rate(v, w, config.rate_bits) if config.rate_bits > 0.0 else 0.0
     d = rdrc._d_rc(v, w, T)
@@ -303,7 +287,6 @@ def _scaling_state(config: SimConfig) -> dict:
         "n": n,
         "seed": config.seed,
         "lam": lam,
-        "u": u,
         "T": T,
         "d": d,
         "dlam": dlam,
@@ -331,8 +314,8 @@ def _scaling(st: dict, w: np.ndarray) -> np.ndarray:
     threshold, then rounded to the nearest multiple of delta ||w||_inf
     (half up) when st's delta is given.  The sum over a row is
     np.add.reduce's, not BLAS's, so a row gets the same bits alone or
-    stacked on any BLAS kernel.  The simulator's w are rotated standard
-    normal draws, whose squares stay in float range.  Raises SolverError if
+    stacked on any BLAS kernel.  The simulator's w are standard normal
+    draws, whose squares stay in float range.  Raises SolverError if
     tau leaves [0, ||w||_inf] before rounding, which the rule never does."""
     norms = np.abs(w).max(axis=-1)
     tau = np.sqrt(st["T"] * np.add.reduce(w * w * st["alam2"], axis=-1) / st["den"])
@@ -351,13 +334,13 @@ def _scaling(st: dict, w: np.ndarray) -> np.ndarray:
 # --- universal quantization scheme -----------------------------------------
 
 
-def _codebook_spans(rng: np.random.Generator, m: int, u: np.ndarray | None, lam: np.ndarray):
+def _codebook_spans(rng: np.random.Generator, m: int, lam: np.ndarray):
     """Yield the book's rows drawn from `rng` in spans of _CODEWORD_BLOCK
-    rows, the last one shorter, each rotated by u (None: identity) and
-    returned as one (rows, n + 1) array [c, (c * c) @ lam].  numpy fills
-    normals in sequence, so the first n columns are build_codebook's rows
-    in order.  Every span reuses one buffer, and so does its raw draw: a
-    span must be used before the next is requested."""
+    rows, the last one shorter, each returned as one (rows, n + 1) array
+    [c, (c * c) @ lam].  numpy fills normals in sequence, so the first n
+    columns are build_codebook's rows in order.  Every span reuses one
+    buffer, and so does its raw draw, which numpy needs contiguous: a span
+    must be used before the next is requested."""
     n = lam.size
     raw = np.empty((min(_CODEWORD_BLOCK, m), n))
     buf = np.empty((raw.shape[0], n + 1))
@@ -365,29 +348,25 @@ def _codebook_spans(rng: np.random.Generator, m: int, u: np.ndarray | None, lam:
         rows = min(_CODEWORD_BLOCK, m - r0)
         draw, span = raw[:rows], buf[:rows]
         rng.standard_normal(out=draw)
-        if u is None:
-            span[:, :n] = draw
-        else:
-            np.matmul(draw, u, out=span[:, :n])
-        span[:, n] = np.square(span[:, :n], out=draw) @ lam
+        span[:, :n] = draw
+        span[:, n] = np.square(draw, out=draw) @ lam
         yield span
 
 
 def _scheme_trials(args: tuple[dict, int, int]) -> tuple[np.ndarray, ...]:
-    """A chunk's trial state: w~, the scaling tau as a column, the
-    coefficient rows [-2 w~ * lam, tau], the running best score (inf until
+    """A chunk's trial state: w, the scaling tau as a column, the
+    coefficient rows [-2 w * lam, tau], the running best score (inf until
     the first span is scored) and the winners' codeword rows."""
     st, start, count = args
     n = st["n"]
     (w,) = _trial_normals(st["seed"], start, count, n)
-    wt = w @ st["u"] if st["u"] is not None else w
-    tau = _scaling(st, wt)
-    coef = np.column_stack((-2.0 * wt * st["lam"], tau))
-    return wt, tau[:, None], coef, np.full(count, np.inf), np.empty((count, n))
+    tau = _scaling(st, w)
+    coef = np.column_stack((-2.0 * w * st["lam"], tau))
+    return w, tau[:, None], coef, np.full(count, np.inf), np.empty((count, n))
 
 
 def _score_span(chunks: list, span: np.ndarray, buf: np.ndarray) -> None:
-    """Score every chunk against the span, tau g - 2 (w~ * lam) . c for each
+    """Score every chunk against the span, tau g - 2 (w * lam) . c for each
     codeword c, in row tiles of _TILE // rows trials held in the leading
     part of `buf`; a trial's winner is replaced only where the tile's best
     score is strictly lower, so ties keep the lowest index."""
@@ -422,34 +401,34 @@ def run_universal_scheme(config: SimConfig, threads: int | None = None) -> SimRe
     `threads` is kept so every mode takes the same arguments; the units,
     and so the bytes, never depended on it.
 
-    The error sum lam (w~ - tau c)^2 is sum lam w~^2 + tau (tau g - 2 (w~ *
+    The error sum lam (w - tau c)^2 is sum lam w^2 + tau (tau g - 2 (w *
     lam) . c) with g = (c * c) @ lam, so for tau > 0 the winner minimizes
-    tau g - 2 (w~ * lam) . c: one GEMM of the rows [-2 w~ * lam, tau]
-    against a span's columns [c, g].  Only the winner's error is reported,
+    tau g - 2 (w * lam) . c: one GEMM of the rows [-2 w * lam, tau] against
+    a span's columns [c, g].  Only the winner's error is reported,
     re-scored by elementwise products and np.sum; a tau = 0 row needs no
-    case of its own, as it re-scores to sum lam w~^2 whatever wins.  The
+    case of its own, as it re-scores to sum lam w^2 whatever wins.  The
     GEMM still picks the winner, so a near tie can pick another under
     another BLAS kernel or thread count.
 
     No run holds the book: every chunk's trial state is built first, then
-    each span of the book is drawn, rotated (haar), given its gram column
-    (`_codebook_spans`) and scored against every chunk.  Working memory is
-    one span of up to 4096 x (n + 1) floats and its raw draw, one tile
-    buffer of _TILE floats (1 MiB) and the trial state, trials * (3 n + 3)
-    floats, which outweighs the rest above about 5,000 trials at n = 16.
+    each span of the book is drawn, given its gram column (`_codebook_spans`)
+    and scored against every chunk.  Working memory is one span of up to
+    4096 x (n + 1) floats and its raw draw, one tile buffer of _TILE floats
+    (1 MiB) and the trial state, trials * (3 n + 3) floats, which outweighs
+    the rest above about 5,000 trials at n = 16.
     codebook_cap bounds the work, not the memory.
     """
     if not config.rate_bits > 0.0:
         raise ValueError("scheme mode needs rate_bits > 0")
-    rng = _codebook_stream(config)  # its cap check comes before the n x n rotation
+    rng = _codebook_stream(config)  # its cap check comes before any state is built
     st = _scaling_state(config)
     chunks = _map_units(_scheme_trials, st, config.trials, _CHUNK, 1)
     buf = np.empty(_TILE)
-    for span in _codebook_spans(rng, config.codebook_size, st["u"], st["lam"]):
+    for span in _codebook_spans(rng, config.codebook_size, st["lam"]):
         _score_span(chunks, span, buf)
     per_trial = []
-    for wt, tau, _, _, winner in chunks:
-        d = wt - tau * winner
+    for w, tau, _, _, winner in chunks:
+        d = w - tau * winner
         per_trial.append(np.sum(d * d * st["lam"], axis=1) / config.n)
     return _trial_report("scheme", np.concatenate(per_trial), st["d"])
 
@@ -467,12 +446,10 @@ def _success_batch(args: tuple[dict, int, int]) -> int:
     successes = 0
     for rng in _unit_rngs(st["seed"], STREAM_WBATCH, start, count):
         w = rng.standard_normal(st["n"])
-        wt = w @ st["u"] if st["u"] is not None else w
-        target = float((wt * wt) @ st["dlam"]) / st["n"] + st["eta"]
-        tau = float(_scaling(st, wt))
+        target = float((w * w) @ st["dlam"]) / st["n"] + st["eta"]
+        tau = float(_scaling(st, w))
         c = rng.standard_normal((st["trials"], st["n"]))
-        ct = c @ st["u"] if st["u"] is not None else c
-        diff = wt[None, :] - tau * ct
+        diff = w[None, :] - tau * c
         d = (diff * diff) @ st["lam"] / st["n"]
         successes += int(np.count_nonzero(d <= target))
     return successes

@@ -113,7 +113,7 @@ def _t_for_rate(values, weights, rate: float) -> float:
 
 def dd_wf(s: Spectrum, rate: float) -> float:
     """Distortion at a given oracle rate; 1 at rate 0."""
-    if rate < 0.0:
+    if not rate >= 0.0:
         raise ValueError("rate must be nonnegative")
     if rate == 0.0:
         return 1.0

@@ -20,7 +20,7 @@ from rdgap._manifest import (
 HELP_DIR = Path(__file__).parent / "fixtures" / "help"
 TWO_LEVEL_LITERAL = "1.8:0.5,0.2:0.5"
 HEADER_SIMULATE = (
-    "mode,n,rate_bits,t,T,spectrum,trials,seed,rotation,tau_delta,tau_threshold,"
+    "mode,n,rate_bits,t,T,spectrum,trials,seed,tau_delta,tau_threshold,"
     "eta,w_batches,mean,se,analytic,p_hat,wilson_low,wilson_high,exponent,"
     "exponent_is_lower_bound"
 )
@@ -330,11 +330,13 @@ class TestConfigFile:
         assert proc.stdout == "d_star,t,rate_bits\n0.5,0.5,0.5\n"
 
     def test_unknown_key_rejected(self, tmp_path):
+        # A key the subcommand does not take, such as a stale "rotation", is refused.
         cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps({"spectrums": "flat"}))
-        proc = run_cli("wf", "--config", str(cfg))
-        assert proc.returncode == 2
-        assert "unknown config key" in proc.stderr
+        for command, key in ((["wf"], "spectrums"), (["simulate", "--mode", "scheme"], "rotation")):
+            cfg.write_text(json.dumps({key: "flat"}))
+            proc = run_cli(*command, "--config", str(cfg))
+            assert proc.returncode == 2
+            assert f"unknown config key {key!r}" in proc.stderr and proc.stdout == ""
 
     def test_config_key_config_rejected(self, tmp_path):
         cfg = tmp_path / "run.json"
@@ -498,24 +500,24 @@ class TestSimulateCommand:
 
     @pytest.mark.parametrize("args,row", [
         (["--mode", "scheme", "--n", "8", "--trials", "32", "--spectrum", TWO_LEVEL_LITERAL],
-         'scheme,8,1.0,,,"1.8:0.5,0.2:0.5",32,0,identity,,,,,0.23154822874728936,'
+         'scheme,8,1.0,,,"1.8:0.5,0.2:0.5",32,0,,,,,0.23154822874728936,'
          "0.020265920101201675,0.15811388300839202,,,,,false"),
         # trials echoes the option (64), not the report's 64 x 16 codeword draws
         (["--mode", "success", "--n", "10", "--rate", "0.5", "--trials", "64", "--eta", "0.05",
           "--w-batches", "16"],
-         "success,10,0.5,,,1.0:1.0,64,0,identity,,,0.05,16,0.0126953125,0.0034986243865512676,"
+         "success,10,0.5,,,1.0:1.0,64,0,,,0.05,16,0.0126953125,0.0034986243865512676,"
          "0.5,0.0126953125,0.007434044913652255,0.021599089101911852,0.6299560281858908,false"),
         # p_hat = 1: the exponent -log2(1)/n reads 0.0, not -0.0
         (["--mode", "success", "--rate", "0", "--n", "4", "--trials", "8", "--w-batches", "2"],
-         "success,4,0.0,,,1.0:1.0,8,0,identity,,,0.0,2,1.0,0.0,0.0,1.0,0.8063923194655637,1.0,"
+         "success,4,0.0,,,1.0:1.0,8,0,,,0.0,2,1.0,0.0,0.0,1.0,0.8063923194655637,1.0,"
          "0.0,false"),
         (["--mode", "coupling", "--t", "0.25", "--n", "16", "--trials", "64"],
-         "coupling,16,,0.25,,1.0:1.0,64,0,,,,,,0.25844392984032855,0.010985343987089303,0.25,"
+         "coupling,16,,0.25,,1.0:1.0,64,0,,,,,0.25844392984032855,0.010985343987089303,0.25,"
          ",,,,false"),
         # n = 20 gives the two levels 1 and 19 coordinates
         (["--mode", "filter", "--T", "1", "--n", "20", "--trials", "16",
           "--spectrum", "10.5:0.05,0.5:0.95"],
-         'filter,20,,,1.0,"10.5:0.05,0.5:0.95",16,0,,,,,,0.3475661637925903,0.020105708560315818,'
+         'filter,20,,,1.0,"10.5:0.05,0.5:0.95",16,0,,,,,0.3475661637925903,0.020105708560315818,'
          "0.36231884057971014,,,,,false"),
     ], ids=["scheme", "success", "success-rate-zero", "coupling", "filter"])
     def test_row_bytes(self, args, row):
@@ -562,7 +564,7 @@ class TestSimulateCommand:
         proc = run_cli("simulate", "--mode", "coupling", "--t", "0.25", "--n", "16", "--trials", "64")
         row = self._row(proc)
         assert row["t"] == "0.25"
-        assert row["rate_bits"] == row["T"] == row["rotation"] == ""
+        assert row["rate_bits"] == row["T"] == ""
         assert row["analytic"] == "0.25"
 
     def test_mode_required(self):
@@ -581,12 +583,16 @@ class TestSimulateCommand:
         assert proc.returncode == 0, proc.stderr
 
     def test_invalid_run_config_exits_two(self):
-        proc = run_cli("simulate", "--mode", "scheme", "--rate", "0", "--n", "8")
-        assert proc.returncode == 2
+        # click quotes the unknown option differently across versions.
+        for args, words in ((["--rate", "0"], ["scheme mode needs rate_bits > 0"]),
+                            (["--rotation", "haar"], ["No such option", "--rotation"])):
+            proc = run_cli("simulate", "--mode", "scheme", "--n", "8", *args)
+            assert proc.returncode == 2
+            assert all(w in proc.stderr for w in words) and proc.stdout == ""
 
     def test_codebook_past_float_range_exits_two(self):
         proc = run_cli("simulate", "--mode", "scheme", "--n", "2000", "--rate", "1",
-                       "--trials", "2", "--rotation", "haar")
+                       "--trials", "2")
         assert proc.returncode == 2
         assert "exceeds codebook_cap" in proc.stderr
 

@@ -15,7 +15,7 @@ TWO_LEVEL = spectra.parse_spectrum("1.8:0.5,0.2:0.5")
 SPAWN_CASES = {
     "scheme": lambda threads: simulator.run_universal_scheme(
         simulator.SimConfig(n=8, rate_bits=1.0, spectrum=TWO_LEVEL, trials=600, seed=3,
-                            rotation="haar", tau_delta=0.1),
+                            tau_delta=0.1),
         threads=threads),
     "success": lambda threads: simulator.estimate_codeword_success(
         simulator.SimConfig(n=8, rate_bits=0.5, spectrum=TWO_LEVEL, trials=32, seed=7,

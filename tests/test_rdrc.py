@@ -205,6 +205,12 @@ class TestCompositions:
     def test_dd_rc_rate_zero(self):
         assert rdrc.dd_rc(TWO_LEVEL, 0.0) == 1.0
 
+    def test_dd_rc_negative_rate(self):
+        # NaN is refused by dd_rc's own check, not by the solver's for T.
+        for rate in (-0.1, math.nan):
+            with pytest.raises(ValueError, match="rate must be nonnegative"):
+                rdrc.dd_rc(FLAT, rate)
+
     def test_semi_flat_curves_coincide(self):
         for f in (0.1, 0.3, 0.5, 1.0):
             s = spectra.semi_flat(f)
@@ -274,7 +280,7 @@ class TestTau:
 
 class TestQuantizeTau:
     """The scaling rule's delta rounds tau to the nearest multiple of
-    delta * ||w~||_inf, the scheme's quantizer."""
+    delta * ||w||_inf, the scheme's quantizer."""
 
     def test_zero(self):
         assert _tau(TWO_LEVEL, [0.0, 0.0], 1.0, delta=0.25) == 0.0
@@ -286,13 +292,13 @@ class TestQuantizeTau:
         assert _tau(FLAT, [1.0] * 4, 1.0, delta=t / 4.0) == t
 
     def test_rounds_to_nearest(self):
-        # On the flat spectrum at rate 1, tau = ||w~||_inf sqrt(3) / 2 ~ 0.866 ||w~||_inf.
+        # On the flat spectrum at rate 1, tau = ||w||_inf sqrt(3) / 2 ~ 0.866 ||w||_inf.
         assert _tau(FLAT, [1.0] * 4, 1.0, delta=0.5) == 1.0
         assert _tau(FLAT, [1.0] * 4, 1.0, delta=0.25) == 0.75
         assert _tau(FLAT, [2.0, 2.0, -2.0, 2.0], 1.0, delta=0.25) == 1.5
 
     def test_overflowing_step_rounds_to_zero(self):
-        # delta * ||w~||_inf overflows: 0 is the nearest multiple, not nan.
+        # delta * ||w||_inf overflows: 0 is the nearest multiple, not nan.
         assert _tau(FLAT, [1e150] * 4, 1.0, delta=1e200) == 0.0
 
     @pytest.mark.parametrize("delta", [0.0, -0.1, math.nan, math.inf, 1e-320],
@@ -329,18 +335,17 @@ class TestQuantizeTau:
             assert _tau(s, w, rate, threshold, delta) == kernel, i
 
     def test_matches_the_simulated_scheme(self):
-        # The scheme scales a chunk of up to 256 rotated rows in one stacked
-        # call, the success kernel one row at a time: the same bits, with the
+        # The scheme scales a chunk of up to 256 rows in one stacked call,
+        # the success kernel one row at a time: the same bits, with the
         # threshold and step the run's state passes.
         s = spectra.parse_spectrum("3:0.2,1:0.5,0.1:0.3")
         for i, n in enumerate(range(10, 38)):
             cfg = simulator.SimConfig(
                 n=n, rate_bits=0.5 + i / 20, spectrum=s, trials=256, seed=5,
-                rotation=("identity", "haar")[i % 2], tau_delta=(None, 0.01, 0.05)[i % 3],
-                tau_threshold=(None, 3.0)[i % 2])
+                tau_delta=(None, 0.01, 0.05)[i % 3], tau_threshold=(None, 3.0)[i % 2])
             st = simulator._scaling_state(cfg)
-            wt, tau = simulator._scheme_trials((st, 0, cfg.trials))[:2]
-            rows = [simulator._scaling(st, row) for row in wt]
+            w, tau = simulator._scheme_trials((st, 0, cfg.trials))[:2]
+            rows = [simulator._scaling(st, row) for row in w]
             assert np.array_equal(tau[:, 0], rows), n
 
 

@@ -63,27 +63,6 @@ class TestUnitRngs:
             next(simulator._unit_rngs(seed, STREAM_TRIAL, start, count))
 
 
-class TestHaarOrthogonal:
-    def test_orthogonal(self):
-        q = simulator.haar_orthogonal(12, 5)
-        assert np.max(np.abs(q.T @ q - np.eye(12))) < 1e-12
-
-    def test_deterministic(self):
-        assert np.array_equal(simulator.haar_orthogonal(6, 9), simulator.haar_orthogonal(6, 9))
-
-    def test_seed_changes_matrix(self):
-        assert not np.array_equal(simulator.haar_orthogonal(6, 9), simulator.haar_orthogonal(6, 10))
-
-    def test_n_one_is_sign(self):
-        q = simulator.haar_orthogonal(1, 0)
-        assert q.shape == (1, 1)
-        assert abs(abs(q[0, 0]) - 1.0) < 1e-15
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            simulator.haar_orthogonal(0, 1)
-
-
 class TestSimConfig:
     @pytest.mark.parametrize(
         "kw",
@@ -95,7 +74,6 @@ class TestSimConfig:
             {"trials": 0},
             {"seed": -1},
             {"seed": 2**64},
-            {"rotation": "fourier"},
             {"tau_delta": 0.0},
             {"tau_delta": -1.0},
             {"tau_delta": math.inf},  # the quantizer's inf * floor(0.5) is nan
@@ -145,8 +123,6 @@ class TestIntegerArguments:
         *(pytest.param(lambda name=name: _cfg(**{name: True}), id=f"config-{name}-bool")
           for name in ("n", "trials", "seed", "codebook_cap", "w_batches")),
         pytest.param(lambda: _cfg(seed=False), id="config-seed-false"),
-        pytest.param(lambda: simulator.haar_orthogonal(4.5, 0), id="haar-n"),
-        pytest.param(lambda: simulator.haar_orthogonal(True, 0), id="haar-n-bool"),
         pytest.param(lambda: simulator.simulate_mmse_filter(FLAT, 1.0, 4, 300.5, 0, 1),
                      id="trials"),
         pytest.param(lambda: simulator.simulate_mmse_filter(FLAT, 1.0, 4, 8, 1.5, 1), id="seed"),
@@ -163,8 +139,6 @@ class TestIntegerArguments:
     def test_numpy_integers_pass(self):
         cfg = _cfg(n=np.int64(8), trials=np.int32(64), seed=np.uint64(3))
         assert cfg == _cfg() and type(cfg.seed) is int
-        assert np.array_equal(simulator.haar_orthogonal(np.int64(3), np.uint64(5)),
-                              simulator.haar_orthogonal(3, 5))
 
 
 class TestBuildCodebook:
@@ -184,12 +158,13 @@ class TestBuildCodebook:
 
     def test_cap_checked_first_without_overflow(self, monkeypatch):
         # 2^2000 codewords overflow a float; the cap is compared in the log
-        # domain, before the n x n rotation is drawn.
-        def no_rotation(n, seed):
-            raise AssertionError("rotation drawn before the cap check")
+        # domain, before the run's state is built or anything is drawn.
+        def no_state(config):
+            raise AssertionError("state built before the cap check")
 
-        monkeypatch.setattr(simulator, "haar_orthogonal", no_rotation)
-        cfg = _cfg(n=2000, rate_bits=1.0, trials=2, rotation="haar")
+        monkeypatch.setattr(simulator, "_scaling_state", no_state)
+        monkeypatch.setattr(simulator, "_unit_rngs", _no_draw)
+        cfg = _cfg(n=2000, rate_bits=1.0, trials=2)
         with pytest.raises(ValueError, match="exceeds codebook_cap"):
             simulator.run_universal_scheme(cfg)
 
@@ -202,7 +177,7 @@ class TestUniversalScheme:
     @pytest.mark.parametrize("T, den", [(1.0, 1e-30), (math.nan, 1.0)])
     def test_tau_out_of_range_raises(self, T, den):
         # A raised error, not an assert, so the check survives python -O.
-        state = {"n": 4, "seed": 0, "lam": np.ones(4), "u": None, "T": T,
+        state = {"n": 4, "seed": 0, "lam": np.ones(4), "T": T,
                  "alam2": np.ones(4), "den": den, "threshold": None, "delta": None}
         with pytest.raises(SolverError):
             simulator._scheme_trials((state, 0, 3))
@@ -239,7 +214,6 @@ class TestUniversalScheme:
         )
         assert np.array_equal(rep.per_trial, np.sum(w * w * lam, axis=1) / cfg.n)
 
-    @pytest.mark.parametrize("rotation", ["identity", "haar"])
     @pytest.mark.parametrize(
         "n,rate,size",
         [
@@ -251,28 +225,23 @@ class TestUniversalScheme:
         ],
         ids=["partial", "full", "one-codeword-last", "odd", "n40"],
     )
-    def test_distance_blocks_match_one_line_formula(self, n, rate, size, rotation):
+    def test_distance_blocks_match_one_line_formula(self, n, rate, size):
         # Each trial reports the error of the codeword that minimizes
         # tau^2 g - 2 tau (wl . c) over the whole book (lowest index on
-        # ties), re-scored as sum lam (w~ - tau c)^2 / n, bit for bit,
+        # ties), re-scored as sum lam (w - tau c)^2 / n, bit for bit,
         # whatever spans and tiles the run scored in; <= 256 trials are one
         # chunk.
         for trials in (24, 100, 256):
-            cfg = _cfg(n=n, rate_bits=rate, trials=trials, seed=43, rotation=rotation, tau_delta=0.05)
+            cfg = _cfg(n=n, rate_bits=rate, trials=trials, seed=43, tau_delta=0.05)
             assert cfg.codebook_size == size
             rep = simulator.run_universal_scheme(cfg)
             st = simulator._scaling_state(cfg)
-            u, lam = st["u"], st["lam"]
+            lam = st["lam"]
             w = np.stack([_numpy_rng(cfg.seed, STREAM_TRIAL, i).standard_normal(n) for i in range(trials)])
-            wt = w @ u if u is not None else w
-            tau = simulator._scaling(st, wt)[:, None]
-            # Rotated span by span: under OpenBLAS's Haswell kernel the whole
-            # book's product moved some rows at two BLAS threads.
-            cb, block = simulator.build_codebook(cfg), simulator._CODEWORD_BLOCK
-            if u is not None:
-                cb = np.concatenate([cb[r:r + block] @ u for r in range(0, size, block)])
-            score = tau**2 * ((cb * cb) @ lam) - 2.0 * tau * ((wt * lam) @ cb.T)
-            d = wt - tau * cb[np.argmin(score, axis=1)]
+            tau = simulator._scaling(st, w)[:, None]
+            cb = simulator.build_codebook(cfg)
+            score = tau**2 * ((cb * cb) @ lam) - 2.0 * tau * ((w * lam) @ cb.T)
+            d = w - tau * cb[np.argmin(score, axis=1)]
             assert np.array_equal(rep.per_trial, np.sum(d * d * lam, axis=1) / n), trials
 
     @pytest.mark.parametrize("size", [1, 256, 4095, 4096, 4097, 8193, 12854])
@@ -282,7 +251,7 @@ class TestUniversalScheme:
         # order; each span is copied before the next overwrites its buffer.
         cfg = _cfg(n=3, rate_bits=math.log2(size + 0.5) / 3, seed=17)
         assert cfg.codebook_size == size
-        spans = simulator._codebook_spans(simulator._codebook_stream(cfg), size, None, np.ones(3))
+        spans = simulator._codebook_spans(simulator._codebook_stream(cfg), size, np.ones(3))
         assert np.array_equal(np.concatenate([span[:, :3].copy() for span in spans]), simulator.build_codebook(cfg))
 
     def test_per_trial_does_not_depend_on_blas_threads(self):
@@ -297,13 +266,13 @@ class TestUniversalScheme:
             import hashlib, math
             from rdgap import simulator, spectra
             two = spectra.parse_spectrum("1.8:0.5,0.2:0.5")
-            for n, m, trials, spectrum, rotation, seed in (
-                    (12, 255, 257, spectra.flat(), "identity", 125),
-                    (16, 12287, 100, spectra.flat(), "identity", 187),
-                    (64, 4095, 100, spectra.flat(), "identity", 348),
-                    (33, 255, 257, two, "haar", 269)):
+            for n, m, trials, spectrum, seed in (
+                    (12, 255, 257, spectra.flat(), 125),
+                    (16, 12287, 100, spectra.flat(), 187),
+                    (64, 4095, 100, spectra.flat(), 348),
+                    (33, 255, 257, two, 269)):
                 cfg = simulator.SimConfig(n=n, rate_bits=math.log2(m + 0.5) / n, spectrum=spectrum,
-                                          trials=trials, seed=seed, rotation=rotation)
+                                          trials=trials, seed=seed)
                 assert cfg.codebook_size == m
                 per_trial = simulator.run_universal_scheme(cfg).per_trial
                 print(hashlib.sha256(per_trial.tobytes()).hexdigest())
@@ -319,8 +288,7 @@ class TestUniversalScheme:
         assert len(runs[0]) == 4
         assert runs[0] == runs[1]
 
-    @pytest.mark.parametrize("rotation", ["identity", "haar"])
-    def test_working_set_does_not_grow_with_the_book(self, rotation):
+    def test_working_set_does_not_grow_with_the_book(self):
         # n = 16 and 18 at rate 1 are books of 8 and 36 MiB, 65,536 and
         # 262,144 codewords, which the run never holds; n = 12 at rate 0.99
         # is one span of 3,769 codewords.  One bound with no term in M
@@ -331,9 +299,9 @@ class TestUniversalScheme:
         widest, trials = 18, 256
         span = 8 * simulator._CODEWORD_BLOCK  # bytes per column of a span
         bound = 8 * simulator._TILE + span * (2 * widest + 1) + 8 * trials * (3 * widest + 3) + 2**18
-        simulator.run_universal_scheme(_cfg(n=4, trials=1, rotation=rotation))
+        simulator.run_universal_scheme(_cfg(n=4, trials=1))
         for n, rate in ((16, 1.0), (18, 1.0), (12, 0.99)):
-            cfg = _cfg(n=n, rate_bits=rate, trials=trials, seed=5, rotation=rotation)
+            cfg = _cfg(n=n, rate_bits=rate, trials=trials, seed=5)
             tracemalloc.start()
             try:
                 base = tracemalloc.get_traced_memory()[0]
@@ -346,7 +314,7 @@ class TestUniversalScheme:
 
     def test_huge_tau_delta_rounds_scaling_to_zero(self):
         # The scaling never exceeds the sup-norm, so a rounding unit of
-        # 4 * ||w~||_inf sends every tau to zero: identical to threshold 0.
+        # 4 * ||w||_inf sends every tau to zero: identical to threshold 0.
         a = simulator.run_universal_scheme(_cfg(trials=32, tau_delta=4.0))
         b = simulator.run_universal_scheme(_cfg(trials=32, tau_threshold=0.0))
         assert np.array_equal(a.per_trial, b.per_trial)
@@ -365,19 +333,12 @@ class TestUniversalScheme:
     def test_codeword_block_invariance(self, monkeypatch, block):
         # n = 12 at rate 1 is a 4,096-codeword book: one block at the default
         # 4096 and at 8192, four full blocks and a partial one of 96 at 1000.
-        cfg = _cfg(n=12, spectrum=TWO_LEVEL, trials=300, seed=7, rotation="haar", tau_delta=0.05)
+        cfg = _cfg(n=12, spectrum=TWO_LEVEL, trials=300, seed=7, tau_delta=0.05)
         assert cfg.codebook_size == 4096
         reference = simulator.run_universal_scheme(cfg)
         monkeypatch.setattr(simulator, "_CODEWORD_BLOCK", block)
         blocked = simulator.run_universal_scheme(cfg)
         assert blocked.per_trial.tobytes() == reference.per_trial.tobytes()
-
-    def test_rotation_invariance_on_flat(self):
-        # A flat spectrum makes the weighted metric rotation-invariant, so
-        # identity and Haar runs estimate the same expectation.
-        a = simulator.run_universal_scheme(_cfg(n=8, trials=1500, seed=17))
-        b = simulator.run_universal_scheme(_cfg(n=8, trials=1500, seed=17, rotation="haar"))
-        assert abs(a.mean - b.mean) < 4.0 * math.hypot(a.se, b.se)
 
     def test_two_level_converges_to_analytic(self):
         cfg = _cfg(n=16, rate_bits=1.0, spectrum=TWO_LEVEL, trials=1200, seed=29)
@@ -395,7 +356,7 @@ class TestUniversalScheme:
     ])
     def test_dropped_level_refused(self, monkeypatch, run):
         # At n = 4 the level 10.5 of weight 0.05 gets no coordinate: every
-        # mode refuses it before any codebook, rotation or trial is drawn.
+        # mode refuses it before any codebook or trial is drawn.
         monkeypatch.setattr(simulator, "_unit_rngs", _no_draw)
         with pytest.raises(ValueError, match=r"levels \[0\] receive zero dimensions at n=4"):
             run(spectra.parse_spectrum("10.5:0.05,0.5:0.95"))
@@ -408,7 +369,7 @@ class TestCodewordSuccess:
 
     def test_tau_out_of_range_raises(self):
         # A raised error, not an assert, so the check survives python -O.
-        state = {"n": 4, "seed": 0, "trials": 2, "eta": 0.1, "u": None, "T": 1.0,
+        state = {"n": 4, "seed": 0, "trials": 2, "eta": 0.1, "T": 1.0,
                  "dlam": np.ones(4), "alam2": np.ones(4), "den": 1e-30, "threshold": None,
                  "delta": None}
         with pytest.raises(SolverError):

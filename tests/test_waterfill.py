@@ -131,8 +131,10 @@ class TestDdWf:
         assert waterfill.dd_wf(SEMI_HALF, 0.5) == pytest.approx(0.25, abs=1e-12)
 
     def test_negative_rate(self):
-        with pytest.raises(ValueError):
-            waterfill.dd_wf(FLAT, -0.1)
+        # NaN is refused by the rate's own check, not by the water level's.
+        for rate in (-0.1, math.nan):
+            with pytest.raises(ValueError, match="rate must be nonnegative"):
+                waterfill.dd_wf(FLAT, rate)
 
     def test_flat_closed_form_grid(self):
         for i in range(1, 61):

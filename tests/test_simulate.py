@@ -288,20 +288,22 @@ class TestUniversalScheme:
         assert len(runs[0]) == 4
         assert runs[0] == runs[1]
 
-    def test_working_set_does_not_grow_with_the_book(self):
+    @pytest.mark.parametrize("spectrum", [FLAT], ids=["identity"])
+    def test_working_set_does_not_grow_with_the_book(self, spectrum):
         # n = 16 and 18 at rate 1 are books of 8 and 36 MiB, 65,536 and
         # 262,144 codewords, which the run never holds; n = 12 at rate 0.99
         # is one span of 3,769 codewords.  One bound with no term in M
         # covers all three: one tile buffer of 1 MiB, one 4096-row span of
         # n + 1 columns at n = 18 with its raw draw of n, the trial state of
         # 256 x (3 n + 3) floats, and 256 KiB of slack.  An untraced run
-        # first loads the modules the scheme imports lazily.
+        # first loads the modules the scheme imports lazily.  The source is
+        # the flat spectrum, the identity covariance.
         widest, trials = 18, 256
         span = 8 * simulator._CODEWORD_BLOCK  # bytes per column of a span
         bound = 8 * simulator._TILE + span * (2 * widest + 1) + 8 * trials * (3 * widest + 3) + 2**18
-        simulator.run_universal_scheme(_cfg(n=4, trials=1))
+        simulator.run_universal_scheme(_cfg(n=4, trials=1, spectrum=spectrum))
         for n, rate in ((16, 1.0), (18, 1.0), (12, 0.99)):
-            cfg = _cfg(n=n, rate_bits=rate, trials=trials, seed=5)
+            cfg = _cfg(n=n, rate_bits=rate, spectrum=spectrum, trials=trials, seed=5)
             tracemalloc.start()
             try:
                 base = tracemalloc.get_traced_memory()[0]

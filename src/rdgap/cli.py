@@ -318,14 +318,11 @@ def _sim_field(value) -> str:
               help="Distortion slack for success mode.")
 @click.option("--w-batches", default=64, show_default=True, type=int,
               help="Source batches in success mode.")
-@click.option("--codebook-cap", default=2**22, show_default=True, type=int,
-              help="Refuse codebooks larger than this.")
 @_OUT_OPT
 @_CONFIG_OPT
 def cmd_simulate(mode: str, n: int, rate: float, spectrum: str, trials: int, seed: int,
                  t: float | None, T: float | None, tau_delta: float | None,
-                 tau_threshold: float | None, eta: float, w_batches: int,
-                 codebook_cap: int, out: str | None) -> None:
+                 tau_threshold: float | None, eta: float, w_batches: int, out: str | None) -> None:
     """Monte-Carlo runs: scheme, success probability, or exact-expectation checks."""
     from . import simulator
     s = _parse_spectrum_opt(spectrum)
@@ -334,8 +331,7 @@ def cmd_simulate(mode: str, n: int, rate: float, spectrum: str, trials: int, see
         if coded:
             cfg = simulator.SimConfig(
                 n=n, rate_bits=rate, spectrum=s, trials=trials, seed=seed,
-                tau_delta=tau_delta, tau_threshold=tau_threshold, codebook_cap=codebook_cap,
-                eta=eta, w_batches=w_batches,
+                tau_delta=tau_delta, tau_threshold=tau_threshold, eta=eta, w_batches=w_batches,
             )
             report = (simulator.run_universal_scheme(cfg) if mode == "scheme"
                       else simulator.estimate_codeword_success(cfg))

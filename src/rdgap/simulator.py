@@ -77,6 +77,7 @@ _CODEWORD_BLOCK = 4096
 # _TILE // rows trials, so the one reused float64 tile buffer is 1 MiB and
 # fits a 2 MB L2.
 _TILE = 2**17
+_MAX_BOOK_BITS = 26  # both coded modes' books: SimConfig.codebook_size refuses n R past it
 
 _Z_TWO_SIDED = 1.959963984540054  # 97.5% normal quantile
 _Z_ONE_SIDED = 1.6448536269514722  # 95% normal quantile
@@ -148,12 +149,11 @@ class SimConfig:
     seed: int
     tau_delta: float | None = None
     tau_threshold: float | None = None
-    codebook_cap: int = 2**22
     eta: float = 0.0
     w_batches: int = 64
 
     def __post_init__(self) -> None:
-        for name in ("n", "trials", "seed", "codebook_cap", "w_batches"):
+        for name in ("n", "trials", "seed", "w_batches"):
             object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.n < 1:
             raise ValueError("n must be positive")
@@ -164,8 +164,6 @@ class SimConfig:
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must be a 64-bit unsigned integer")
         _check_scaling(self.tau_threshold, self.tau_delta)
-        if self.codebook_cap < 1:
-            raise ValueError("codebook_cap must be positive")
         if not 0.0 <= self.eta < math.inf:
             raise ValueError("eta must be nonnegative and finite")
         if self.w_batches < 1:
@@ -174,10 +172,11 @@ class SimConfig:
 
     @property
     def codebook_size(self) -> int:
-        """floor(2^(n R)), at least 1, with no float power past 2^1023."""
+        """floor(2^(n R)), at least 1; ValueError past n R = _MAX_BOOK_BITS."""
         bits = self.n * self.rate_bits
-        shift = max(0, math.floor(bits) - 1023)
-        return max(1, math.floor(2.0 ** (bits - shift)) << shift)
+        if bits > _MAX_BOOK_BITS:
+            raise ValueError(f"n * rate_bits must be <= {_MAX_BOOK_BITS}, got {bits!r}")
+        return max(1, math.floor(2.0**bits))
 
 
 @dataclass(frozen=True)
@@ -202,19 +201,16 @@ class SimReport:
 
 
 def _codebook_stream(config: SimConfig) -> np.random.Generator:
-    """The codebook stream's generator, once M is checked against the cap
-    in the log domain, where 2^(n R) cannot overflow."""
-    bits = config.n * config.rate_bits
-    if bits >= math.log2(config.codebook_cap + 1):
-        raise ValueError(f"codebook of size 2^{bits:g} exceeds codebook_cap {config.codebook_cap}")
+    """The codebook stream's generator: unit 0 of STREAM_CODEBOOK."""
     return next(_unit_rngs(config.seed, STREAM_CODEBOOK, 0, 1))
 
 
 def build_codebook(config: SimConfig) -> np.ndarray:
-    """The (M, n) read-only array of M iid standard normal codewords, drawn
-    from the codebook stream; the scheme draws the same rows span by span
-    (`_codebook_spans`)."""
-    vectors = _codebook_stream(config).standard_normal((config.codebook_size, config.n))
+    """The (M, n) read-only array of the M = config.codebook_size iid standard
+    normal codewords of the codebook stream, all held; the scheme draws the
+    same rows span by span (`_codebook_spans`)."""
+    m = config.codebook_size
+    vectors = _codebook_stream(config).standard_normal((m, config.n))
     vectors.setflags(write=False)
     return vectors
 
@@ -260,10 +256,14 @@ def _run_trials(mode, kernel, state, trials, threads, analytic):
     return _trial_report(mode, per_trial, analytic)
 
 
+def _se(values: np.ndarray) -> float:
+    """The standard error of the mean of independent values, 0.0 for one."""
+    return float(np.std(values, ddof=1) / math.sqrt(values.size)) if values.size > 1 else 0.0
+
+
 def _trial_report(mode: str, per_trial: np.ndarray, analytic: float) -> SimReport:
-    se = float(np.std(per_trial, ddof=1) / math.sqrt(per_trial.size)) if per_trial.size > 1 else 0.0
-    return SimReport(mode=mode, mean=float(np.mean(per_trial)), se=se, analytic=analytic,
-                     trials=per_trial.size, per_trial=per_trial)
+    return SimReport(mode=mode, mean=float(np.mean(per_trial)), se=_se(per_trial),
+                     analytic=analytic, trials=per_trial.size, per_trial=per_trial)
 
 
 def _realized(s: Spectrum, n: int) -> tuple[tuple[float, ...], list[float]]:
@@ -415,16 +415,15 @@ def run_universal_scheme(config: SimConfig, threads: int | None = None) -> SimRe
     and scored against every chunk.  Working memory is one span of up to
     4096 x (n + 1) floats and its raw draw, one tile buffer of _TILE floats
     (1 MiB) and the trial state, trials * (3 n + 3) floats, which outweighs
-    the rest above about 5,000 trials at n = 16.
-    codebook_cap bounds the work, not the memory.
+    the rest above about 5,000 trials at n = 16; M sets only the run time.
     """
     if not config.rate_bits > 0.0:
         raise ValueError("scheme mode needs rate_bits > 0")
-    rng = _codebook_stream(config)  # its cap check comes before any state is built
+    m = config.codebook_size
     st = _scaling_state(config)
     chunks = _map_units(_scheme_trials, st, config.trials, _CHUNK, 1)
     buf = np.empty(_TILE)
-    for span in _codebook_spans(rng, config.codebook_size, st["lam"]):
+    for span in _codebook_spans(_codebook_stream(config), m, st["lam"]):
         _score_span(chunks, span, buf)
     per_trial = []
     for w, tau, _, _, winner in chunks:
@@ -436,14 +435,14 @@ def run_universal_scheme(config: SimConfig, threads: int | None = None) -> SimRe
 # --- single-codeword success probability ------------------------------------
 
 
-def _success_batch(args: tuple[dict, int, int]) -> int:
-    """Successes over the source batches [start, start + count)."""
+def _success_batch(args: tuple[dict, int, int]) -> list[int]:
+    """Successes in each of the source batches [start, start + count)."""
     st, start, count = args
     if st["T"] == 0.0:
         # Degenerate boundary: tau = 0 makes the distance equal the target
         # minus eta exactly, so every draw succeeds; skip the float compare.
-        return st["trials"] * count
-    successes = 0
+        return [st["trials"]] * count
+    successes = []
     for rng in _unit_rngs(st["seed"], STREAM_WBATCH, start, count):
         w = rng.standard_normal(st["n"])
         target = float((w * w) @ st["dlam"]) / st["n"] + st["eta"]
@@ -451,7 +450,7 @@ def _success_batch(args: tuple[dict, int, int]) -> int:
         c = rng.standard_normal((st["trials"], st["n"]))
         diff = w[None, :] - tau * c
         d = (diff * diff) @ st["lam"] / st["n"]
-        successes += int(np.count_nonzero(d <= target))
+        successes.append(int(np.count_nonzero(d <= target)))
     return successes
 
 
@@ -462,16 +461,19 @@ def estimate_codeword_success(config: SimConfig, threads: int | None = None) -> 
     Reports the pooled success fraction, its Wilson 95% interval, and the
     empirical exponent -(1/n) log2 p.  rate_bits = 0 is the degenerate
     boundary (tau = 0, success certain).
+
+    The codewords of one batch share its source, so se is the standard error
+    of the mean of the w_batches per-batch fractions (0.0 for one); the
+    Wilson interval stays the pooled-binomial one, which the pilot pins.
     """
     if config.rate_bits > 0.0 and not config.eta > 0.0:
         raise ValueError("success mode needs eta > 0")
-    if config.n * config.rate_bits > 26.0:
-        raise ValueError("n * rate_bits must be <= 26 for direct sampling")
+    config.codebook_size  # refuses n R past _MAX_BOOK_BITS before any state or draw
     st = _scaling_state(config)
     st.update(trials=config.trials, eta=config.eta)
-    counts = _map_units(_success_batch, st, config.w_batches, _SOURCE_BATCHES, threads)
+    counts = np.hstack(_map_units(_success_batch, st, config.w_batches, _SOURCE_BATCHES, threads))
     total = config.trials * config.w_batches
-    successes = int(sum(counts))
+    successes = int(counts.sum())
     p_hat = successes / total
     low, high = _wilson(successes, total)
     if successes > 0:
@@ -480,11 +482,10 @@ def estimate_codeword_success(config: SimConfig, threads: int | None = None) -> 
     else:
         exponent = -math.log2(high) / config.n
         lower_only = True
-    se = math.sqrt(p_hat * (1.0 - p_hat) / total)
     return SimReport(
         mode="success",
         mean=p_hat,
-        se=se,
+        se=_se(counts / config.trials),
         analytic=config.rate_bits,
         trials=total,
         p_hat=p_hat,

@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -173,11 +174,11 @@ def expand_to_n(s: Spectrum, n: int) -> np.ndarray:
 
 
 def _apportion(s: Spectrum, n: int) -> list[int]:
-    """Coordinates per level out of n, by largest-remainder apportionment;
-    a level may get none."""
+    """Coordinates per level out of n <= sys.maxsize, an array's limit, by
+    largest-remainder apportionment; a level may get none."""
     n = _integer(n, "n")
-    if n < 1:
-        raise ValueError("n must be positive")
+    if not 1 <= n <= sys.maxsize:
+        raise ValueError(f"n must lie in [1, {sys.maxsize}], got {n}")
     quotas = [w * n for w in s.weights]
     counts = [int(q) for q in quotas]
     short = n - sum(counts)

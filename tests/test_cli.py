@@ -330,9 +330,11 @@ class TestConfigFile:
         assert proc.stdout == "d_star,t,rate_bits\n0.5,0.5,0.5\n"
 
     def test_unknown_key_rejected(self, tmp_path):
-        # A key the subcommand does not take, such as a stale "rotation", is refused.
+        # A key the subcommand does not take, such as a stale "rotation" or
+        # "codebook_cap", is refused.
         cfg = tmp_path / "run.json"
-        for command, key in ((["wf"], "spectrums"), (["simulate", "--mode", "scheme"], "rotation")):
+        for command, key in ((["wf"], "spectrums"), (["simulate", "--mode", "scheme"], "rotation"),
+                             (["simulate", "--mode", "scheme"], "codebook_cap")):
             cfg.write_text(json.dumps({key: "flat"}))
             proc = run_cli(*command, "--config", str(cfg))
             assert proc.returncode == 2
@@ -505,7 +507,7 @@ class TestSimulateCommand:
         # trials echoes the option (64), not the report's 64 x 16 codeword draws
         (["--mode", "success", "--n", "10", "--rate", "0.5", "--trials", "64", "--eta", "0.05",
           "--w-batches", "16"],
-         "success,10,0.5,,,1.0:1.0,64,0,,,0.05,16,0.0126953125,0.0034986243865512676,"
+         "success,10,0.5,,,1.0:1.0,64,0,,,0.05,16,0.0126953125,0.004559616222628419,"
          "0.5,0.0126953125,0.007434044913652255,0.021599089101911852,0.6299560281858908,false"),
         # p_hat = 1: the exponent -log2(1)/n reads 0.0, not -0.0
         (["--mode", "success", "--rate", "0", "--n", "4", "--trials", "8", "--w-batches", "2"],
@@ -585,16 +587,27 @@ class TestSimulateCommand:
     def test_invalid_run_config_exits_two(self):
         # click quotes the unknown option differently across versions.
         for args, words in ((["--rate", "0"], ["scheme mode needs rate_bits > 0"]),
-                            (["--rotation", "haar"], ["No such option", "--rotation"])):
+                            (["--rotation", "haar"], ["No such option", "--rotation"]),
+                            (["--codebook-cap", "5"], ["No such option", "--codebook-cap"])):
             proc = run_cli("simulate", "--mode", "scheme", "--n", "8", *args)
             assert proc.returncode == 2
             assert all(w in proc.stderr for w in words) and proc.stdout == ""
 
-    def test_codebook_past_float_range_exits_two(self):
-        proc = run_cli("simulate", "--mode", "scheme", "--n", "2000", "--rate", "1",
-                       "--trials", "2")
+    @pytest.mark.parametrize("args,n,message", [
+        (["--mode", "scheme"], "2000", "n * rate_bits must be <= 26, got 2000.0"),
+        (["--mode", "success", "--eta", "0.05"], "27", "n * rate_bits must be <= 26, got 27.0"),
+        *((args, str(n), f"n must lie in [1, {sys.maxsize}], got {n}")
+          for args in (["--mode", "scheme"], ["--mode", "coupling", "--t", "0.3"],
+                       ["--mode", "filter", "--T", "1"])
+          for n in (2**63, 10**400)),
+    ], ids=["scheme-book", "success-book", "scheme-2**63", "scheme-10**400", "coupling-2**63",
+            "coupling-10**400", "filter-2**63", "filter-10**400"])
+    def test_n_out_of_range_exits_two(self, args, n, message):
+        # A coded run refuses a book past n R = 26, and every mode an n past
+        # sys.maxsize, as usage errors, not tracebacks.
+        proc = run_cli("simulate", *args, "--n", n, "--trials", "2")
         assert proc.returncode == 2
-        assert "exceeds codebook_cap" in proc.stderr
+        assert message in proc.stderr and "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
     @pytest.mark.parametrize("mode,level", [("coupling", "--t"), ("filter", "--T")])

@@ -68,9 +68,11 @@ class TestSimConfig:
         "kw",
         [
             {"n": 0},
+            {"n": 2**63},  # past sys.maxsize: expand_to_n would need a C long
+            {"n": 10**400},  # past float range
             {"rate_bits": -0.5},
             {"rate_bits": math.nan},
-            {"rate_bits": math.inf},  # codebook_size would overflow
+            {"rate_bits": math.inf},  # refused when built, not first at codebook_size
             {"trials": 0},
             {"seed": -1},
             {"seed": 2**64},
@@ -81,7 +83,6 @@ class TestSimConfig:
             {"tau_delta": 1e-320},  # 1 / tau_delta overflows
             {"tau_threshold": -0.1},
             {"tau_threshold": math.nan},
-            {"codebook_cap": 0},
             {"eta": -0.01},
             {"eta": math.nan},
             {"eta": math.inf},  # a success run would report p_hat 1.0 and exponent 0.0
@@ -96,16 +97,12 @@ class TestSimConfig:
         assert _cfg(n=4, rate_bits=1.5).codebook_size == 64
         assert _cfg(n=3, rate_bits=0.0).codebook_size == 1
         assert _cfg(n=3, rate_bits=0.5).codebook_size == 2  # floor(2^1.5)
-
-    def test_codebook_size_past_float_range(self):
-        # 2.0 ** (n R) overflows past n R = 1024; the size is still exact for
-        # whole bits and equal to the float formula below that.
-        assert _cfg(n=2000, rate_bits=1.0).codebook_size == 2**2000
-        assert _cfg(n=1025, rate_bits=1.0).codebook_size == 2**1025
-        for n, rate in ((1023, 1.0), (2047, 0.5), (10, 0.75), (200, 1.3)):
-            assert _cfg(n=n, rate_bits=rate).codebook_size == math.floor(2.0 ** (n * rate))
-        with pytest.raises(ValueError, match="exceeds codebook_cap"):
-            simulator.build_codebook(_cfg(n=2000, rate_bits=1.0))
+        assert _cfg(n=26, rate_bits=1.0).codebook_size == 2**26
+        # Past n R = 26 the size is refused, not computed: 2^2000 would
+        # overflow a float.
+        for n in (27, 2000):
+            with pytest.raises(ValueError, match=rf"n \* rate_bits must be <= 26, got {n}\.0$"):
+                _cfg(n=n, rate_bits=1.0).codebook_size
 
     def test_tau_threshold_zero_allowed(self):
         assert _cfg(tau_threshold=0.0).tau_threshold == 0.0
@@ -119,9 +116,9 @@ class TestIntegerArguments:
         pytest.param(lambda: next(simulator._unit_rngs(1.5, STREAM_TRIAL, 0, 1)), id="unit-seed"),
         pytest.param(lambda: next(simulator._unit_rngs(0, STREAM_TRIAL, 0.5, 1)), id="unit-start"),
         *(pytest.param(lambda name=name: _cfg(**{name: 8.5}), id=f"config-{name}")
-          for name in ("n", "trials", "seed", "codebook_cap", "w_batches")),
+          for name in ("n", "trials", "seed", "w_batches")),
         *(pytest.param(lambda name=name: _cfg(**{name: True}), id=f"config-{name}-bool")
-          for name in ("n", "trials", "seed", "codebook_cap", "w_batches")),
+          for name in ("n", "trials", "seed", "w_batches")),
         pytest.param(lambda: _cfg(seed=False), id="config-seed-false"),
         pytest.param(lambda: simulator.simulate_mmse_filter(FLAT, 1.0, 4, 300.5, 0, 1),
                      id="trials"),
@@ -149,24 +146,23 @@ class TestBuildCodebook:
         assert not cb.flags.writeable
         assert np.array_equal(cb, simulator.build_codebook(cfg))
 
-    def test_cap_enforced(self):
-        with pytest.raises(ValueError):
-            simulator.build_codebook(_cfg(n=30, rate_bits=1.0))
-        # equality with the cap is allowed
-        cb = simulator.build_codebook(_cfg(n=10, rate_bits=1.0, codebook_cap=1024))
-        assert cb.shape == (1024, 10)
-
-    def test_cap_checked_first_without_overflow(self, monkeypatch):
-        # 2^2000 codewords overflow a float; the cap is compared in the log
-        # domain, before the run's state is built or anything is drawn.
+    @pytest.mark.parametrize("run", [
+        simulator.build_codebook, simulator.run_universal_scheme, simulator.estimate_codeword_success,
+    ], ids=["build_codebook", "scheme", "success"])
+    def test_one_bound_before_any_state_or_draw(self, monkeypatch, run):
+        # Every simulated book is refused past n R = 26 with one message,
+        # before the run's state is built or anything is drawn; at n R = 26
+        # the run passes the bound and goes on to its state or its draw.
         def no_state(config):
-            raise AssertionError("state built before the cap check")
+            raise AssertionError("state built")
 
         monkeypatch.setattr(simulator, "_scaling_state", no_state)
         monkeypatch.setattr(simulator, "_unit_rngs", _no_draw)
-        cfg = _cfg(n=2000, rate_bits=1.0, trials=2)
-        with pytest.raises(ValueError, match="exceeds codebook_cap"):
-            simulator.run_universal_scheme(cfg)
+        for n in (27, 2000):
+            with pytest.raises(ValueError, match=r"n \* rate_bits must be <= 26"):
+                run(_cfg(n=n, rate_bits=1.0, trials=2, eta=0.05))
+        with pytest.raises(AssertionError, match="state built|drew from a substream"):
+            run(_cfg(n=26, rate_bits=1.0, trials=2, eta=0.05))
 
 
 class TestUniversalScheme:
@@ -396,6 +392,23 @@ class TestCodewordSuccess:
         assert rep.exponent == 0.6524266569033602
         assert rep.wilson_low < rep.p_hat < rep.wilson_high
         assert rep.analytic == 0.5
+
+    def test_se_is_the_spread_of_the_batches(self):
+        # The codewords of one batch share its source, so se is the standard
+        # error of the mean of the per-batch success fractions, recomputed
+        # here from _success_batch's counts over all 48 batches at once (the
+        # run maps them as one full work unit and a partial one); one batch
+        # gives 0.0.
+        cfg = _cfg(n=8, spectrum=TWO_LEVEL, trials=64, seed=19, eta=0.05, w_batches=48)
+        rep = simulator.estimate_codeword_success(cfg)
+        st = simulator._scaling_state(cfg)
+        st.update(trials=cfg.trials, eta=cfg.eta)
+        counts = simulator._success_batch((st, 0, cfg.w_batches))
+        assert len(counts) == 48 and rep.p_hat == sum(counts) / (64 * 48)
+        assert rep.se == np.std(np.array(counts) / 64, ddof=1) / math.sqrt(48)
+        one = simulator.estimate_codeword_success(_cfg(n=8, spectrum=TWO_LEVEL, trials=64, seed=19,
+                                                       eta=0.05, w_batches=1))
+        assert one.p_hat == counts[0] / 64 and one.se == 0.0
 
     def test_eta_monotonicity_at_fixed_seed(self):
         # Same seed reproduces the same sources and codewords, and the target

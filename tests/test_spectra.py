@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -198,6 +199,14 @@ class TestExpandToN:
         assert spectra._apportion(tiny, 8) == [8, 0]
         with pytest.raises(ValueError, match=r"levels \[1\] receive zero dimensions at n=8"):
             spectra.expand_to_n(tiny, 8)
+
+    @pytest.mark.parametrize("n", [0, 2**63, 10**400], ids=["0", "2**63", "10**400"])
+    def test_n_outside_its_domain_refused(self, n):
+        # np.repeat takes no count past a C long (sys.maxsize), and a float
+        # quota no n past 2^1024: each is refused with a ValueError naming n.
+        s = spectra.parse_spectrum("1.8:0.5,0.2:0.5")
+        with pytest.raises(ValueError, match=rf"n must lie in \[1, {sys.maxsize}\], got {n}$"):
+            spectra.expand_to_n(s, n)
 
     def test_sorted_decreasing(self):
         s = spectra.sample_random(5, 3)

@@ -245,8 +245,8 @@ def cmd_rdrc(spectrum: str, rate_grid: str, compare: bool, svg: str | None,
 @main.command("gap-sweep")
 @click.option("--dstar-grid", default="0.005:0.995:0.005", show_default=True,
               help="Distortion grid start:stop:step within [1e-8, 0.999].")
-@click.option("--kmax", default=5, show_default=True, type=int,
-              help="Largest number of spectrum levels searched per grid point.")
+@click.option("--kmax", default=5, show_default=True, type=int, metavar="K",
+              help="Two-level search starts: 16*(K-1) per grid point; 1 reports the flat spectrum.")
 @click.option("--seed", default=0, show_default=True, type=int,
               help="Written to the manifest; the search is deterministic and uses no seed.")
 @click.option("--svg", type=click.Path(), default=None,

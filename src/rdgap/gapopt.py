@@ -1,11 +1,11 @@
 """Universality rate gap: evaluation, analytic gradients, worst-case search.
 
 The gap at a fixed target distortion is the random-coding rate minus the
-oracle waterfilling rate.  Its worst case over spectra with at most k_max
-levels is searched deterministically, starting from the flat spectrum.  BFGS
-ascents on the analytic gap gradient, in the chart levels = exp(x), weights =
-softmax(y) at unit mean, start from the 16 (k_max - 1) best cells of an
-exhaustive two-level scan.  They run in lockstep on one array chart
+oracle waterfilling rate.  Its worst case is searched deterministically over
+two-level spectra, starting from the flat spectrum.  BFGS ascents on the
+analytic gap gradient, in the chart levels = exp(x), weights = softmax(y) at
+unit mean, start from the 16 (k_max - 1) best cells of an exhaustive
+two-level scan.  They run in lockstep on one array chart
 (_chart_gap_grad, whose t and T come from _gap_core's scalar solvers), with
 the inverse Hessian doubled wherever BFGS sees no curvature, and
 each end point is re-scored by _gap_core, the one gap that the 1e-15 rules
@@ -15,13 +15,12 @@ the KKT conditions over sum w = 1, sum w v = 1 in (log v, w) with the exact
 gap Hessian, merging levels that coalesce or lose their weight
 (spectra._collapse, at _COALESCE_REL and _WEIGHT_FLOOR);
 that solve, the stationarity residual and phi share one multiplier fit
-(_kkt).  Then vertex-direction steps (Wynn, Ann. Math. Statist. 41, 1970;
-Lindsay, Ann. Statist. 11, 1983): while the exact maximum of phi, the gap's
-derivative in the direction of a new level (_max_phi), exceeds
-STATIONARY_TOL and fewer than k_max levels are in use, a level is mixed in
-at its argmax, ascended and solved with the rest.  A point replaces the best only if it gains more
-than 1e-15 of gap, and a solved point replaces the searched one unless it
-loses more.  tools/regen_golden_sweep.py regenerates the golden sweep.
+(_kkt).  The search adds no level: _max_phi, the exact maximum of the gap's
+derivative in the direction of a new level, reports whether one would gain
+gap to first order at the reported spectrum's T.  A point replaces the best
+only if it gains more than 1e-15 of gap, and a solved point replaces the
+searched one unless it loses more.  tools/regen_golden_sweep.py regenerates
+the golden sweep.
 """
 
 from __future__ import annotations
@@ -69,10 +68,11 @@ class GapRecord:
 class PointDiagnostics:
     """Optimizer bookkeeping for one grid point.
 
-    restarts counts the BFGS ascents; residual is the reported spectrum's
-    stationarity residual (unit-free, so it means the same at every d*),
-    converged is 1 when it is at most STATIONARY_TOL, else 0, and max_phi
-    is its equivalence check (_max_phi).
+    restarts counts the BFGS ascents, 16 (k_max - 1); best_k is 2 if they
+    beat the flat spectrum, else 1; residual is the reported spectrum's
+    stationarity residual (unit-free, the same at every d*), converged is 1
+    when it is at most STATIONARY_TOL, else 0, and max_phi is its
+    equivalence check (_max_phi).
     """
 
     d_star: float
@@ -233,26 +233,25 @@ def _kkt(values, weights, d_star: float):
     return g - J.T @ mult, mult, J, H, t, T
 
 
-def _max_phi(values, weights, d_star: float) -> tuple[float, float, float]:
-    """(max, argmax) over levels v >= 0 of phi(v), the gap's derivative in
-    the weight of a new level v (_weight_terms) less the constraints'
+def _max_phi(values, weights, d_star: float) -> tuple[float, float]:
+    """The max over levels v >= 0 of phi(v), the gap's derivative in the
+    weight of a new level v (_weight_terms) less the constraints'
     multipliers m0 + m1 v (_kkt).  The gap is concave in the spectrum at
     fixed T, so max phi <= 0 certifies a point over any level count.  With
     u = 1 + vT and A = num / den (rdrc._moments), 2 ln2 phi' = T/u + A/u^2
     - 2 ln2 m1 - 1/max(v, t) is a quadratic over u^2 below t and a cubic
     over v u^2 above it; phi is C^1, so the max is at a root, at 0 or t, or
-    is the limit at v = inf, returned with argmax inf: -inf (m1 > 0), +inf
-    (m1 < 0) or, at m1 = 0, as for one level (whose fitted m1 is rounding:
-    the gap ignores its scale), (ln(tT) + A/T - 1) / (2 ln2) - m0.  The same
-    _kkt evaluation's stationarity residual comes third.  Raises KinkError
-    on the kink.
+    is the limit at v = inf: -inf (m1 > 0), +inf (m1 < 0) or, at m1 = 0, as
+    for one level (whose fitted m1 is rounding: the gap ignores its scale),
+    (ln(tT) + A/T - 1) / (2 ln2) - m0.  The same _kkt evaluation's
+    stationarity residual comes second.  Raises KinkError on the kink.
     """
     r, mult, _, _, t, T = _kkt(values, weights, d_star)
     residual = float(np.max(np.abs(r)))
     m0, m1 = mult.tolist()
     m1 = m1 if len(values) > 1 else 0.0
     if m1 < 0.0:
-        return math.inf, math.inf, residual
+        return math.inf, residual
     num, den = rdrc._moments(values, weights, T)
     A, L = num / den, 2.0 * _LN2 * m1
     B = 1.0 / t + L
@@ -264,9 +263,9 @@ def _max_phi(values, weights, d_star: float) -> tuple[float, float, float]:
     # phi anywhere is a lower bound, so every root is a candidate, in range or not.
     roots = np.r_[np.roots([-B * T * T, T * T - 2.0 * B * T, T + A - B]),
                   np.roots([-L * T * T, -2.0 * L * T, A - T - L, -1.0])]
-    best = max([0.0, t] + [v for v in roots.real.tolist() if v > 0.0], key=phi)
+    top = max(phi(v) for v in [0.0, t] + [v for v in roots.real.tolist() if v > 0.0])
     limit = (math.log(t * T) + A / T - 1.0) / (2.0 * _LN2) - m0 if m1 == 0.0 else -math.inf
-    return (limit, math.inf, residual) if limit > phi(best) else (phi(best), best, residual)
+    return max(top, limit), residual
 
 
 def _newton(values, weights, d_star: float):
@@ -464,52 +463,28 @@ def _search_k(d_star: float, n_starts: int):
     return *best, len(starts)
 
 
-def _inserted(values, weights, v_new: float, slope: float, d_star: float):
-    """The unit-mean spectrum with a level v_new mixed in at weight alpha, the
-    first of 1/2, 1/4, ... above _WEIGHT_FLOOR where the gap gains _ARMIJO
-    alpha slope (slope: max phi, the gap's derivative in alpha), else None."""
-    gap, alpha = _gap_core(values, weights, d_star), 0.5
-    while alpha > _WEIGHT_FLOOR:
-        trial = _normalized(list(values) + [v_new], [(1.0 - alpha) * w for w in weights] + [alpha])
-        if _gap_core(*trial, d_star) >= gap + _ARMIJO * alpha * slope:
-            return trial
-        alpha *= 0.5
-    return None
-
-
 def _point_search(d_star: float, k_max: int) -> tuple[GapRecord, PointDiagnostics]:
     # The flat spectrum is the starting best; two levels must beat it by more
     # than rounding, so a search that only refinds it does not replace it.
-    best, restarts = (_gap_core([1.0], [1.0], d_star), [1.0], [1.0], 1), 0
+    values, weights, best_k, restarts = [1.0], [1.0], 1, 0
+    searched = _gap_core(values, weights, d_star)
     if k_max > 1:
         g, v, w, restarts = _search_k(d_star, _STARTS_PER_K * (k_max - 1))
-        if g > best[0] + _GAP_SLACK:
-            best = (g, v, w, 2)
-    while True:
-        searched, values, weights, best_k = best
-        # The gap is flat at its maximum, so the search fixes the argmax only to
-        # about sqrt(eps); solving grad = 0 fixes it to about eps / |curvature|.
-        solved = _stationary_point(values, weights, d_star)
-        if solved is not None and _gap_core(*solved, d_star) >= searched - _GAP_SLACK:
-            values, weights = solved
-        else:  # report what the search found, with nothing merged that moves the gap
-            values, weights = _collapse(values, weights, 0.0, 0.0)
-        mean = sum(v * w for v, w in zip(values, weights))
-        values = [v / mean for v in values]  # the spectrum reported, so the one checked
-        try:
-            max_phi, v_new, residual = _max_phi(values, weights, d_star)
-        except KinkError:
-            max_phi = v_new = residual = math.inf
-        if not (max_phi > STATIONARY_TOL and len(values) < k_max and v_new < math.inf):
-            break
-        if (start := _inserted(values, weights, v_new, max_phi, d_star)) is None:
-            break
-        k = len(start[0])
-        g, v, w = _ascend(_pack(*start)[None], k, d_star)[0]
-        restarts += 1
-        if not g > searched + _GAP_SLACK:
-            break
-        best = (g, v, w, k)
+        if g > searched + _GAP_SLACK:
+            searched, values, weights, best_k = g, v, w, 2
+    # The gap is flat at its maximum, so the search fixes the argmax only to
+    # about sqrt(eps); solving grad = 0 fixes it to about eps / |curvature|.
+    solved = _stationary_point(values, weights, d_star)
+    if solved is not None and _gap_core(*solved, d_star) >= searched - _GAP_SLACK:
+        values, weights = solved
+    else:  # report what the search found, with nothing merged that moves the gap
+        values, weights = _collapse(values, weights, 0.0, 0.0)
+    mean = sum(v * w for v, w in zip(values, weights))
+    values = [v / mean for v in values]  # the spectrum reported, so the one checked
+    try:
+        max_phi, residual = _max_phi(values, weights, d_star)
+    except KinkError:
+        max_phi = residual = math.inf
     record = gap_at(Spectrum(tuple(values), tuple(weights)), d_star)
     converged = int(residual <= STATIONARY_TOL)
     return record, PointDiagnostics(d_star, restarts, converged, best_k, residual, max_phi)
@@ -530,8 +505,9 @@ def _check_dstar(d_star: float) -> None:
 
 
 def maximize_gap(d_star: float, k_max: int) -> GapRecord:
-    """Best gap found over spectra with at most k_max distinct levels; the
-    search is deterministic.  d* must lie in [1e-8, 0.999]: below 1e-8 the
+    """Best gap found at d* (deterministic): the flat spectrum at k_max = 1,
+    else the best two-level spectrum of 16 (k_max - 1) ascents if it beats
+    flat.  d* must lie in [1e-8, 0.999]: below 1e-8 the
     gap's rounding exceeds _GAP_SLACK, so the search could not tell its
     solved point from the searched one, and above 0.999 it stops reaching
     STATIONARY_TOL (on a 1e-6 scan, every point from 0.999913 up)."""
@@ -557,9 +533,7 @@ def sweep(d_grid, k_max: int, threads: int | None = None) -> SweepResult:
     for d in grid:
         _check_dstar(d)
     k_max = _check_kmax(k_max)
-    args = [(d, k_max) for d in grid]
-    results = ordered_map(_sweep_worker, args, threads)
-    records, diags = zip(*results)
+    records, diags = zip(*ordered_map(_sweep_worker, [(d, k_max) for d in grid], threads))
     best = max(records, key=lambda r: r.gap_bits)
     return SweepResult(records, best, diags)
 

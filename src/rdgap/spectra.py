@@ -17,7 +17,6 @@ from __future__ import annotations
 import csv
 import math
 import operator
-import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -174,11 +173,13 @@ def expand_to_n(s: Spectrum, n: int) -> np.ndarray:
 
 
 def _apportion(s: Spectrum, n: int) -> list[int]:
-    """Coordinates per level out of n <= sys.maxsize, an array's limit, by
-    largest-remainder apportionment; a level may get none."""
+    """Coordinates per level out of n <= 2^39 by largest-remainder
+    apportionment; a level may get none."""
     n = _integer(n, "n")
-    if not 1 <= n <= sys.maxsize:
-        raise ValueError(f"n must lie in [1, {sys.maxsize}], got {n}")
+    # The weights sum to at most 1 + WEIGHT_SUM_TOL, so up to n = 2^39 the quotas
+    # sum to at most n(1 + 1e-12)(1 + 2^-53) < n + 1 and their floors to at most n.
+    if not 1 <= n <= 2**39:
+        raise ValueError(f"n must lie in [1, {2**39}], got {n}")
     quotas = [w * n for w in s.weights]
     counts = [int(q) for q in quotas]
     short = n - sum(counts)

@@ -596,7 +596,7 @@ class TestSimulateCommand:
     @pytest.mark.parametrize("args,n,message", [
         (["--mode", "scheme"], "2000", "n * rate_bits must be <= 26, got 2000.0"),
         (["--mode", "success", "--eta", "0.05"], "27", "n * rate_bits must be <= 26, got 27.0"),
-        *((args, str(n), f"n must lie in [1, {sys.maxsize}], got {n}")
+        *((args, str(n), f"n must lie in [1, {2**39}], got {n}")
           for args in (["--mode", "scheme"], ["--mode", "coupling", "--t", "0.3"],
                        ["--mode", "filter", "--T", "1"])
           for n in (2**63, 10**400)),
@@ -604,7 +604,7 @@ class TestSimulateCommand:
             "coupling-10**400", "filter-2**63", "filter-10**400"])
     def test_n_out_of_range_exits_two(self, args, n, message):
         # A coded run refuses a book past n R = 26, and every mode an n past
-        # sys.maxsize, as usage errors, not tracebacks.
+        # 2^39, as usage errors, not tracebacks.
         proc = run_cli("simulate", *args, "--n", n, "--trials", "2")
         assert proc.returncode == 2
         assert message in proc.stderr and "Traceback" not in proc.stderr

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -487,7 +488,7 @@ class TestStationarity:
         weights = [w[0] / 2, w[0] / 2, w[1] - 1e-8, 1e-8]
         sv, sw = gapopt._stationary_point(values, weights, 0.475)
         assert len(sv) == 2
-        assert gapopt._max_phi(sv, sw, 0.475)[2] <= 1e-11
+        assert gapopt._max_phi(sv, sw, 0.475)[1] <= 1e-11
         assert all(abs(a - b) < 1e-11 for a, b in zip(sv + sw, v + w))
 
     def test_stationary_below_the_grid(self):
@@ -600,7 +601,7 @@ class TestEquivalenceCheck:
     def test_exact_maximum_matches_a_dense_grid(self):
         # Guards the quadratic (v < t) and cubic (v > t) for phi' = 0: the
         # exact maximum is never below 400,000 log-spaced levels, and agrees
-        # with them to 1e-9 where it is finite; it is infinite only for m1 < 0.
+        # with them to 1e-9 where it is finite; it is +inf only for m1 < 0.
         rng = np.random.default_rng(11)
         finite = 0
         for i in range(50):
@@ -608,15 +609,13 @@ class TestEquivalenceCheck:
             d_star = float(np.exp(rng.uniform(np.log(1e-3), np.log(0.99))))
             levels = np.geomspace(1e-3 * d_star, 1e3 / d_star, 400_000)
             phi, m1 = _phi_on_levels(s.values, s.weights, d_star, levels)
-            exact, argmax, _ = gapopt._max_phi(s.values, s.weights, d_star)
+            exact, _ = gapopt._max_phi(s.values, s.weights, d_star)
             assert exact >= float(phi.max()) - 1e-12
             if math.isinf(exact):
-                assert m1 < 0.0 and math.isinf(argmax)
+                assert m1 < 0.0 and exact > 0.0
                 continue
             finite += 1
             assert exact == pytest.approx(float(phi.max()), abs=1e-9)
-            assert exact == pytest.approx(float(_phi_on_levels(
-                s.values, s.weights, d_star, np.array([argmax]))[0][0]), rel=1e-14, abs=1e-15)
         assert finite >= 20
 
     def test_one_level_spectrum(self):
@@ -624,13 +623,15 @@ class TestEquivalenceCheck:
         # supremum may be the limit at v -> inf, which no level attains.
         d_star = 0.9
         limit = (math.log(1.0 - d_star) + d_star / (1.0 - d_star)) / (2.0 * math.log(2.0))
-        phi, argmax, _ = gapopt._max_phi([1.0], [1.0], d_star)
+        phi, _ = gapopt._max_phi([1.0], [1.0], d_star)
         assert phi == pytest.approx(limit, rel=1e-12)
-        assert math.isinf(argmax)
-        # At d* = 0.3 a finite level below the water level beats the limit.
-        phi, argmax, _ = gapopt._max_phi([1.0], [1.0], 0.3)
+        finite_levels = _phi_on_levels([1.0], [1.0], d_star, np.geomspace(1e-6, 1e3, 1000))[0]
+        assert phi > float(finite_levels.max())
+        # At d* = 0.3 a finite level below the water level, t = 0.3, beats the limit.
+        phi, _ = gapopt._max_phi([1.0], [1.0], 0.3)
         assert phi > (math.log(0.7) + 0.3 / 0.7) / (2.0 * math.log(2.0))
-        assert 0.0 < argmax < 0.3
+        below = _phi_on_levels([1.0], [1.0], 0.3, np.linspace(1e-6, 0.3, 300_000))[0]
+        assert phi == pytest.approx(float(below.max()), abs=1e-9)
 
     def test_sweep_reports_max_phi(self):
         res = gapopt.sweep([0.3, 0.7], 5)
@@ -646,7 +647,7 @@ class TestEquivalenceCheck:
         res = gapopt.sweep([0.1, 0.9], 5)
         for rec, d in zip(res.records, res.diagnostics):
             s = rec.spectrum
-            phi, _, residual = gapopt._max_phi(s.values, s.weights, rec.d_star)
+            phi, residual = gapopt._max_phi(s.values, s.weights, rec.d_star)
             assert d.max_phi == phi
             assert d.residual == residual
 
@@ -677,53 +678,35 @@ class TestLockstep:
 
 
 class TestVertexDirection:
-    """On the grid the k = 2 search already meets the equivalence check, so
-    the insertion step never fires there; a non-stationary two-level point
-    (residual ~7e-4, phi ~0.13 near v = 216) stands in for the k = 2 best."""
+    """A non-stationary two-level point (residual ~7e-4, phi ~0.13 near
+    v = 216) patched in as the search's best: phi asks for a level there,
+    and the search reports the point with its failed certificate."""
 
     D_STAR = 0.865
     LEVELS = [504.6718775488723, 0.511488327895775]
     WEIGHTS = [0.000968960835775036, 0.999031039164225]
 
-    def _patch(self, monkeypatch):
+    def test_patched_point_asks_for_a_level(self):
+        phi, _ = gapopt._max_phi(self.LEVELS, self.WEIGHTS, self.D_STAR)
+        assert phi > 0.1
+        near, _ = _phi_on_levels(self.LEVELS, self.WEIGHTS, self.D_STAR,
+                                 np.geomspace(100.0, 400.0, 100_000))
+        assert phi == pytest.approx(float(near.max()), abs=1e-9)
+
+    def test_patched_point_is_reported_as_found(self, monkeypatch):
         def patched(d_star, n_starts):
             gap = gapopt._gap_core(self.LEVELS, self.WEIGHTS, d_star)
             return gap, list(self.LEVELS), list(self.WEIGHTS), n_starts
 
         monkeypatch.setattr(gapopt, "_search_k", patched)
-        return gapopt._gap_core(self.LEVELS, self.WEIGHTS, self.D_STAR)
-
-    def test_patched_point_asks_for_a_level(self):
-        phi, argmax, _ = gapopt._max_phi(self.LEVELS, self.WEIGHTS, self.D_STAR)
-        assert phi > 0.1
-        assert 100.0 < argmax < 400.0
-
-    def test_insertion_raises_the_gap(self, monkeypatch):
-        patched_gap = self._patch(monkeypatch)
-        rec, diag = gapopt._point_search(self.D_STAR, 3)
-        assert diag.restarts == 2 * gapopt._STARTS_PER_K + 1
-        assert diag.best_k == 3
-        assert rec.gap_bits > patched_gap + 1e-5
-
-    @pytest.mark.parametrize("k_max", [3, 4, 5])
-    def test_insertion_converges_to_the_two_level_maximum(self, k_max, monkeypatch):
-        # The inserted level's ascent ends stationary, and the solve merges it
-        # back onto the two-level maximum that the unpatched search finds.
-        unpatched = gapopt.maximize_gap(self.D_STAR, 2)
-        self._patch(monkeypatch)
-        rec, diag = gapopt._point_search(self.D_STAR, k_max)
-        assert diag.converged == 1
-        assert rec.spectrum.k == 2
-        assert rec.gap_bits == pytest.approx(unpatched.gap_bits, abs=1e-15)
-
-    def test_no_insertion_at_two_levels(self, monkeypatch):
-        patched_gap = self._patch(monkeypatch)
-        rec, diag = gapopt._point_search(self.D_STAR, 2)
-        assert diag.restarts == gapopt._STARTS_PER_K
-        assert rec.spectrum.k == 2
-        assert rec.gap_bits == pytest.approx(patched_gap, abs=1e-15)
-        assert diag.max_phi > gapopt.STATIONARY_TOL
-        assert diag.converged == 0
+        patched_gap = gapopt._gap_core(self.LEVELS, self.WEIGHTS, self.D_STAR)
+        for k_max in range(2, 6):
+            rec, diag = gapopt._point_search(self.D_STAR, k_max)
+            assert diag.restarts == gapopt._STARTS_PER_K * (k_max - 1)
+            assert rec.spectrum.k == 2
+            assert rec.gap_bits == pytest.approx(patched_gap, abs=1e-15)
+            assert diag.max_phi > gapopt.STATIONARY_TOL
+            assert diag.converged == 0
 
 
 class TestMaximizeGap:
@@ -798,7 +781,19 @@ class TestSweep:
         # The flat start is not searched; each unit of k_max above 1 adds _STARTS_PER_K.
         assert d.restarts == 2 * gapopt._STARTS_PER_K
         assert 0 <= d.converged <= d.restarts
-        assert 1 <= d.best_k <= 3
+        assert d.best_k == 2
+
+    def test_k_max_sets_only_the_start_count(self):
+        # The search is two-level at every k_max >= 2: more starts refind the
+        # same spectrum, so records and diagnostics agree apart from restarts.
+        points = [1e-8, 0.005, 0.3, 0.9]
+        base = gapopt.sweep(points, 2, threads=1)
+        for k in (3, 4, 5):
+            res = gapopt.sweep(points, k, threads=1)
+            assert res.records == base.records
+            assert [replace(d, restarts=0) for d in res.diagnostics] == [
+                replace(d, restarts=0) for d in base.diagnostics]
+            assert {d.restarts for d in res.diagnostics} == {gapopt._STARTS_PER_K * (k - 1)}
 
     def test_best_picks_grid_max(self):
         res = gapopt.sweep([0.1, 0.5, 0.9], 2)

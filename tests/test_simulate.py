@@ -68,7 +68,7 @@ class TestSimConfig:
         "kw",
         [
             {"n": 0},
-            {"n": 2**63},  # past sys.maxsize: expand_to_n would need a C long
+            {"n": 2**63},  # past _apportion's 2^39 and a C long
             {"n": 10**400},  # past float range
             {"rate_bits": -0.5},
             {"rate_bits": math.nan},

@@ -1,5 +1,4 @@
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -200,13 +199,25 @@ class TestExpandToN:
         with pytest.raises(ValueError, match=r"levels \[1\] receive zero dimensions at n=8"):
             spectra.expand_to_n(tiny, 8)
 
-    @pytest.mark.parametrize("n", [0, 2**63, 10**400], ids=["0", "2**63", "10**400"])
+    @pytest.mark.parametrize("n", [0, 2**39 + 1, 2**63, 10**400],
+                             ids=["0", "2**39+1", "2**63", "10**400"])
     def test_n_outside_its_domain_refused(self, n):
-        # np.repeat takes no count past a C long (sys.maxsize), and a float
-        # quota no n past 2^1024: each is refused with a ValueError naming n.
+        # Past 2^39 the floored quotas of weights that sum to 1 + 1e-12 can
+        # exceed n, np.repeat takes no count past a C long, and a float quota
+        # no n past 2^1024: each is refused with a ValueError naming n.
         s = spectra.parse_spectrum("1.8:0.5,0.2:0.5")
-        with pytest.raises(ValueError, match=rf"n must lie in \[1, {sys.maxsize}\], got {n}$"):
+        with pytest.raises(ValueError, match=rf"n must lie in \[1, {2**39}\], got {n}$"):
             spectra.expand_to_n(s, n)
+
+    def test_counts_sum_to_n_at_the_domain_top(self):
+        # Weights summing to 1 + 9.9e-13, inside WEIGHT_SUM_TOL: their floored
+        # quotas overshoot n = 2^40 by one, yet sum to exactly n at 2^39.
+        weights = (0.25 + 1.01 / 2**40, 0.75 + 0.078 / 2**40)
+        mean = 2.2 * weights[0] + 0.6 * weights[1]
+        s = Spectrum((2.2 / mean, 0.6 / mean), weights)
+        assert sum(s.weights) - 1.0 == pytest.approx(9.9e-13, rel=1e-3)
+        assert sum(int(w * 2**40) for w in s.weights) == 2**40 + 1
+        assert sum(spectra._apportion(s, 2**39)) == 2**39
 
     def test_sorted_decreasing(self):
         s = spectra.sample_random(5, 3)
